@@ -70,6 +70,7 @@ from .sequences import (
     fault_tolerance_surface,
     hamiltonian_of_schedule_1q,
     measure_cone_phase,
+    resolve_times,
     run_conditional_sequence,
     run_cone_loop,
     run_spin_echo_1q,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .sequences import (
     default_times_2q,
     fault_tolerance_surface,
     measure_cone_phase,
+    resolve_times,
     run_conditional_sequence,
     run_spin_echo_1q,
     write_peaks_csv,
@@ -63,11 +65,10 @@ def _echo_config(args: argparse.Namespace, keys: list[str]) -> str:
 
 def _resolve_times_1q(args) -> tuple[float, float, float]:
     p = RabiParams(args.omega0, args.omega1, args.omega, args.phi)
-    ramp, sweep, dt = default_times_1q(p)
-    sweep = args.sweep_time if args.sweep_time is not None else sweep * args.sweep_factor
-    ramp = args.ramp_time if args.ramp_time is not None else 0.2 * sweep
-    dt = args.dt if args.dt is not None else dt
-    return ramp, sweep, dt
+    return resolve_times(
+        partial(default_times_1q, p), args.ramp_time, args.sweep_time, args.dt,
+        args.sweep_factor,
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -144,10 +145,10 @@ def cmd_conditional(args) -> int:
         args.omega_a, args.omega_b, args.coupling,
         RabiParams(args.omega_a, omega1, omega, 0.0),
     )
-    ramp, sweep, dt = default_times_2q(p, args.drive_on_b)
-    sweep = args.sweep_time if args.sweep_time is not None else sweep * args.sweep_factor
-    ramp = args.ramp_time if args.ramp_time is not None else 0.2 * sweep
-    dt = args.dt if args.dt is not None else dt
+    ramp, sweep, dt = resolve_times(
+        partial(default_times_2q, p, args.drive_on_b), args.ramp_time, args.sweep_time,
+        args.dt, args.sweep_factor,
+    )
     args.ramp_time, args.sweep_time, args.dt = ramp, sweep, dt
 
     r = run_conditional_sequence(
@@ -238,16 +239,34 @@ def _add_drive_args(sp, defaults):
 
 def _add_schedule_args(sp, defaults):
     sp.add_argument("--ramp-time", type=float, default=defaults.get("ramp_time"),
-                    help="amplitude ramp duration (s); default sweep_time/5")
+                    help="amplitude ramp duration (s); default the sweep time times "
+                         "the default ramp/sweep ratio (1/5 for one spin)")
     sp.add_argument("--sweep-time", type=float, default=defaults.get("sweep_time"),
                     help="phase sweep duration (s); default 500/|Omega'|")
     sp.add_argument("--sweep-factor", type=float, default=defaults.get("sweep_factor", 1.0),
-                    help="scale the default sweep/ramp times (adiabaticity knob)")
+                    help="scale the default sweep and ramp times together "
+                         "(adiabaticity knob)")
     sp.add_argument("--dt", type=float, default=defaults.get("dt"),
                     help="integrator step (s); default 0.005/|Omega'|")
 
 
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def _config_bool(key: str, value) -> bool:
+    if isinstance(value, bool):
+        return value
+    try:
+        return _BOOLEANS[str(value).strip().lower()]
+    except KeyError:
+        raise ValueError(f"{key} must be true or false, not {value!r}") from None
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  defaults (from a config file) replace the
+    built-in defaults; string values go through each argument's own type,
+    as a flag's value would."""
     defaults = defaults or {}
     parser = argparse.ArgumentParser(
         prog="berrygate",
@@ -282,7 +301,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--omega", type=float, default=defaults.get("omega"))
     sp.add_argument("--omega1", type=float, default=defaults.get("omega1"))
     sp.add_argument("--drive-on-b", action="store_true",
-                    default=bool(defaults.get("drive_on_b", False)),
+                    default=_config_bool("drive_on_b", defaults.get("drive_on_b", False)),
                     help="also couple the rotating field to spin b (oracle variant)")
     sp.add_argument("--pi-pulse-duration", type=float,
                     default=defaults.get("pi_pulse_duration", 0.0))
@@ -312,6 +331,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _validate(args) -> None:
+    # argparse checks choices on flags only, not on config-file defaults
+    if getattr(args, "orientation", "forward") not in ("forward", "reversed"):
+        raise ValueError(f"orientation must be forward or reversed, not {args.orientation!r}")
     for key in ("ramp_time", "sweep_time", "dt", "pi_pulse_duration"):
         val = getattr(args, key, None)
         if val is not None and val < 0.0:
@@ -328,20 +350,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Pre-scan for --config so file values become parser defaults; explicit
     # flags still override them.
-    defaults = {}
-    if "--config" in argv:
-        path = argv[argv.index("--config") + 1]
-        try:
-            raw = _read_config_file(path)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for key, val in raw.items():
-            try:
-                defaults[key] = float(val)
-            except ValueError:
-                defaults[key] = val
-    parser = build_parser(defaults)
+    pre = argparse.ArgumentParser(prog="berrygate", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    try:
+        parser = build_parser(_read_config_file(config) if config else None)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     args = parser.parse_args(argv)
     try:
         _validate(args)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.integrate import simpson
@@ -53,30 +54,48 @@ class AdiabaticityError(RuntimeError):
 # Hamiltonian builders (vectorized over time arrays)
 
 
+# Each sector of the rotating-frame Hamiltonian is (1/2) v . sigma with the
+# Bloch field v = (w1 cos ph, w1 sin ph, w_s - om).  One cone sector for one
+# spin (rows 0, 1); for two spins with the drive on spin a, one sector per
+# state of spin b (rows 0, 2 for b up at w+, rows 1, 3 for b down at w-).
+ROWS_1Q = ((0, 1),)
+ROWS_2Q = ((0, 2), (1, 3))
+
+
+def _cone_field(times, w1, om, ph, *, sector_freqs) -> np.ndarray:
+    """(3, n, S) Bloch fields of cone sectors that share one drive and
+    differ in their transition frequency."""
+    n = len(times)
+    v = np.empty((3, n, len(sector_freqs)))
+    v[0] = np.broadcast_to(w1 * np.cos(ph), (n,))[:, None]
+    v[1] = np.broadcast_to(w1 * np.sin(ph), (n,))[:, None]
+    for s, w in enumerate(sector_freqs):
+        v[2, :, s] = w - om
+    return v
+
+
+def _model_1q(omega0) -> engine.SectorField:
+    return engine.SectorField(partial(_cone_field, sector_freqs=(omega0,)), ROWS_1Q, 2)
+
+
+def _model_2q(p: TwoSpinParams, drive_on_b: bool):
+    """The drive on spin a alone leaves the spin-b sectors uncoupled; the
+    drive that also reaches spin b couples them into one 4x4 problem."""
+    if drive_on_b:
+        return partial(_h2q_stack, p, True)
+    return engine.SectorField(
+        partial(_cone_field, sector_freqs=(p.omega_plus, p.omega_minus)), ROWS_2Q, 4
+    )
+
+
 def _h1q_stack(omega0, times, w1, om, ph):
-    dz = 0.5 * (omega0 - om) * np.ones_like(times)
-    off = 0.5 * w1 * np.exp(-1j * ph) * np.ones_like(times, dtype=complex)
-    h = np.zeros((len(times), 2, 2), dtype=complex)
-    h[:, 0, 0] = dz
-    h[:, 1, 1] = -dz
-    h[:, 0, 1] = off
-    h[:, 1, 0] = np.conj(off)
-    return h
+    v = _cone_field(times, w1, om, ph, sector_freqs=(omega0,))
+    return engine.sector_hamiltonians(v, ROWS_1Q, 2)
 
 
 def _h2q_stack(p: TwoSpinParams, drive_on_b, times, w1, om, ph):
-    da = 0.5 * (p.omega_a - om) * np.ones_like(times)
-    pj = 0.5 * math.pi * p.J
-    h = np.zeros((len(times), 4, 4), dtype=complex)
-    h[:, 0, 0] = da + pj
-    h[:, 1, 1] = da - pj
-    h[:, 2, 2] = -da - pj
-    h[:, 3, 3] = -da + pj
-    off_a = 0.5 * w1 * np.exp(-1j * ph) * np.ones_like(times, dtype=complex)
-    h[:, 0, 2] = off_a
-    h[:, 1, 3] = off_a
-    h[:, 2, 0] = np.conj(off_a)
-    h[:, 3, 1] = np.conj(off_a)
+    v = _cone_field(times, w1, om, ph, sector_freqs=(p.omega_plus, p.omega_minus))
+    h = engine.sector_hamiltonians(v, ROWS_2Q, 4)
     if drive_on_b:
         # Same field seen by spin b from its own rotating frame.
         off_b = 0.5 * w1 * np.exp(-1j * (ph + (om - p.omega_b) * times))
@@ -191,10 +210,19 @@ class _PlanResult:
     books: list
 
 
-def _run_plan(plan, h_of_controls, u0, dt, sample_block=engine.SAMPLE_BLOCK):
+def _segment_controls(seg: Segment, t0: float, times):
+    """Controls (w1, om, ph) at absolute times of a segment that starts at t0."""
+    return seg.controls_at(np.asarray(times) - t0)
+
+
+def _run_plan(plan, model, u0, dt, sample_block=engine.SAMPLE_BLOCK):
     """Run a list of ('seg', Segment) / ('pulse', matrix) items.
 
-    h_of_controls(times, w1, om, ph) -> (n, d, d)."""
+    model is the Hamiltonian as a function of (times, w1, om, ph): either
+    an `engine.SectorField` over such a field function, which runs the
+    Magnus-4 propagator, or a callable returning the (n, d, d) Hamiltonian
+    stack, which runs RK4.  Each segment supplies the controls (w1, om,
+    ph)."""
     u = np.asarray(u0, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
@@ -214,15 +242,12 @@ def _run_plan(plan, h_of_controls, u0, dt, sample_block=engine.SAMPLE_BLOCK):
         dt_seg = seg.duration / n_steps
         t0 = t_abs
 
-        def h_of_times(times, _seg=seg, _t0=t0):
-            w1, om, ph = _seg.controls_at(np.asarray(times) - _t0)
-            return h_of_controls(np.asarray(times), w1, om, ph)
-
+        controls = partial(_segment_controls, seg, t0)
         times, states = engine.propagate_sampled(
-            h_of_times, t0, n_steps, dt_seg, u, sample_block=sample_block
+            model, t0, n_steps, dt_seg, u, controls, sample_block=sample_block
         )
         ledger.update(states)
-        h_stack = h_of_times(times)
+        h_stack = model(times, *controls(times))
         energies = np.einsum("sdm,sde,sem->sm", states.conj(), h_stack, states).real
         dyn = -simpson(energies, x=times, axis=0)
         dynamic += dyn
@@ -266,6 +291,28 @@ def default_times_1q(p: RabiParams) -> tuple[float, float, float]:
     return RAMP_FRACTION * sweep, sweep, DT_RESOLUTION / om_prime
 
 
+def resolve_times(
+    default_times,
+    ramp_time: float | None = None,
+    sweep_time: float | None = None,
+    dt: float | None = None,
+    sweep_factor: float = 1.0,
+) -> tuple[float, float, float]:
+    """(ramp_time, sweep_time, dt) of a run: the given values as they are,
+    the missing ones from default_times(), which returns the (ramp, sweep,
+    dt) of the adiabaticity and resolution rules.  A missing sweep is the
+    default one times sweep_factor; a missing ramp keeps the default ratio
+    of ramp to sweep."""
+    if None not in (ramp_time, sweep_time, dt):
+        return ramp_time, sweep_time, dt
+    d_ramp, d_sweep, d_dt = default_times()
+    if sweep_time is None:
+        sweep_time = sweep_factor * d_sweep
+    if ramp_time is None:
+        ramp_time = d_ramp * (sweep_time / d_sweep)
+    return ramp_time, sweep_time, d_dt if dt is None else dt
+
+
 # ---------------------------------------------------------------------------
 # Single-qubit cone loop
 
@@ -298,16 +345,13 @@ def run_cone_loop(
 ) -> ConeRunResult:
     """Simulate one adiabatic cone loop from the aligned eigenstate (or a
     caller-supplied start state) and decompose its phase."""
-    if None in (ramp_time, sweep_time, dt):
-        d_ramp, d_sweep, d_dt = default_times_1q(p)
-        ramp_time = d_ramp if ramp_time is None else ramp_time
-        sweep_time = d_sweep if sweep_time is None else sweep_time
-        dt = d_dt if dt is None else dt
+    ramp_time, sweep_time, dt = resolve_times(
+        partial(default_times_1q, p), ramp_time, sweep_time, dt
+    )
     schedule = build_cone_loop(p, ramp_time, sweep_time, orientation)
     start = _aligned_start(p) if psi0 is None else np.asarray(psi0, dtype=complex)
 
-    h_of_controls = lambda times, w1, om, ph: _h1q_stack(p.omega0, times, w1, om, ph)
-    res = _run_plan(_schedule_plan(schedule), h_of_controls, start, dt)
+    res = _run_plan(_schedule_plan(schedule), _model_1q(p.omega0), start, dt)
     u_f, books = res.final, res.books
     decomp = PhaseDecomposition.from_total_and_dynamic(res.total[0], res.dynamic[0])
 
@@ -436,11 +480,9 @@ def run_spin_echo_1q(
     """Compound sequence loop / pi / reversed loop / pi from both basis
     states.  Dynamic phases cancel in the up/down phase difference; the
     geometric ones add to four times the single-loop cone phase."""
-    if None in (ramp_time, sweep_time, dt):
-        d_ramp, d_sweep, d_dt = default_times_1q(p)
-        ramp_time = d_ramp if ramp_time is None else ramp_time
-        sweep_time = d_sweep if sweep_time is None else sweep_time
-        dt = d_dt if dt is None else dt
+    ramp_time, sweep_time, dt = resolve_times(
+        partial(default_times_1q, p), ramp_time, sweep_time, dt
+    )
     loop_f = build_cone_loop(p, ramp_time, sweep_time, "forward")
     loop_r = build_cone_loop(p, ramp_time, sweep_time, "reversed")
     if pi_pulse_duration > 0.0:
@@ -450,8 +492,7 @@ def run_spin_echo_1q(
     plan = (
         _schedule_plan(loop_f) + pulse + _schedule_plan(loop_r) + pulse
     )
-    h_of_controls = lambda times, w1, om, ph: _h1q_stack(p.omega0, times, w1, om, ph)
-    res = _run_plan(plan, h_of_controls, np.eye(2, dtype=complex), dt)
+    res = _run_plan(plan, _model_1q(p.omega0), np.eye(2, dtype=complex), dt)
     u_f, total, dynamic = res.final, res.total, res.dynamic
     n_loop_segs = len(loop_f.segments)
     loop1 = sum(res.seg_dynamics[:n_loop_segs])
@@ -573,25 +614,11 @@ def run_conditional_sequence(
     propagated for all four basis states.  The net gate is compared against
     the closed-form conditional phase pattern diag(e^{2i dg}, e^{-2i dg},
     e^{-2i dg}, e^{2i dg})."""
-    if None in (ramp_time, sweep_time, dt):
-        d_ramp, d_sweep, d_dt = default_times_2q(p, drive_on_b)
-        ramp_time = d_ramp if ramp_time is None else ramp_time
-        sweep_time = d_sweep if sweep_time is None else sweep_time
-        dt = d_dt if dt is None else dt
-    loop_f = _schedule_plan(build_cone_loop(p.drive, ramp_time, sweep_time, "forward"))
-    loop_r = _schedule_plan(build_cone_loop(p.drive, ramp_time, sweep_time, "reversed"))
-    if pi_pulse_duration > 0.0:
-        pulse_a = [("pulse", _finite_pi_2q(p, "a", pi_pulse_duration, drive_on_b))]
-        pulse_b = [("pulse", _finite_pi_2q(p, "b", pi_pulse_duration, drive_on_b))]
-    else:
-        pulse_a = [("pulse", pi_pulse("a"))]
-        pulse_b = [("pulse", pi_pulse("b"))]
-    plan = (loop_f + pulse_a + loop_r + pulse_b) * 2
-
-    h_of_controls = lambda times, w1, om, ph: _h2q_stack(
-        p, drive_on_b, times, w1, om, ph
+    ramp_time, sweep_time, dt = resolve_times(
+        partial(default_times_2q, p, drive_on_b), ramp_time, sweep_time, dt
     )
-    res = _run_plan(plan, h_of_controls, np.eye(4, dtype=complex), dt)
+    plan = _conditional_plan(p, ramp_time, sweep_time, drive_on_b, pi_pulse_duration)
+    res = _run_plan(plan, _model_2q(p, drive_on_b), np.eye(4, dtype=complex), dt)
     u_f, total, dynamic = res.final, res.total, res.dynamic
 
     dg = delta_gamma(p.omega_a, p.drive.omega, p.drive.omega1, p.J)
@@ -624,6 +651,19 @@ def run_conditional_sequence(
             f"{MIN_CLOSURE_FIDELITY}"
         )
     return result
+
+
+def _conditional_plan(p: TwoSpinParams, ramp_time, sweep_time, drive_on_b, pi_pulse_duration):
+    """Loop, pi_a, reversed loop, pi_b, twice."""
+    loop_f = _schedule_plan(build_cone_loop(p.drive, ramp_time, sweep_time, "forward"))
+    loop_r = _schedule_plan(build_cone_loop(p.drive, ramp_time, sweep_time, "reversed"))
+    if pi_pulse_duration > 0.0:
+        pulse_a = [("pulse", _finite_pi_2q(p, "a", pi_pulse_duration, drive_on_b))]
+        pulse_b = [("pulse", _finite_pi_2q(p, "b", pi_pulse_duration, drive_on_b))]
+    else:
+        pulse_a = [("pulse", pi_pulse("a"))]
+        pulse_b = [("pulse", pi_pulse("b"))]
+    return (loop_f + pulse_a + loop_r + pulse_b) * 2
 
 
 def _finite_pi_2q(p: TwoSpinParams, target: str, duration: float, drive_on_b: bool):

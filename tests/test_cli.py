@@ -1,8 +1,12 @@
 import math
+from functools import partial
 
 import pytest
 
+from berrygate.bloch import RabiParams
 from berrygate.cli import main
+from berrygate.schrodinger import TwoSpinParams
+from berrygate.sequences import default_times_2q, resolve_times
 
 
 def run_cli(capsys, *args):
@@ -139,3 +143,99 @@ def test_config_file_defaults(tmp_path, capsys):
     assert "omega = 4.1" in out  # flag overrides the file
     code, _, err = run_cli(capsys, "--config", str(tmp_path / "nope.cfg"), "verify", "--list")
     assert code == 2
+
+
+def echoed(stdout, key):
+    for line in stdout.splitlines():
+        if line.startswith("#   ") and line[4:].split(" = ")[0] == key:
+            return line.split(" = ", 1)[1]
+    raise KeyError(key)
+
+
+def test_conditional_defaults_match_api_times(capsys):
+    # the CLI resolves the times with the same rules as the API
+    code, out, _ = run_cli(capsys, "conditional")
+    assert code == 0
+    p = TwoSpinParams(100.0, 80.0, 1.0 / math.pi, RabiParams(100.0, 1.2, 98.0, 0.0))
+    ramp, sweep, dt = default_times_2q(p)
+    assert float(echoed(out, "ramp_time")) == ramp
+    assert float(echoed(out, "sweep_time")) == sweep
+    assert float(echoed(out, "dt")) == dt
+
+
+def test_sweep_time_alone_keeps_the_default_ramp_ratio(tmp_path, capsys):
+    # one spin: the ramp is a fifth of the given sweep
+    code, out, _ = run_cli(
+        capsys, "simulate", "--omega0", "5.0", "--omega1", "0.0", "--omega", "4.0",
+        "--sweep-time", "50.0", "--dt", "0.01", "--output", str(tmp_path / "idle.csv"),
+    )
+    assert code == 0
+    assert float(echoed(out, "ramp_time")) == pytest.approx(10.0, rel=1e-15)
+    assert float(echoed(out, "sweep_time")) == 50.0
+
+
+def test_resolved_two_spin_times_scale_with_the_sweep():
+    # two spins: the stretched default ramp keeps its ratio to the sweep,
+    # whether the sweep is scaled by sweep_factor or given
+    p = TwoSpinParams(100.0, 80.0, 1.0 / math.pi, RabiParams(100.0, 1.2, 98.0, 0.0))
+    defaults = partial(default_times_2q, p)
+    ramp, sweep, dt = defaults()
+    assert resolve_times(defaults) == (ramp, sweep, dt)
+    scaled = resolve_times(defaults, sweep_factor=2.0)
+    assert scaled == pytest.approx((2.0 * ramp, 2.0 * sweep, dt), rel=1e-15)
+    given = resolve_times(defaults, sweep_time=0.5 * sweep)
+    assert given == pytest.approx((0.5 * ramp, 0.5 * sweep, dt), rel=1e-15)
+
+
+SHORT_CONDITIONAL = ["conditional", "--ramp-time", "5", "--sweep-time", "10", "--dt", "0.002"]
+
+
+@pytest.mark.parametrize("text, expected", [("false", "False"), ("True", "True"), ("0", "False")])
+def test_config_drive_on_b_is_parsed_as_a_boolean(tmp_path, capsys, text, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"drive_on_b = {text}\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), *SHORT_CONDITIONAL)
+    assert code == 0
+    assert echoed(out, "drive_on_b") == expected
+
+
+def test_config_bad_boolean_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("drive_on_b = maybe\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), *SHORT_CONDITIONAL)
+    assert code == 2
+    assert "drive_on_b" in err
+
+
+def test_config_count_takes_the_argument_type(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("detuning_count = 10\n")
+    code, out, _ = run_cli(
+        capsys, "--config", str(cfg), "sweep", "--omega1-count", "2",
+        "--output", str(tmp_path / "s.csv"),
+    )
+    assert code == 0
+    assert echoed(out, "detuning_count") == "10"
+    assert report_value(out, "rows_written") == 20
+    cfg.write_text("detuning_count = ten\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "sweep", "--output", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--config"], ["sweep", "--config"]])
+def test_bare_config_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_config_orientation_outside_choices_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("orientation = sideways\n")
+    code, _, err = run_cli(
+        capsys, "--config", str(cfg), "simulate", "--output", str(tmp_path / "t.csv")
+    )
+    assert code == 2
+    assert "orientation" in err

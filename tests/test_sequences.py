@@ -1,8 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from berrygate import engine
 from berrygate.bloch import RabiParams
 from berrygate.engine import rk4_transition_matrices
 from berrygate.gates import gate_fidelity, local_phase_equivalence
@@ -13,6 +15,7 @@ from berrygate.sequences import (
     AdiabaticityError,
     _aligned_start,
     _h1q_stack,
+    _model_1q,
     _run_plan,
     _schedule_plan,
     default_times_1q,
@@ -45,8 +48,10 @@ def test_engine_matches_stepwise_rk4():
     ref = integrate_schrodinger(
         psi0, hamiltonian_of_schedule_1q(p.omega0, sched), (0.0, sched.total_duration), dt
     )
-    h = lambda times, w1, om, ph: _h1q_stack(p.omega0, times, w1, om, ph)
-    res = _run_plan(_schedule_plan(sched), h, psi0, dt)
+    # A plain matrix callable, not an engine.SectorField: the RK4 oracle path.
+    rk4_model = partial(_h1q_stack, p.omega0)
+    assert not isinstance(rk4_model, engine.SectorField)
+    res = _run_plan(_schedule_plan(sched), rk4_model, psi0, dt)
     assert np.max(np.abs(res.final[:, 0] - ref.final_psi)) < 1e-12
 
 
@@ -110,8 +115,8 @@ def test_forward_reversed_cancellation():
     f = 12.0
     fwd = build_cone_loop(p, f * rt, f * st, "forward")
     rev = build_cone_loop(p, f * rt, f * st, "reversed")
-    h = lambda times, w1, om, ph: _h1q_stack(p.omega0, times, w1, om, ph)
-    res = _run_plan(_schedule_plan(fwd) + _schedule_plan(rev), h, _aligned_start(p), dt)
+    plan = _schedule_plan(fwd) + _schedule_plan(rev)
+    res = _run_plan(plan, _model_1q(p.omega0), _aligned_start(p), dt)
     assert abs(res.total[0] - res.dynamic[0]) < 1e-3
 
     # schedule reversal invariant: gamma negated, delta preserved
