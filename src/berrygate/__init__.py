@@ -7,7 +7,6 @@ Conventions: hbar = 1, all angular quantities in rad/s, computational basis
 """
 
 from .bloch import (
-    BlochState,
     BlochTrajectory,
     RabiParams,
     bloch_derivative,
@@ -36,7 +35,6 @@ from .phase import (
     circle_distance,
     cone_state_path,
     cos_theta_resonance,
-    dynamic_phase,
     eigenstate_path,
     geometric_phase_discrete,
     solid_angle_spherical_polygon,
@@ -53,7 +51,6 @@ from .schrodinger import (
     hamiltonian_2q,
     hamiltonian_2q_full,
     integrate_schrodinger,
-    rotating_hamiltonian_1q,
 )
 from .sequences import (
     AdiabaticityError,
@@ -68,7 +65,6 @@ from .sequences import (
     default_times_2q,
     delta_gamma,
     fault_tolerance_surface,
-    hamiltonian_of_schedule_1q,
     measure_cone_phase,
     resolve_times,
     run_conditional_sequence,

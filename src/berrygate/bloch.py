@@ -7,6 +7,10 @@ phase omega*t + phi; the frame rotating at the drive frequency omega sees the
 static vector
 
     Omega' = (omega1 cos(phi), omega1 sin(phi), omega0 - omega).
+
+The drive parameters and Rabi vectors are shared with the rest of the
+package; the stepwise integrator `integrate_bloch` is a test and `verify`
+oracle that the production propagator in `engine` never calls.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-Z_HAT = np.array([0.0, 0.0, 1.0])
 
 # Generator of rotations about z: M_z s = z_hat x s.
 M_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -39,16 +41,6 @@ class RabiParams:
         if self.omega1 < 0.0:
             raise ValueError("drive amplitude omega1 must be >= 0")
 
-    @property
-    def detuning(self) -> float:
-        return self.omega0 - self.omega
-
-
-@dataclass(frozen=True)
-class BlochState:
-    s: np.ndarray
-    t: float
-
 
 @dataclass(frozen=True)
 class BlochTrajectory:
@@ -56,10 +48,6 @@ class BlochTrajectory:
 
     t: np.ndarray
     s: np.ndarray
-
-    @property
-    def final(self) -> BlochState:
-        return BlochState(self.s[-1], float(self.t[-1]))
 
 
 def bloch_derivative(s: np.ndarray, omega_vec: np.ndarray) -> np.ndarray:

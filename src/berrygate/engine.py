@@ -1,5 +1,5 @@
 """Fixed-step propagation of long pulse-schedule runs, sampled every
-`sample_block` steps for phase and energy bookkeeping.
+`SAMPLE_BLOCK` steps for phase and energy bookkeeping.
 
 One entry point, `propagate_sampled`, serves two propagators.  Which one runs
 follows from the structure of the Hamiltonian it is given:
@@ -180,13 +180,13 @@ def _check_spread(model, controls, t_chunk: float, nc: int, dt: float) -> None:
         )
 
 
-def _chunk_maps(model, controls, t_chunk: float, nc: int, dt: float, block: int) -> np.ndarray:
-    """(ceil(nc/block), d, d) maps from the chunk start to each sample."""
+def _chunk_maps(model, controls, t_chunk: float, nc: int, dt: float) -> np.ndarray:
+    """(ceil(nc/SAMPLE_BLOCK), d, d) maps from the chunk start to each sample."""
     if isinstance(model, SectorField):
         nodes = (t_chunk + dt * (_GAUSS_NODES[:, None] + np.arange(nc))).ravel()
         v = model.field(nodes, *controls(nodes))
         steps = magnus4_steps(v[:, :nc], v[:, nc:], dt)
-        blocks = _block_products(steps, _su2_mul, _SU2_IDENTITY, block)
+        blocks = _block_products(steps, _su2_mul, _SU2_IDENTITY, SAMPLE_BLOCK)
         cumulative = _prefix_products(blocks, _su2_mul)
         # Rounding shrinks the norm of the steps and of their products by
         # about 1e-17 each on average; since the norm is multiplicative,
@@ -197,7 +197,7 @@ def _chunk_maps(model, controls, t_chunk: float, nc: int, dt: float, block: int)
     nodes = t_chunk + 0.5 * dt * np.arange(2 * nc + 1)
     steps = rk4_transition_matrices(model(nodes, *controls(nodes)), dt)
     identity = np.eye(steps.shape[-1], dtype=complex)
-    return _prefix_products(_block_products(steps, np.matmul, identity, block), np.matmul)
+    return _prefix_products(_block_products(steps, np.matmul, identity, SAMPLE_BLOCK), np.matmul)
 
 
 def propagate_sampled(
@@ -207,7 +207,6 @@ def propagate_sampled(
     dt: float,
     u0: np.ndarray,
     controls,
-    sample_block: int = SAMPLE_BLOCK,
     check_step: bool = True,
 ):
     """Propagate u0 (shape (d,) or (d, m)) over n_steps of size dt.
@@ -215,8 +214,8 @@ def propagate_sampled(
     The Hamiltonian at a 1-d array of absolute times is
     model(times, *controls(times)).  model is a `SectorField` (Magnus-4
     steps) or any callable that returns the matching (len, d, d) Hamiltonian
-    stack (RK4 steps).  Returns (times, states) with states
-    sampled at t0 and then after every completed block (the final sample
+    stack (RK4 steps).  Returns (times, states) with states sampled at t0
+    and then after every block of SAMPLE_BLOCK steps (the final sample
     always lands exactly on t0 + n_steps*dt); states has shape
     (n_samples,) + u0.shape.
     """
@@ -229,8 +228,8 @@ def propagate_sampled(
         t_chunk = t0 + done * dt
         if check_step:
             _check_spread(model, controls, t_chunk, nc, dt)
-        states = _chunk_maps(model, controls, t_chunk, nc, dt, sample_block) @ u
-        ends = np.minimum(np.arange(1, len(states) + 1) * sample_block, nc)
+        states = _chunk_maps(model, controls, t_chunk, nc, dt) @ u
+        ends = np.minimum(np.arange(1, len(states) + 1) * SAMPLE_BLOCK, nc)
         samples.append(states)
         times.append(t_chunk + ends * dt)
         u = states[-1]

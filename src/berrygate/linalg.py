@@ -23,7 +23,6 @@ _PAULI = {
 }
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -90,21 +89,3 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     m = np.asarray(m)
     return bool(np.all(np.abs(m.conj().T @ m - np.eye(m.shape[0])) < tol))
-
-
-def norm(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
-
-
-def assert_normalized(v: np.ndarray, tol: float = 1e-12) -> None:
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) >= tol:
-        raise ValueError(f"vector norm {n} deviates from 1 by more than {tol}")

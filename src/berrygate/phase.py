@@ -82,19 +82,6 @@ def cone_state_path(spec: LoopSpec) -> np.ndarray:
     return out
 
 
-def dynamic_phase(times: np.ndarray, states: np.ndarray, h_of_t) -> float:
-    """Dynamic phase -int <psi(t)|H(t)|psi(t)> dt by trapezoidal quadrature
-    over the sampled trajectory (second order in the sample spacing)."""
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=complex)
-    if len(times) < 2:
-        raise ValueError("need at least 2 trajectory samples")
-    energies = np.empty(len(times))
-    for k, (t, psi) in enumerate(zip(times, states)):
-        energies[k] = np.vdot(psi, h_of_t(t) @ psi).real
-    return float(-np.trapezoid(energies, times))
-
-
 def geometric_phase_discrete(states: np.ndarray, closed: bool = True) -> float:
     """Discrete holonomy -sum_k arg<psi_k|psi_{k+1}> along a state path.
 

@@ -18,13 +18,12 @@ from .bloch import RabiParams
 from .linalg import pauli, tensor
 
 RAMP_KINDS = ("ramp_up", "ramp_down")
-SEGMENT_KINDS = RAMP_KINDS + ("phase_sweep", "idle", "pi_pulse_a", "pi_pulse_b")
+SEGMENT_KINDS = RAMP_KINDS + ("phase_sweep", "idle")
 
 
 @dataclass(frozen=True)
 class Segment:
-    """One schedule segment.  params are (start, end) pairs for each control;
-    pi-pulse segments have zero duration and are applied as discrete gates."""
+    """One schedule segment.  params are (start, end) pairs for each control."""
 
     kind: str
     duration: float
@@ -35,15 +34,8 @@ class Segment:
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
-        if self.is_pulse:
-            if self.duration != 0.0:
-                raise ValueError("pi-pulse segments are instantaneous")
-        elif self.duration <= 0.0:
+        if self.duration <= 0.0:
             raise ValueError("segment duration must be positive")
-
-    @property
-    def is_pulse(self) -> bool:
-        return self.kind.startswith("pi_pulse")
 
     def controls_at(self, tau):
         """Controls (omega1, omega, phi) at local time tau in [0, duration].
@@ -75,13 +67,9 @@ class PulseSchedule:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        # Controls must be continuous across adiabatic boundaries; only pi
-        # pulses may sit between mismatched control values.
+        # Controls must be continuous across segment boundaries.
         prev_end = None
         for seg in self.segments:
-            if seg.is_pulse:
-                prev_end = None
-                continue
             start = (seg.omega1[0], seg.omega[0], seg.phi[0])
             if prev_end is not None:
                 jumps = [abs(a - b) for a, b in zip(start, prev_end)]
@@ -94,21 +82,6 @@ class PulseSchedule:
     @property
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
-
-    @property
-    def drive_frequency(self) -> float:
-        """The (constant) drive frequency of the schedule."""
-        omegas = [w for s in self.segments if not s.is_pulse for w in s.omega]
-        if not omegas:
-            return 0.0
-        if max(omegas) - min(omegas) > 1e-9:
-            raise ValueError("schedule varies the drive frequency")
-        return omegas[0]
-
-    def max_omega1(self) -> float:
-        return max(
-            (max(s.omega1) for s in self.segments if not s.is_pulse), default=0.0
-        )
 
 
 def build_cone_loop(

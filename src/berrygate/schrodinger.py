@@ -19,7 +19,6 @@ from .linalg import pauli
 
 _SX = pauli("x")
 _SY = pauli("y")
-_SZ = pauli("z")
 
 # Max allowed dt * (eigenvalue spread); RK4 stays phase-accurate below this.
 STEP_SPREAD_LIMIT = 0.01
@@ -65,16 +64,6 @@ def hamiltonian_1q(p: RabiParams, t: float) -> np.ndarray:
     off = 0.5 * p.omega1 * np.exp(-1j * (p.omega * t + p.phi))
     return np.array(
         [[0.5 * p.omega0, off], [np.conj(off), -0.5 * p.omega0]], dtype=complex
-    )
-
-
-def rotating_hamiltonian_1q(p: RabiParams) -> np.ndarray:
-    """Time-independent Hamiltonian in the frame rotating at the drive
-    frequency: (1/2) Omega' . sigma with Omega' = (w1 cos phi, w1 sin phi, w0 - w)."""
-    off = 0.5 * p.omega1 * np.exp(-1j * p.phi)
-    return np.array(
-        [[0.5 * (p.omega0 - p.omega), off], [np.conj(off), -0.5 * (p.omega0 - p.omega)]],
-        dtype=complex,
     )
 
 
@@ -148,7 +137,6 @@ def integrate_schrodinger(
     h_of_t,
     t_span: tuple[float, float],
     dt: float,
-    check_step: bool = True,
 ) -> SchrodingerTrajectory:
     """Fixed-step RK4 propagation of i d|psi>/dt = H(t)|psi>.
 
@@ -172,14 +160,13 @@ def integrate_schrodinger(
     h = (t1 - t0) / n_steps
     times = t0 + h * np.arange(n_steps + 1)
 
-    if check_step:
-        probe = times[:: max(1, n_steps // 32)]
-        spread = max(_spectral_spread(h_of_t(t)) for t in probe)
-        if h * spread > STEP_SPREAD_LIMIT * (1.0 + 1e-9):
-            raise StepSizeError(
-                f"dt * spectral spread = {h * spread:.3e} exceeds {STEP_SPREAD_LIMIT}; "
-                "reduce dt"
-            )
+    probe = times[:: max(1, n_steps // 32)]
+    spread = max(_spectral_spread(h_of_t(t)) for t in probe)
+    if h * spread > STEP_SPREAD_LIMIT * (1.0 + 1e-9):
+        raise StepSizeError(
+            f"dt * spectral spread = {h * spread:.3e} exceeds {STEP_SPREAD_LIMIT}; "
+            "reduce dt"
+        )
 
     dim = psi0.shape[0]
     out = np.empty((n_steps + 1, dim), dtype=complex)

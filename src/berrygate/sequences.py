@@ -30,7 +30,7 @@ from scipy.optimize import minimize_scalar
 from . import engine
 from .bloch import RabiParams, rotating_rabi_vector
 from .gates import gate_fidelity
-from .linalg import expm_hermitian, pauli, tensor
+from .linalg import expm_hermitian
 from .phase import (
     PhaseDecomposition,
     cos_theta_resonance,
@@ -47,7 +47,8 @@ MIN_CLOSURE_FIDELITY = 0.999
 
 
 class AdiabaticityError(RuntimeError):
-    """A sequence left its adiabatic branch (closure fidelity too low)."""
+    """A sequence left its adiabatic branch (closure fidelity too low, or
+    the phase ledger lost track of the phase)."""
 
 
 # ---------------------------------------------------------------------------
@@ -82,53 +83,24 @@ def _model_2q(p: TwoSpinParams, drive_on_b: bool):
     """The drive on spin a alone leaves the spin-b sectors uncoupled; the
     drive that also reaches spin b couples them into one 4x4 problem."""
     if drive_on_b:
-        return partial(_h2q_stack, p, True)
+        return partial(_h2q_stack, p)
     return engine.SectorField(
         partial(_cone_field, sector_freqs=(p.omega_plus, p.omega_minus)), ROWS_2Q, 4
     )
 
 
-def _h1q_stack(omega0, times, w1, om, ph):
-    v = _cone_field(times, w1, om, ph, sector_freqs=(omega0,))
-    return engine.sector_hamiltonians(v, ROWS_1Q, 2)
-
-
-def _h2q_stack(p: TwoSpinParams, drive_on_b, times, w1, om, ph):
+def _h2q_stack(p: TwoSpinParams, times, w1, om, ph):
+    """(n, 4, 4) Hamiltonian with the drive on both spins: the spin-a
+    sectors of _cone_field, coupled by the same field seen by spin b from
+    its own rotating frame."""
     v = _cone_field(times, w1, om, ph, sector_freqs=(p.omega_plus, p.omega_minus))
     h = engine.sector_hamiltonians(v, ROWS_2Q, 4)
-    if drive_on_b:
-        # Same field seen by spin b from its own rotating frame.
-        off_b = 0.5 * w1 * np.exp(-1j * (ph + (om - p.omega_b) * times))
-        h[:, 0, 1] = off_b
-        h[:, 2, 3] = off_b
-        h[:, 1, 0] = np.conj(off_b)
-        h[:, 3, 2] = np.conj(off_b)
+    off_b = 0.5 * w1 * np.exp(-1j * (ph + (om - p.omega_b) * times))
+    h[:, 0, 1] = off_b
+    h[:, 2, 3] = off_b
+    h[:, 1, 0] = np.conj(off_b)
+    h[:, 3, 2] = np.conj(off_b)
     return h
-
-
-def hamiltonian_of_schedule_1q(omega0: float, schedule: PulseSchedule):
-    """Scalar-time rotating-frame Hamiltonian H(t) of a single-qubit schedule
-    (for cross-checks against the stepwise integrator)."""
-    segs, starts = [], []
-    t = 0.0
-    for seg in schedule.segments:
-        if seg.is_pulse:
-            raise ValueError("schedule contains pi pulses; use the sequence runners")
-        segs.append(seg)
-        starts.append(t)
-        t += seg.duration
-
-    def h_of_t(tt: float) -> np.ndarray:
-        tau = min(max(tt, 0.0), t)
-        idx = len(segs) - 1
-        for i, t0 in enumerate(starts):
-            if tau <= t0 + segs[i].duration:
-                idx = i
-                break
-        w1, om, ph = segs[idx].controls_at(np.array([tau - starts[idx]]))
-        return _h1q_stack(omega0, np.array([tau]), w1, om, ph)[0]
-
-    return h_of_t
 
 
 # ---------------------------------------------------------------------------
@@ -177,16 +149,19 @@ class _PhaseLedger:
         comp = states[:, self.ref, cols]
         mags = np.abs(comp)
         if float(mags.min()) < 0.1:
-            raise RuntimeError(
+            raise AdiabaticityError(
                 "phase bookkeeping unreliable: reference component magnitude "
-                f"dropped to {mags.min():.3g}"
+                f"dropped to {mags.min():.3g}, below the floor 0.1"
             )
         ang = np.unwrap(
             np.concatenate([self.prev_arg[None, :], np.angle(comp)], axis=0), axis=0
         )
         jumps = np.abs(np.diff(ang, axis=0))
         if float(jumps.max()) > 0.95 * math.pi:
-            raise RuntimeError("phase sampling too coarse to unwrap reliably")
+            raise AdiabaticityError(
+                "phase sampling too coarse to unwrap reliably: a jump of "
+                f"{jumps.max():.3g} rad exceeds the limit 0.95*pi"
+            )
         self.prev_arg = ang[-1]
         self.total = ang[-1] - self.offset
         self._rebase(states[-1])
@@ -215,7 +190,7 @@ def _segment_controls(seg: Segment, t0: float, times):
     return seg.controls_at(np.asarray(times) - t0)
 
 
-def _run_plan(plan, model, u0, dt, sample_block=engine.SAMPLE_BLOCK):
+def _run_plan(plan, model, u0, dt):
     """Run a list of ('seg', Segment) / ('pulse', matrix) items.
 
     model is the Hamiltonian as a function of (times, w1, om, ph): either
@@ -243,9 +218,7 @@ def _run_plan(plan, model, u0, dt, sample_block=engine.SAMPLE_BLOCK):
         t0 = t_abs
 
         controls = partial(_segment_controls, seg, t0)
-        times, states = engine.propagate_sampled(
-            model, t0, n_steps, dt_seg, u, controls, sample_block=sample_block
-        )
+        times, states = engine.propagate_sampled(model, t0, n_steps, dt_seg, u, controls)
         ledger.update(states)
         h_stack = model(times, *controls(times))
         energies = np.einsum("sdm,sde,sem->sm", states.conj(), h_stack, states).real
@@ -262,12 +235,15 @@ def _schedule_plan(schedule: PulseSchedule):
     return [("seg", s) for s in schedule.segments]
 
 
-def _finite_pi_1q(p: RabiParams, duration: float) -> np.ndarray:
-    """Finite-duration hard pi pulse: constant resonant x drive of area pi on
-    top of the static detuning (exact constant-H propagator)."""
-    amp = math.pi / duration
-    h = _h1q_stack(p.omega0, np.zeros(1), amp, p.omega, 0.0)[0]
-    return expm_hermitian(h, duration)
+def _pi_pulse(model, omega: float, target: str, duration: float) -> np.ndarray:
+    """Pi pulse on the target ('single', 'a' or 'b'): the ideal swap if
+    duration is not positive, else a constant resonant x drive of area pi
+    on top of the static Hamiltonian, the model at zero drive amplitude
+    (exact constant-H propagator)."""
+    if duration <= 0.0:
+        return pi_pulse(target)
+    h_static = model(np.zeros(1), 0.0, omega, 0.0)[0]
+    return expm_hermitian(h_static + (math.pi / (2.0 * duration)) * pi_pulse(target), duration)
 
 
 def _aligned_start(p: RabiParams) -> np.ndarray:
@@ -485,14 +461,10 @@ def run_spin_echo_1q(
     )
     loop_f = build_cone_loop(p, ramp_time, sweep_time, "forward")
     loop_r = build_cone_loop(p, ramp_time, sweep_time, "reversed")
-    if pi_pulse_duration > 0.0:
-        pulse = [("pulse", _finite_pi_1q(p, pi_pulse_duration))]
-    else:
-        pulse = [("pulse", pi_pulse("single"))]
-    plan = (
-        _schedule_plan(loop_f) + pulse + _schedule_plan(loop_r) + pulse
-    )
-    res = _run_plan(plan, _model_1q(p.omega0), np.eye(2, dtype=complex), dt)
+    model = _model_1q(p.omega0)
+    pulse = [("pulse", _pi_pulse(model, p.omega, "single", pi_pulse_duration))]
+    plan = _schedule_plan(loop_f) + pulse + _schedule_plan(loop_r) + pulse
+    res = _run_plan(plan, model, np.eye(2, dtype=complex), dt)
     u_f, total, dynamic = res.final, res.total, res.dynamic
     n_loop_segs = len(loop_f.segments)
     loop1 = sum(res.seg_dynamics[:n_loop_segs])
@@ -617,8 +589,9 @@ def run_conditional_sequence(
     ramp_time, sweep_time, dt = resolve_times(
         partial(default_times_2q, p, drive_on_b), ramp_time, sweep_time, dt
     )
-    plan = _conditional_plan(p, ramp_time, sweep_time, drive_on_b, pi_pulse_duration)
-    res = _run_plan(plan, _model_2q(p, drive_on_b), np.eye(4, dtype=complex), dt)
+    model = _model_2q(p, drive_on_b)
+    plan = _conditional_plan(p, ramp_time, sweep_time, model, pi_pulse_duration)
+    res = _run_plan(plan, model, np.eye(4, dtype=complex), dt)
     u_f, total, dynamic = res.final, res.total, res.dynamic
 
     dg = delta_gamma(p.omega_a, p.drive.omega, p.drive.omega1, p.J)
@@ -653,30 +626,14 @@ def run_conditional_sequence(
     return result
 
 
-def _conditional_plan(p: TwoSpinParams, ramp_time, sweep_time, drive_on_b, pi_pulse_duration):
-    """Loop, pi_a, reversed loop, pi_b, twice."""
+def _conditional_plan(p: TwoSpinParams, ramp_time, sweep_time, model, pi_pulse_duration):
+    """Loop, pi_a, reversed loop, pi_b, twice; finite pi pulses act on top of
+    the model's static Hamiltonian."""
     loop_f = _schedule_plan(build_cone_loop(p.drive, ramp_time, sweep_time, "forward"))
     loop_r = _schedule_plan(build_cone_loop(p.drive, ramp_time, sweep_time, "reversed"))
-    if pi_pulse_duration > 0.0:
-        pulse_a = [("pulse", _finite_pi_2q(p, "a", pi_pulse_duration, drive_on_b))]
-        pulse_b = [("pulse", _finite_pi_2q(p, "b", pi_pulse_duration, drive_on_b))]
-    else:
-        pulse_a = [("pulse", pi_pulse("a"))]
-        pulse_b = [("pulse", pi_pulse("b"))]
+    pulse_a = [("pulse", _pi_pulse(model, p.drive.omega, "a", pi_pulse_duration))]
+    pulse_b = [("pulse", _pi_pulse(model, p.drive.omega, "b", pi_pulse_duration))]
     return (loop_f + pulse_a + loop_r + pulse_b) * 2
-
-
-def _finite_pi_2q(p: TwoSpinParams, target: str, duration: float, drive_on_b: bool):
-    """Finite-duration hard pi pulse: constant resonant x drive of area pi on
-    the target spin, on top of the static two-spin Hamiltonian (exact
-    constant-H propagator)."""
-    amp = math.pi / duration
-    sx = 0.5 * amp * pauli("x")
-    h_drive = tensor(sx, np.eye(2)) if target == "a" else tensor(np.eye(2), sx)
-    h_static = _h2q_stack(
-        p, drive_on_b=False, times=np.zeros(1), w1=0.0, om=p.drive.omega, ph=0.0
-    )[0]
-    return expm_hermitian(h_static + h_drive, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +684,14 @@ def fault_tolerance_surface(
         return delta_gamma(omega_a, omega_a - d * pj, abs(w) * pj, J)
 
     surface = np.array([[f(d, w) for w in amp] for d in det])
-    peaks = tuple(_locate_row_peak(lambda w, _d=d: f(_d, w), amp, d) for d in det)
+    peaks = tuple(
+        _locate_row_peak(partial(f, d), amp, row, d) for d, row in zip(det, surface)
+    )
     return FaultToleranceSurface(det, amp, surface, peaks)
 
 
-def _locate_row_peak(f, grid, detuning) -> RowPeak:
-    vals = np.array([f(w) for w in grid])
+def _locate_row_peak(f, grid, vals, detuning) -> RowPeak:
+    """Peak of f over the amplitude axis, from its values vals on grid."""
     i = int(np.argmax(vals))
     lo = 0.0 if i == 0 else grid[i - 1]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -239,3 +239,16 @@ def test_config_orientation_outside_choices_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "orientation" in err
+
+
+def test_conditional_off_the_adiabatic_branch_exits_2(capsys):
+    # too fast for this spot: a reference component of the phase ledger
+    # falls below its floor
+    code, out, err = run_cli(
+        capsys, "conditional", "--detuning", "1.5", "--amplitude", "1.0",
+        "--ramp-time", "5", "--sweep-time", "10", "--dt", "0.002",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: phase bookkeeping unreliable")
+    assert "below the floor 0.1" in err

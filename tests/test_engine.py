@@ -32,10 +32,11 @@ def two_spin_params(detuning, amplitude):
 def rk4_oracle():
     """Run the sequences on the RK4 path: the same Hamiltonians, handed to
     the engine as plain matrix stacks."""
+    model_1q, model_2q = sequences._model_1q, sequences._model_2q
     with mock.patch.object(
-        sequences, "_model_1q", lambda w0: partial(sequences._h1q_stack, w0)
+        sequences, "_model_1q", lambda w0: model_1q(w0).__call__
     ), mock.patch.object(
-        sequences, "_model_2q", lambda p, on_b: partial(sequences._h2q_stack, p, on_b)
+        sequences, "_model_2q", lambda p, on_b: model_2q(p, on_b).__call__
     ):
         yield
 
@@ -87,9 +88,9 @@ def _plan_map(plan, model, dt):
 )
 def test_sector_split_gate_equals_full_4x4_gate(detuning, amplitude):
     p = two_spin_params(detuning, amplitude)
-    plan = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], False, 0.0)
     sectors = sequences._model_2q(p, False)
-    full = partial(sequences._h2q_stack, p, False)
+    plan = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], sectors, 0.0)
+    full = sectors.__call__
     assert isinstance(sectors, engine.SectorField)
     gate = _plan_map(plan, sectors, SHORT["dt"])
     assert np.max(np.abs(gate - _plan_map(plan, full, SHORT["dt"]))) < 1e-9

@@ -3,11 +3,9 @@ import pytest
 
 from berrygate.linalg import (
     KET_UP,
-    assert_normalized,
     expm_hermitian,
     is_hermitian,
     is_unitary,
-    normalize,
     pauli,
     pauli_dot,
     tensor,
@@ -111,12 +109,3 @@ def test_expm_unitarity_and_group_law():
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValueError):
         expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-
-
-def test_normalize_and_assert():
-    v = normalize(np.array([3.0, 4.0j]))
-    assert_normalized(v)
-    with pytest.raises(ValueError):
-        normalize(np.zeros(2))
-    with pytest.raises(ValueError):
-        assert_normalized(np.array([1.0, 1.0]))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import dynamic_phase, rotating_hamiltonian_1q
 
 from berrygate.bloch import RabiParams
 from berrygate.linalg import pauli
@@ -13,14 +14,13 @@ from berrygate.phase import (
     circle_distance,
     cone_state_path,
     cos_theta_resonance,
-    dynamic_phase,
     eigenstate_path,
     geometric_phase_discrete,
     solid_angle_spherical_polygon,
     spinor_of_direction,
     wrap_to_pi,
 )
-from berrygate.schrodinger import integrate_schrodinger, rotating_hamiltonian_1q
+from berrygate.schrodinger import integrate_schrodinger
 
 
 def slerp(a, b, n):

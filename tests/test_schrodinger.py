@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import rotating_hamiltonian_1q
 
 from berrygate.bloch import RabiParams, integrate_bloch
 from berrygate.linalg import is_hermitian, tensor
@@ -13,7 +14,6 @@ from berrygate.schrodinger import (
     hamiltonian_2q,
     hamiltonian_2q_full,
     integrate_schrodinger,
-    rotating_hamiltonian_1q,
 )
 
 UP = np.array([1.0, 0.0], dtype=complex)

@@ -1,28 +1,31 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import hamiltonian_of_schedule_1q
 
 from berrygate import engine
 from berrygate.bloch import RabiParams
 from berrygate.engine import rk4_transition_matrices
 from berrygate.gates import gate_fidelity, local_phase_equivalence
+from berrygate.linalg import expm_hermitian
 from berrygate.phase import circle_distance
 from berrygate.schedules import build_cone_loop
 from berrygate.schrodinger import TwoSpinParams, integrate_schrodinger
 from berrygate.sequences import (
     AdiabaticityError,
     _aligned_start,
-    _h1q_stack,
     _model_1q,
+    _model_2q,
+    _pi_pulse,
     _run_plan,
     _schedule_plan,
     default_times_1q,
     default_times_2q,
     delta_gamma,
     fault_tolerance_surface,
-    hamiltonian_of_schedule_1q,
     measure_cone_phase,
     run_cone_loop,
     run_conditional_sequence,
@@ -49,7 +52,7 @@ def test_engine_matches_stepwise_rk4():
         psi0, hamiltonian_of_schedule_1q(p.omega0, sched), (0.0, sched.total_duration), dt
     )
     # A plain matrix callable, not an engine.SectorField: the RK4 oracle path.
-    rk4_model = partial(_h1q_stack, p.omega0)
+    rk4_model = _model_1q(p.omega0).__call__
     assert not isinstance(rk4_model, engine.SectorField)
     res = _run_plan(_schedule_plan(sched), rk4_model, psi0, dt)
     assert np.max(np.abs(res.final[:, 0] - ref.final_psi)) < 1e-12
@@ -91,6 +94,14 @@ def test_cone_symmetrized_phase():
     raw_f = m.forward.decomposition.geometric - m.expected
     raw_r = m.reversed.decomposition.geometric + m.expected
     assert abs(raw_f) > 5e-3 and abs(raw_r) > 5e-3
+
+
+@settings(max_examples=6, deadline=None)
+@given(phi=st.floats(0.0, 2.0 * math.pi))
+def test_cone_phase_does_not_depend_on_the_drive_phase(phi):
+    p = cone_params(math.pi / 3)
+    shifted = RabiParams(p.omega0, p.omega1, p.omega, phi)
+    assert abs(measure_cone_phase(shifted).geometric - measure_cone_phase(p).geometric) < 1e-10
 
 
 def test_cone_holonomy_route_agrees_mod_2pi():
@@ -191,6 +202,43 @@ def test_spin_echo_adiabaticity_check():
         run_spin_echo_1q(p, ramp_time=0.5, sweep_time=2.0, dt=0.002, check=True)
 
 
+def test_spin_echo_finite_pulses_approach_ideal_ones():
+    p = cone_params(math.pi / 3)
+    ideal = run_spin_echo_1q(p).phase_difference
+    errs = [
+        circle_distance(run_spin_echo_1q(p, pi_pulse_duration=tau).phase_difference, ideal)
+        for tau in (1e-3, 1e-2)
+    ]
+    # the detuning acts during the pulse: an error of first order in tau
+    assert errs[1] < 1e-5
+    assert 5.0 < errs[1] / errs[0] < 20.0
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.05, 0.3, 1.7])
+def test_finite_pi_pulses_match_closed_form(tau):
+    half_rabi = math.pi / (2.0 * tau)  # half the Rabi rate of an area-pi pulse
+    p = cone_params(math.pi / 3)
+    dz = p.omega0 - p.omega
+    h = np.array([[0.5 * dz, half_rabi], [half_rabi, -0.5 * dz]])
+    got = _pi_pulse(_model_1q(p.omega0), p.omega, "single", tau)
+    assert np.max(np.abs(got - expm_hermitian(h, tau))) < 1e-14
+
+    q = two_spin_params(2.0, 1.2)
+    zp, zm = q.omega_plus - q.drive.omega, q.omega_minus - q.drive.omega
+    static = np.diag([zp, zm, -zp, -zm]) / 2.0
+    x = half_rabi
+    drives = {
+        "a": np.array([[0, 0, x, 0], [0, 0, 0, x], [x, 0, 0, 0], [0, x, 0, 0]]),
+        "b": np.array([[0, x, 0, 0], [x, 0, 0, 0], [0, 0, 0, x], [0, 0, x, 0]]),
+    }
+    # the drive on spin b is off during the pulse, so both models agree
+    for drive_on_b in (False, True):
+        model = _model_2q(q, drive_on_b)
+        for target, drive in drives.items():
+            got = _pi_pulse(model, q.drive.omega, target, tau)
+            assert np.max(np.abs(got - expm_hermitian(static + drive, tau))) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # differential shift and conditional gate
 
@@ -205,6 +253,18 @@ def test_delta_gamma_closed_form_values():
     )
     with pytest.raises(ValueError):
         delta_gamma(wa, wa + math.pi * J, 0.0, J)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    omega_a=st.floats(1.0, 200.0),
+    detuning=st.floats(-10.0, 10.0),
+    omega1=st.floats(0.01, 10.0),
+    J=st.floats(-5.0, 5.0),
+)
+def test_delta_gamma_is_odd_in_J(omega_a, detuning, omega1, J):
+    omega = omega_a - detuning
+    assert delta_gamma(omega_a, omega, omega1, -J) == -delta_gamma(omega_a, omega, omega1, J)
 
 
 def two_spin_params(detuning, amplitude, J=1.0 / math.pi):
