@@ -302,7 +302,7 @@ def check_adiabaticity(cfg: VerifyConfig) -> CheckResult:
     p = _cone_params(math.pi / 3)
     rt, st, dt = default_times_1q(p)
     if cfg.diabatic:
-        rt, st = 0.01 * rt, 0.01 * st
+        rt, st, dt = 0.01 * rt, 0.01 * st, 0.01 * dt
     r = run_cone_loop(p, rt, st, dt)
     fid = r.closure_fidelity
     detail = f"closure fidelity {fid:.6f}"

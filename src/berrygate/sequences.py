@@ -11,10 +11,13 @@ Phase accounting: every adiabatic loop is closed in projective space per
 basis state, so its total phase is well defined and tracked continuously by
 unwrapping the argument of one basis component of the state (a reference
 that never vanishes along the cone paths, unlike the overlap with the start
-state).  The dynamic part comes from quadrature of -<psi|H|psi> over the
-sampled trajectory, and the geometric part is the difference.  Ideal pi
-pulses permute amplitudes without touching phases, so per-loop phases add up
-across a compound sequence.
+state), taken against the running trapezoid of the dynamic phase so that
+only the slow remainder has to be unwrapped.  The dynamic part comes from
+Simpson quadrature of -<psi|H|psi> over the sampled trajectory, and the
+geometric part is the difference.  Samples sit on a fixed time grid set by
+the fastest Rabi vector of the system (`_sample_spacing`), whatever the
+step.  Ideal pi pulses permute amplitudes without touching phases, so
+per-loop phases add up across a compound sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.optimize import minimize_scalar
 
 from . import engine
@@ -42,7 +45,11 @@ from .schrodinger import TwoSpinParams
 
 ADIABATIC_SWEEP_FACTOR = 500.0
 RAMP_FRACTION = 0.2
+# In units of 1/|Omega'|max: the RK4 step, and the sample spacing of
+# SAMPLE_BLOCK such steps, which is also the default Magnus-4 step.
 DT_RESOLUTION = 0.005
+SAMPLE_BLOCK = 64
+SAMPLE_RESOLUTION = SAMPLE_BLOCK * DT_RESOLUTION
 MIN_CLOSURE_FIDELITY = 0.999
 
 
@@ -144,7 +151,14 @@ class _PhaseLedger:
             self.offset[weak] = new_arg - self.total[weak]
             self.prev_arg[weak] = new_arg
 
-    def update(self, states: np.ndarray) -> None:
+    def update(self, states: np.ndarray, reference: np.ndarray) -> None:
+        """Track the phase over a segment's samples (S, d, m), the first of
+        which is the last state seen.  reference (S, m) is any running
+        estimate of the phase gained since the first sample, such as the
+        trapezoid dynamic phase: the ledger unwraps the argument minus the
+        reference and adds the reference back, so the reference only has to
+        follow the phase to well within pi per sample, and its own error
+        does not enter the total."""
         cols = np.arange(states.shape[2])
         comp = states[:, self.ref, cols]
         mags = np.abs(comp)
@@ -153,17 +167,18 @@ class _PhaseLedger:
                 "phase bookkeeping unreliable: reference component magnitude "
                 f"dropped to {mags.min():.3g}, below the floor 0.1"
             )
-        ang = np.unwrap(
-            np.concatenate([self.prev_arg[None, :], np.angle(comp)], axis=0), axis=0
+        rest = np.unwrap(
+            np.concatenate([self.prev_arg[None, :], np.angle(comp) - reference], axis=0),
+            axis=0,
         )
-        jumps = np.abs(np.diff(ang, axis=0))
+        jumps = np.abs(np.diff(rest, axis=0))
         if float(jumps.max()) > 0.95 * math.pi:
             raise AdiabaticityError(
                 "phase sampling too coarse to unwrap reliably: a jump of "
                 f"{jumps.max():.3g} rad exceeds the limit 0.95*pi"
             )
-        self.prev_arg = ang[-1]
-        self.total = ang[-1] - self.offset
+        self.prev_arg = rest[-1] + reference[-1]
+        self.total = self.prev_arg - self.offset
         self._rebase(states[-1])
 
     def after_pulse(self, u: np.ndarray) -> None:
@@ -190,14 +205,22 @@ def _segment_controls(seg: Segment, t0: float, times):
     return seg.controls_at(np.asarray(times) - t0)
 
 
-def _run_plan(plan, model, u0, dt):
+def _run_plan(plan, model, u0, dt, spacing):
     """Run a list of ('seg', Segment) / ('pulse', matrix) items.
 
     model is the Hamiltonian as a function of (times, w1, om, ph): either
     an `engine.SectorField` over such a field function, which runs the
     Magnus-4 propagator, or a callable returning the (n, d, d) Hamiltonian
     stack, which runs RK4.  Each segment supplies the controls (w1, om,
-    ph)."""
+    ph).
+
+    Each segment is sampled on round(duration / spacing) equal intervals
+    (at least one), each of the same power-of-two number of steps: the
+    fewest that keep the step within dt.  A dt above the spacing samples
+    every step instead.  So at any dt up to the spacing the sample times
+    are the same, and only the steps change."""
+    interval = max(spacing, dt)
+    block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
     u = np.asarray(u0, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
@@ -213,15 +236,17 @@ def _run_plan(plan, model, u0, dt):
             ledger.after_pulse(u)
             continue
         seg: Segment = payload
-        n_steps = max(1, int(round(seg.duration / dt)))
+        n_steps = block * max(1, round(seg.duration / interval))
         dt_seg = seg.duration / n_steps
         t0 = t_abs
 
         controls = partial(_segment_controls, seg, t0)
-        times, states = engine.propagate_sampled(model, t0, n_steps, dt_seg, u, controls)
-        ledger.update(states)
+        times, states = engine.propagate_sampled(
+            model, t0, n_steps, dt_seg, u, controls, block
+        )
         h_stack = model(times, *controls(times))
         energies = np.einsum("sdm,sde,sem->sm", states.conj(), h_stack, states).real
+        ledger.update(states, -cumulative_trapezoid(energies, times, axis=0, initial=0.0))
         dyn = -simpson(energies, x=times, axis=0)
         dynamic += dyn
         seg_dynamics.append(np.atleast_1d(dyn))
@@ -257,14 +282,32 @@ def _aligned_start(p: RabiParams) -> np.ndarray:
     return np.array([1.0, np.exp(1j * p.phi)], dtype=complex) / math.sqrt(2.0)
 
 
+def _rabi_1q(p: RabiParams) -> float:
+    return float(np.linalg.norm(rotating_rabi_vector(p)))
+
+
+def _rabi_2q(p: TwoSpinParams) -> list[float]:
+    """|Omega'| of the plateau field in the b-up and the b-down sector."""
+    d = p.drive
+    return [math.hypot(w - d.omega, d.omega1) for w in (p.omega_plus, p.omega_minus)]
+
+
+def _sample_spacing(rabi_max: float, dt: float) -> float:
+    """Sample spacing SAMPLE_RESOLUTION/|Omega'|max of a run, the default
+    Magnus-4 step; a run without any field has no timescale and is sampled
+    every SAMPLE_BLOCK steps."""
+    return SAMPLE_RESOLUTION / rabi_max if rabi_max > 0.0 else SAMPLE_BLOCK * dt
+
+
 def default_times_1q(p: RabiParams) -> tuple[float, float, float]:
     """(ramp_time, sweep_time, dt) from the adiabaticity and resolution rules
-    sweep = 500/|Omega'|, ramp = sweep/5, dt = 0.005/|Omega'|."""
-    om_prime = float(np.linalg.norm(rotating_rabi_vector(p)))
+    sweep = 500/|Omega'|, ramp = sweep/5, and dt = 64 * 0.005/|Omega'|, the
+    sample spacing: one Magnus-4 step per sample."""
+    om_prime = _rabi_1q(p)
     if om_prime == 0.0:
         raise ValueError("Rabi vector vanishes; no timescale to set")
     sweep = ADIABATIC_SWEEP_FACTOR / om_prime
-    return RAMP_FRACTION * sweep, sweep, DT_RESOLUTION / om_prime
+    return RAMP_FRACTION * sweep, sweep, SAMPLE_RESOLUTION / om_prime
 
 
 def resolve_times(
@@ -276,9 +319,11 @@ def resolve_times(
 ) -> tuple[float, float, float]:
     """(ramp_time, sweep_time, dt) of a run: the given values as they are,
     the missing ones from default_times(), which returns the (ramp, sweep,
-    dt) of the adiabaticity and resolution rules.  A missing sweep is the
+    dt) of the adiabaticity and resolution rules (`default_times_1q`,
+    `default_times_2q`: one Magnus-4 step per sample, or 0.005/|Omega'|max
+    for the RK4 run with the drive on spin b).  A missing sweep is the
     default one times sweep_factor; a missing ramp keeps the default ratio
-    of ramp to sweep."""
+    of ramp to sweep.  This is the only place a run's dt is set."""
     if None not in (ramp_time, sweep_time, dt):
         return ramp_time, sweep_time, dt
     d_ramp, d_sweep, d_dt = default_times()
@@ -327,7 +372,8 @@ def run_cone_loop(
     schedule = build_cone_loop(p, ramp_time, sweep_time, orientation)
     start = _aligned_start(p) if psi0 is None else np.asarray(psi0, dtype=complex)
 
-    res = _run_plan(_schedule_plan(schedule), _model_1q(p.omega0), start, dt)
+    spacing = _sample_spacing(_rabi_1q(p), dt)
+    res = _run_plan(_schedule_plan(schedule), _model_1q(p.omega0), start, dt, spacing)
     u_f, books = res.final, res.books
     decomp = PhaseDecomposition.from_total_and_dynamic(res.total[0], res.dynamic[0])
 
@@ -464,7 +510,8 @@ def run_spin_echo_1q(
     model = _model_1q(p.omega0)
     pulse = [("pulse", _pi_pulse(model, p.omega, "single", pi_pulse_duration))]
     plan = _schedule_plan(loop_f) + pulse + _schedule_plan(loop_r) + pulse
-    res = _run_plan(plan, model, np.eye(2, dtype=complex), dt)
+    spacing = _sample_spacing(_rabi_1q(p), dt)
+    res = _run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
     u_f, total, dynamic = res.final, res.total, res.dynamic
     n_loop_segs = len(loop_f.segments)
     loop1 = sum(res.seg_dynamics[:n_loop_segs])
@@ -543,8 +590,10 @@ def conditional_target_gate(dg: float) -> np.ndarray:
 
 def default_times_2q(p: TwoSpinParams, drive_on_b: bool = False):
     """(ramp_time, sweep_time, dt): sweep from the slower sector's Rabi
-    vector, dt from the faster one (plus resolving the off-resonant field on
-    spin b when it is driven).
+    vector, dt from the faster one: 64 * 0.005/|Omega'|max, one Magnus-4
+    step per sample, or, for the RK4 run with the drive on spin b,
+    0.005/|Omega'|max and small enough to resolve the off-resonant field on
+    spin b.
 
     The ramps start where the transverse drive vanishes, so their adiabatic
     bottleneck is the bare sector gap |w+- - w| rather than the plateau Rabi
@@ -552,9 +601,7 @@ def default_times_2q(p: TwoSpinParams, drive_on_b: bool = False):
     """
     d = p.drive
     z_gaps = [abs(w - d.omega) for w in (p.omega_plus, p.omega_minus)]
-    om_branches = [
-        math.hypot(w - d.omega, d.omega1) for w in (p.omega_plus, p.omega_minus)
-    ]
+    om_branches = _rabi_2q(p)
     if min(om_branches) == 0.0:
         raise ValueError("Rabi vector vanishes in one coupling sector")
     if min(z_gaps) == 0.0:
@@ -567,10 +614,9 @@ def default_times_2q(p: TwoSpinParams, drive_on_b: bool = False):
         RAMP_FRACTION * sweep,
         2.0 * RAMP_FRACTION * ADIABATIC_SWEEP_FACTOR / min(z_gaps),
     )
-    dt = DT_RESOLUTION / max(om_branches)
     if drive_on_b:
-        dt = min(dt, 0.05 / abs(d.omega - p.omega_b))
-    return ramp, sweep, dt
+        return ramp, sweep, min(DT_RESOLUTION / max(om_branches), 0.05 / abs(d.omega - p.omega_b))
+    return ramp, sweep, SAMPLE_RESOLUTION / max(om_branches)
 
 
 def run_conditional_sequence(
@@ -591,7 +637,8 @@ def run_conditional_sequence(
     )
     model = _model_2q(p, drive_on_b)
     plan = _conditional_plan(p, ramp_time, sweep_time, model, pi_pulse_duration)
-    res = _run_plan(plan, model, np.eye(4, dtype=complex), dt)
+    spacing = _sample_spacing(max(_rabi_2q(p)), dt)
+    res = _run_plan(plan, model, np.eye(4, dtype=complex), dt, spacing)
     u_f, total, dynamic = res.final, res.total, res.dynamic
 
     dg = delta_gamma(p.omega_a, p.drive.omega, p.drive.omega1, p.J)

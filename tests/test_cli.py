@@ -252,3 +252,14 @@ def test_conditional_off_the_adiabatic_branch_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: phase bookkeeping unreliable")
     assert "below the floor 0.1" in err
+
+
+def test_oversized_step_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--omega0", "50", "--omega1", "1", "--omega", "49.4226",
+        "--ramp-time", "5", "--sweep-time", "20", "--dt", "0.5",
+        "--output", str(tmp_path / "t.csv"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "gap" in err and "exceeds the tolerance 0.001" in err

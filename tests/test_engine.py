@@ -12,6 +12,7 @@ from functools import partial
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +77,7 @@ def _plan_map(plan, model, dt):
             continue
         n = max(1, int(round(item.duration / dt)))
         controls = partial(sequences._segment_controls, item, t0)
-        u = engine.propagate_sampled(model, t0, n, item.duration / n, u, controls)[1][-1]
+        u = engine.propagate_sampled(model, t0, n, item.duration / n, u, controls, 1)[1][-1]
         t0 += item.duration
     return u
 
@@ -111,7 +112,7 @@ def _final_map(dt, span=4.0):
     h = engine.SectorField(_wobbling_field, sequences.ROWS_2Q, 4)
     n = int(round(span / dt))
     _, states = engine.propagate_sampled(
-        h, 0.0, n, span / n, np.eye(4, dtype=complex), lambda times: (), check_step=False
+        h, 0.0, n, span / n, np.eye(4, dtype=complex), lambda times: (), 1
     )
     return states[-1]
 
@@ -122,8 +123,25 @@ def test_magnus_error_falls_as_h4():
     assert 12.0 <= errs[0] / errs[1] <= 20.0, errs
 
 
-def test_unitarity_defect_of_a_long_run():
-    # 1.9 M steps at the default spot; RK4 leaves a defect of about 5e-12
-    r = sequences.run_conditional_sequence(two_spin_params(2.0, 1.2))
-    assert np.max(np.abs(r.gate.conj().T @ r.gate - np.eye(4))) < 1e-12
+@pytest.fixture(scope="module")
+def default_spot_runs():
+    """The default-spot gate at the default step, one Magnus-4 step per
+    sample, and at a 64 times finer step (1.9 M steps)."""
+    p = two_spin_params(2.0, 1.2)
+    dt = sequences.default_times_2q(p)[2]
+    return (
+        sequences.run_conditional_sequence(p),
+        sequences.run_conditional_sequence(p, dt=dt / 64),
+    )
+
+
+def test_default_step_matches_a_64_times_finer_step(default_spot_runs):
+    coarse, fine = default_spot_runs
+    _assert_gates_agree(coarse, fine, 1e-8)
+
+
+def test_unitarity_defect_of_a_long_run(default_spot_runs):
+    # 1.9 M steps; RK4 leaves a defect of about 5e-12
+    gate = default_spot_runs[1].gate
+    assert np.max(np.abs(gate.conj().T @ gate - np.eye(4))) < 1e-12
 

@@ -54,7 +54,8 @@ def test_engine_matches_stepwise_rk4():
     # A plain matrix callable, not an engine.SectorField: the RK4 oracle path.
     rk4_model = _model_1q(p.omega0).__call__
     assert not isinstance(rk4_model, engine.SectorField)
-    res = _run_plan(_schedule_plan(sched), rk4_model, psi0, dt)
+    # spacing dt: one step per sample, so the steps are the oracle's own
+    res = _run_plan(_schedule_plan(sched), rk4_model, psi0, dt, dt)
     assert np.max(np.abs(res.final[:, 0] - ref.final_psi)) < 1e-12
 
 
@@ -127,7 +128,7 @@ def test_forward_reversed_cancellation():
     fwd = build_cone_loop(p, f * rt, f * st, "forward")
     rev = build_cone_loop(p, f * rt, f * st, "reversed")
     plan = _schedule_plan(fwd) + _schedule_plan(rev)
-    res = _run_plan(plan, _model_1q(p.omega0), _aligned_start(p), dt)
+    res = _run_plan(plan, _model_1q(p.omega0), _aligned_start(p), dt, dt)
     assert abs(res.total[0] - res.dynamic[0]) < 1e-3
 
     # schedule reversal invariant: gamma negated, delta preserved
@@ -141,21 +142,53 @@ def test_engine_rejects_oversized_step():
     from berrygate.schrodinger import StepSizeError
 
     p = cone_params(math.pi / 3, omega0=50.0)
-    with pytest.raises(StepSizeError):
+    # the Magnus-4 step's gap to the midpoint step is 1.86e-3 here
+    with pytest.raises(StepSizeError, match="gap .* exceeds the tolerance 0.001"):
         run_cone_loop(p, ramp_time=5.0, sweep_time=20.0, dt=0.5)
 
 
 def test_default_times_respect_step_bound():
+    # one Magnus-4 step per sample, dt |Omega'|max = 64 * 0.005; the RK4 run
+    # with the drive on spin b keeps dt |Omega'|max within its bound 0.01
     p2 = two_spin_params(2.0, 1.2)
     rt, st, dt = default_times_2q(p2)
     max_omega = max(
         math.hypot(p2.omega_plus - p2.drive.omega, p2.drive.omega1),
         math.hypot(p2.omega_minus - p2.drive.omega, p2.drive.omega1),
     )
-    assert dt * max_omega <= 0.01 + 1e-12
+    assert abs(dt * max_omega - 0.32) < 1e-12
+    assert default_times_2q(p2, drive_on_b=True)[2] * max_omega <= 0.01 + 1e-12
+    p1 = cone_params(math.pi / 3)
+    assert abs(default_times_1q(p1)[2] * math.hypot(1.0, 1.0 / math.sqrt(3.0)) - 0.32) < 1e-12
     with pytest.raises(ValueError):
         # drive resonant with the minus sector: no adiabatic connection
         default_times_2q(two_spin_params(1.0, 1.2))
+
+
+def test_sample_times_do_not_depend_on_the_step():
+    p = cone_params(math.pi / 3)
+    dt = default_times_1q(p)[2]
+    coarse = run_cone_loop(p)
+    fine = run_cone_loop(p, dt=dt / 4)
+    assert np.array_equal(coarse.times, fine.times)
+    # one Magnus-4 step per sample: 1.4e-6 from the finer run's trajectory
+    assert np.max(np.abs(coarse.states - fine.states)) < 1e-5
+
+
+def test_ledger_follows_a_coarse_sample_grid():
+    # 64 default steps per sample: the raw argument of a component turns by
+    # far more than pi between samples (unwrapping it alone lost 120*pi
+    # here); the ledger must still get the total phase right, or refuse
+    p = cone_params(math.pi / 3)
+    ramp, sweep, dt = default_times_1q(p)
+    plan = _schedule_plan(build_cone_loop(p, ramp, sweep))
+    model, u0 = _model_1q(p.omega0), _aligned_start(p)
+    default = _run_plan(plan, model, u0, dt, dt)
+    try:
+        coarse = _run_plan(plan, model, u0, dt, 64 * dt)
+    except AdiabaticityError:
+        return
+    assert abs(coarse.total[0] - default.total[0]) < 1e-6
 
 
 def test_diabatic_run_flagged():
