@@ -10,7 +10,9 @@ static vector
 
 The drive parameters and Rabi vectors are shared with the rest of the
 package; the stepwise integrator `integrate_bloch` is a test and `verify`
-oracle that the production propagator in `engine` never calls.
+oracle that the production propagator in `engine` never calls.  Its RK4
+step runs on Python floats, and the (n+1, 3) trajectory array is built once,
+at the end.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def integrate_bloch(
     """Classical fixed-step RK4 integration of ds/dt = Omega(t) x s.
 
     frame="lab" drives with the oscillating lab Rabi vector, frame="rotating"
-    with the static Omega'.  The trajectory is sampled at every step.
+    with the static Omega'.  The trajectory is sampled at every step.  Each
+    cross product is written out by component in the order of `np.cross`,
+    so the float step is the same arithmetic as the vector form.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -101,25 +105,40 @@ def integrate_bloch(
     if t1 <= t0:
         raise ValueError("t_span must be increasing")
     if frame == "lab":
-        omega_of_t = lambda t: lab_rabi_vector(p, t)
+        w1, om, phi, w0 = p.omega1, p.omega, p.phi, p.omega0
+
+        def field(t):
+            arg = om * t + phi
+            return w1 * math.cos(arg), w1 * math.sin(arg), w0
+
     elif frame == "rotating":
-        omega_static = rotating_rabi_vector(p)
-        omega_of_t = lambda t: omega_static
+        static = (p.omega1 * math.cos(p.phi), p.omega1 * math.sin(p.phi), p.omega0 - p.omega)
+
+        def field(t):
+            return static
+
     else:
         raise ValueError(f"unknown frame {frame!r}")
 
     n_steps = max(1, int(round((t1 - t0) / dt)))
     h = (t1 - t0) / n_steps
+    half, sixth = 0.5 * h, h / 6.0
     times = t0 + h * np.arange(n_steps + 1)
-    out = np.empty((n_steps + 1, 3))
-    s = np.array(s0, dtype=float)
-    out[0] = s
-    for k in range(n_steps):
-        t = times[k]
-        k1 = bloch_derivative(s, omega_of_t(t))
-        k2 = bloch_derivative(s + 0.5 * h * k1, omega_of_t(t + 0.5 * h))
-        k3 = bloch_derivative(s + 0.5 * h * k2, omega_of_t(t + 0.5 * h))
-        k4 = bloch_derivative(s + h * k3, omega_of_t(t + h))
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = s
-    return BlochTrajectory(t=times, s=out)
+    x, y, z = np.asarray(s0, dtype=float).tolist()
+    out = [(x, y, z)]
+    for t in times[:-1].tolist():
+        ax, ay, az = field(t)
+        bx, by, bz = field(t + half)
+        cx, cy, cz = field(t + h)
+        k1x, k1y, k1z = ay * z - az * y, az * x - ax * z, ax * y - ay * x
+        ux, uy, uz = x + half * k1x, y + half * k1y, z + half * k1z
+        k2x, k2y, k2z = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
+        ux, uy, uz = x + half * k2x, y + half * k2y, z + half * k2z
+        k3x, k3y, k3z = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
+        ux, uy, uz = x + h * k3x, y + h * k3y, z + h * k3z
+        k4x, k4y, k4z = cy * uz - cz * uy, cz * ux - cx * uz, cx * uy - cy * ux
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        out.append((x, y, z))
+    return BlochTrajectory(t=times, s=np.array(out))

@@ -213,12 +213,12 @@ def cmd_verify(args) -> int:
     print("# verification report")
     print(_echo_config(args, ["seed", "diabatic"]))
     failures = 0
-    for res in checks_mod.run_all(cfg):
+    for res, seconds in checks_mod.run_all(cfg):
         status = "PASS" if res.passed else "FAIL"
         detail = f"  [{res.detail}]" if res.detail else ""
         print(
             f"{status} {res.name}: measured = {res.measured:.3e}, "
-            f"tolerance = {res.tolerance:.3e}{detail}"
+            f"tolerance = {res.tolerance:.3e}{detail}  ({seconds:.3f} s)"
         )
         failures += 0 if res.passed else 1
     print(f"# {len(checks_mod.check_names()) - failures} passed, {failures} failed")

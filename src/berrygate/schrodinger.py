@@ -4,7 +4,10 @@ coupled two-spin system.
 Hamiltonians are stored as angular-frequency matrices (hbar = 1).  The
 integrator is fixed-step RK4 on the complex ODE i d|psi>/dt = H(t)|psi>,
 with no renormalization: norm drift is a measured diagnostic, and a step
-size too large for the spectral spread is rejected outright.
+size too large for the spectral spread is rejected outright.  It takes one
+state or a (dim, B) block of columns, such as the identity for a whole
+propagator; the columns share each step's Hamiltonian calls, and each
+column's norm check and phase unwrap are its own.
 """
 
 from __future__ import annotations
@@ -108,7 +111,9 @@ def hamiltonian_2q_full(p: TwoSpinParams, t: float, drive_on_b: bool = False) ->
 @dataclass(frozen=True)
 class SchrodingerTrajectory:
     """Sampled propagation record: times (n,), states (n, dim), and the
-    continuously unwrapped phase arg<psi(0)|psi(t)> (n,)."""
+    continuously unwrapped phase arg<psi(0)|psi(t)> (n,).  A block of B
+    initial columns gives states (n, dim, B) and phases (n, B); the
+    scalar properties below are for a single column."""
 
     t: np.ndarray
     psi: np.ndarray
@@ -140,15 +145,19 @@ def integrate_schrodinger(
 ) -> SchrodingerTrajectory:
     """Fixed-step RK4 propagation of i d|psi>/dt = H(t)|psi>.
 
-    Requires |psi0| = 1 and dt * (max eigenvalue spread of H) <= 0.01; a
-    violating step size raises StepSizeError instead of silently degrading.
-    The state is never renormalized.  The global phase arg<psi(0)|psi(t)> is
-    unwrapped step to step; a jump >= pi between healthy samples (overlap
-    magnitude above 1e-6) aborts, since it means the sampling cannot resolve
-    the phase winding.
+    psi0 is one state (dim,) or a block of states (dim, B), such as
+    np.eye(dim) for the propagator.  All columns share the h_of_t calls of
+    a step, and each column takes the same matrix-vector products as it
+    would alone, so a block reproduces the B single-column runs.
+    Requires every column to have |psi0| = 1 and dt * (max eigenvalue
+    spread of H) <= 0.01; a violating step size raises StepSizeError
+    instead of silently degrading.  The state is never renormalized.  Each
+    column's global phase arg<psi(0)|psi(t)> is unwrapped step to step; a
+    jump >= pi between healthy samples (overlap magnitude above 1e-6)
+    aborts, since it means the sampling cannot resolve the phase winding.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
+    if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-10):
         raise ValueError("initial state must be normalized")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -168,38 +177,48 @@ def integrate_schrodinger(
             "reduce dt"
         )
 
+    # A block runs as a (B, dim, 1) stack of column vectors, which np.matmul
+    # multiplies one matrix-vector product at a time.
     dim = psi0.shape[0]
-    out = np.empty((n_steps + 1, dim), dtype=complex)
-    phase = np.empty(n_steps + 1)
-    out[0] = psi0
-    phase[0] = 0.0
-    psi = psi0.copy()
-    prev_angle = 0.0
-    for k in range(n_steps):
-        t = times[k]
+    if psi0.ndim == 1:
+        psi, apply = psi0.copy(), np.ndarray.dot
+    else:
+        psi, apply = np.ascontiguousarray(psi0.T)[:, :, None], np.matmul
+    out = np.empty((n_steps + 1,) + psi.shape, dtype=complex)
+    out[0] = psi
+    rows = out.reshape(n_steps + 1, -1, dim)  # (n+1, B, dim): one row per column
+    rows0 = rows[0]
+    angles = [0.0] * len(rows0)
+    phase = [angles]
+    half, sixth = 0.5 * h, h / 6.0
+    two_pi, jump_limit = 2.0 * math.pi, math.pi * (1.0 - 1e-12)
+    for k, t in enumerate(times[:-1].tolist(), start=1):
         h1 = h_of_t(t)
-        hm = h_of_t(t + 0.5 * h)
+        hm = h_of_t(t + half)
         h2 = h_of_t(t + h)
-        k1 = -1j * (h1 @ psi)
-        k2 = -1j * (hm @ (psi + 0.5 * h * k1))
-        k3 = -1j * (hm @ (psi + 0.5 * h * k2))
-        k4 = -1j * (h2 @ (psi + h * k3))
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = psi
+        k1 = -1j * apply(h1, psi)
+        k2 = -1j * apply(hm, psi + half * k1)
+        k3 = -1j * apply(hm, psi + half * k2)
+        k4 = -1j * apply(h2, psi + h * k3)
+        psi = psi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k] = psi
 
-        ov = np.vdot(psi0, psi)
-        if abs(ov) > 1e-6:
-            ang = math.atan2(ov.imag, ov.real)
-            jump = ang - prev_angle
-            jump -= 2.0 * math.pi * round(jump / (2.0 * math.pi))
-            if abs(jump) >= math.pi * (1.0 - 1e-12):
-                raise RuntimeError(
-                    "global-phase unwrapping lost continuity (per-step jump >= pi); "
-                    "reduce dt"
-                )
-            prev_angle = prev_angle + jump
-        phase[k + 1] = prev_angle
-    return SchrodingerTrajectory(t=times, psi=out, phase=phase)
+        angles = angles.copy()
+        for j, ov in enumerate(map(np.vdot, rows0, rows[k])):
+            if abs(ov) > 1e-6:
+                jump = math.atan2(ov.imag, ov.real) - angles[j]
+                jump -= two_pi * round(jump / two_pi)
+                if abs(jump) >= jump_limit:
+                    raise RuntimeError(
+                        "global-phase unwrapping lost continuity (per-step jump >= pi); "
+                        "reduce dt"
+                    )
+                angles[j] += jump
+        phase.append(angles)
+    phase = np.array(phase)
+    if psi0.ndim == 1:
+        return SchrodingerTrajectory(t=times, psi=out, phase=phase[:, 0])
+    return SchrodingerTrajectory(t=times, psi=rows.transpose(0, 2, 1), phase=phase)
 
 
 def bloch_of_state(psi: np.ndarray) -> np.ndarray:

@@ -218,7 +218,10 @@ def _run_plan(plan, model, u0, dt, spacing):
     (at least one), each of the same power-of-two number of steps: the
     fewest that keep the step within dt.  A dt above the spacing samples
     every step instead.  So at any dt up to the spacing the sample times
-    are the same, and only the steps change."""
+    are the same, and only the steps change.
+
+    An `AdiabaticityError` from the phase ledger names the segment, by its
+    index among the plan's segments (from 0) and its kind."""
     interval = max(spacing, dt)
     block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
     u = np.asarray(u0, dtype=complex)
@@ -246,7 +249,10 @@ def _run_plan(plan, model, u0, dt, spacing):
         )
         h_stack = model(times, *controls(times))
         energies = np.einsum("sdm,sde,sem->sm", states.conj(), h_stack, states).real
-        ledger.update(states, -cumulative_trapezoid(energies, times, axis=0, initial=0.0))
+        try:
+            ledger.update(states, -cumulative_trapezoid(energies, times, axis=0, initial=0.0))
+        except AdiabaticityError as exc:
+            raise AdiabaticityError(f"{exc} in segment {len(books)} ({seg.kind})") from None
         dyn = -simpson(energies, x=times, axis=0)
         dynamic += dyn
         seg_dynamics.append(np.atleast_1d(dyn))

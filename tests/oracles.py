@@ -33,6 +33,31 @@ def hamiltonian_of_schedule_1q(omega0: float, schedule):
     return h_of_t
 
 
+def rk4_bloch(s0, p: RabiParams, t_span, dt, frame="lab"):
+    """Oracle: fixed-step RK4 for ds/dt = Omega(t) x s in vector form, with
+    `np.cross` on numpy 3-vectors, on the step grid of `integrate_bloch`.
+    Returns the (n+1, 3) states."""
+    if frame == "lab":
+        field = lambda t: np.array([p.omega1 * np.cos(p.omega * t + p.phi),
+                                    p.omega1 * np.sin(p.omega * t + p.phi), p.omega0])
+    else:
+        static = np.array(
+            [p.omega1 * np.cos(p.phi), p.omega1 * np.sin(p.phi), p.omega0 - p.omega]
+        )
+        field = lambda t: static
+    n = max(1, int(round((t_span[1] - t_span[0]) / dt)))
+    h = (t_span[1] - t_span[0]) / n
+    out = [np.array(s0, dtype=float)]
+    for t in t_span[0] + h * np.arange(n):
+        s = out[-1]
+        k1 = np.cross(field(t), s)
+        k2 = np.cross(field(t + 0.5 * h), s + 0.5 * h * k1)
+        k3 = np.cross(field(t + 0.5 * h), s + 0.5 * h * k2)
+        k4 = np.cross(field(t + h), s + h * k3)
+        out.append(s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return np.array(out)
+
+
 def dynamic_phase(times: np.ndarray, states: np.ndarray, h_of_t) -> float:
     """Dynamic phase -int <psi(t)|H(t)|psi(t)> dt by trapezoidal quadrature
     over the sampled trajectory (second order in the sample spacing)."""

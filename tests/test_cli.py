@@ -1,9 +1,16 @@
 import math
+import os
+import re
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
+import berrygate
 from berrygate.bloch import RabiParams
+from berrygate.checks import check_names
 from berrygate.cli import main
 from berrygate.schrodinger import TwoSpinParams
 from berrygate.sequences import default_times_2q, resolve_times
@@ -105,6 +112,29 @@ def test_verify_list(capsys):
     assert "cone-geometric-phase" in names
     assert "adiabaticity" in names
     assert len(names) >= 15
+
+
+def test_verify_lines_carry_wall_time(capsys):
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    line = re.compile(r"PASS (\S+): measured = \S+, tolerance = \S+(  \[.*\])?  \(\d+\.\d{3} s\)")
+    matched = [line.fullmatch(row) for row in out.splitlines() if row.startswith("PASS")]
+    assert all(matched)
+    assert [m.group(1) for m in matched] == check_names()
+
+
+def test_import_then_list_writes_only_the_names():
+    # A program that imports berrygate and then runs the CLI gets nothing on
+    # stdout beyond the CLI's own output, at import or at exit.
+    src = str(Path(berrygate.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    code = ("import sys, berrygate; from berrygate.cli import main; "
+            "sys.exit(main(['verify', '--list']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == "".join(f"{name}\n" for name in check_names())
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -252,6 +282,8 @@ def test_conditional_off_the_adiabatic_branch_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: phase bookkeeping unreliable")
     assert "below the floor 0.1" in err
+    # the message names the segment: the phase sweep of the reversed loop
+    assert err.rstrip().endswith("in segment 4 (phase_sweep)")
 
 
 def test_oversized_step_exits_2(tmp_path, capsys):

@@ -124,6 +124,28 @@ def test_requires_normalized_state():
         integrate_schrodinger(2.0 * UP, lambda t: np.zeros((2, 2), complex), (0.0, 1.0), 0.01)
 
 
+def test_block_matches_single_column_runs():
+    p = TwoSpinParams(3.0, 1.0, 0.4, RabiParams(3.0, 0.8, 2.7, 0.3))
+    rng = np.random.default_rng(8)
+    block = np.linalg.qr(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))[0]
+    h_of_t = lambda t: hamiltonian_2q_full(p, t, drive_on_b=True)
+    traj = integrate_schrodinger(block, h_of_t, (0.0, 3.0), 0.0015)
+    assert traj.psi.shape == (len(traj.t), 4, 3)
+    assert traj.phase.shape == (len(traj.t), 3)
+    for j in range(3):
+        single = integrate_schrodinger(block[:, j], h_of_t, (0.0, 3.0), 0.0015)
+        assert np.array_equal(single.t, traj.t)
+        assert np.max(np.abs(traj.psi[:, :, j] - single.psi)) <= 1e-15
+        assert np.max(np.abs(traj.phase[:, j] - single.phase)) <= 1e-15
+
+
+def test_block_with_one_unnormalized_column_rejected():
+    block = np.eye(2, dtype=complex)
+    block[:, 1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="normalized"):
+        integrate_schrodinger(block, lambda t: np.zeros((2, 2), complex), (0.0, 1.0), 0.01)
+
+
 def test_bloch_of_state_cases():
     assert np.allclose(bloch_of_state(UP), [0, 0, 1])
     assert np.allclose(bloch_of_state((UP + DOWN) / math.sqrt(2)), [1, 0, 0])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from oracles import hamiltonian_of_schedule_1q
 
@@ -91,7 +91,8 @@ def test_cone_symmetrized_phase():
     theta = math.pi / 4
     m = measure_cone_phase(cone_params(theta))
     assert circle_distance(m.geometric, m.expected) < 5e-3
-    # raw runs carry the finite-rate correction with opposite signs
+    # both raw runs carry nearly the same finite-rate correction, which
+    # cancels in the symmetrized phase
     raw_f = m.forward.decomposition.geometric - m.expected
     raw_r = m.reversed.decomposition.geometric + m.expected
     assert abs(raw_f) > 5e-3 and abs(raw_r) > 5e-3
@@ -103,6 +104,24 @@ def test_cone_phase_does_not_depend_on_the_drive_phase(phi):
     p = cone_params(math.pi / 3)
     shifted = RabiParams(p.omega0, p.omega1, p.omega, phi)
     assert abs(measure_cone_phase(shifted).geometric - measure_cone_phase(p).geometric) < 1e-10
+
+
+@settings(max_examples=10, deadline=None)
+@given(theta=st.floats(0.3, 2.8))
+def test_reversing_the_orientation_negates_the_cone_phase(theta):
+    # At the default times each run is off its closed form by a finite-rate
+    # residue of up to about 0.2 rad that is even in the sweep direction;
+    # reversal negates the rest, which is the forward closed form within the
+    # 5e-3 acceptance bound.
+    p = cone_params(theta)
+    try:
+        fwd = run_cone_loop(p, check=True)
+        rev = run_cone_loop(p, orientation="reversed", check=True)
+    except AdiabaticityError:
+        reject()  # near the equator the default ramp is not adiabatic
+    assert rev.expected_geometric == -fwd.expected_geometric
+    odd = 0.5 * (fwd.decomposition.geometric - rev.decomposition.geometric)
+    assert circle_distance(odd, fwd.expected_geometric) < 5e-3
 
 
 def test_cone_holonomy_route_agrees_mod_2pi():
