@@ -181,8 +181,10 @@ def cmd_conditional(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    det = np.linspace(args.detuning_min, args.detuning_max, args.detuning_count)
-    amp = np.linspace(args.omega1_min, args.omega1_max, args.omega1_count)
+    # An infinite bound makes nan grid values, which fault_tolerance_surface rejects.
+    with np.errstate(invalid="ignore"):
+        det = np.linspace(args.detuning_min, args.detuning_max, args.detuning_count)
+        amp = np.linspace(args.omega1_min, args.omega1_max, args.omega1_count)
     surface = fault_tolerance_surface(args.omega_a, args.coupling, det, amp)
     write_surface_csv(surface, args.output)
     peaks_path = args.peaks_output or (args.output + ".peaks.csv")

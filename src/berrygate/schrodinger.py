@@ -22,6 +22,9 @@ from .linalg import pauli
 
 _SX = pauli("x")
 _SY = pauli("y")
+# The drive's Paulis embedded on spin a and on spin b of the two-spin basis.
+_SX_A, _SY_A = np.kron(_SX, np.eye(2)), np.kron(_SY, np.eye(2))
+_SX_B, _SY_B = np.kron(np.eye(2), _SX), np.kron(np.eye(2), _SY)
 
 # Max allowed dt * (eigenvalue spread); RK4 stays phase-accurate below this.
 STEP_SPREAD_LIMIT = 0.01
@@ -96,10 +99,9 @@ def drive_hamiltonian_2q(p: TwoSpinParams, t: float, drive_on_b: bool = False) -
     arg = d.omega * t + d.phi
     hx = 0.5 * d.omega1 * np.cos(arg)
     hy = 0.5 * d.omega1 * np.sin(arg)
-    single = hx * _SX + hy * _SY
-    h = np.kron(single, np.eye(2))
+    h = hx * _SX_A + hy * _SY_A
     if drive_on_b:
-        h = h + np.kron(np.eye(2), single)
+        h = h + (hx * _SX_B + hy * _SY_B)
     return h
 
 

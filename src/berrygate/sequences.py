@@ -553,21 +553,37 @@ def run_spin_echo_1q(
 # Differential shift and the two-spin conditional sequence
 
 
-def delta_gamma(omega_a: float, omega: float, omega1: float, J: float) -> float:
+_hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def delta_gamma(
+    omega_a: float | np.ndarray,
+    omega: float | np.ndarray,
+    omega1: float | np.ndarray,
+    J: float | np.ndarray,
+) -> float | np.ndarray:
     """Differential geometric shift between the two partner-spin sectors:
 
         pi * [ (w+ - w)/sqrt((w+ - w)^2 + w1^2) - (w- - w)/sqrt((w- - w)^2 + w1^2) ]
 
-    with w+- = omega_a +- pi*J.
+    with w+- = omega_a +- pi*J.  Floats give a float.  Numpy arrays
+    broadcast, and each element is bit for bit the scalar call's value: the
+    root is math.hypot elementwise, since np.hypot differs from it in the
+    last place at some points.
     """
-    out = 0.0
-    for sign in (1.0, -1.0):
-        dz = omega_a + sign * math.pi * J - omega
-        denom = math.hypot(dz, omega1)
-        if denom == 0.0:
-            raise ValueError("Rabi vector vanishes in one coupling sector")
-        out += sign * dz / denom
-    return math.pi * out
+    pj = math.pi * J
+    plus = omega_a + pj - omega
+    minus = omega_a - pj - omega
+    if isinstance(plus, np.ndarray) or isinstance(omega1, np.ndarray):
+        r_plus = np.asarray(_hypot(plus, omega1), dtype=float)
+        r_minus = np.asarray(_hypot(minus, omega1), dtype=float)
+        vanishes = not (r_plus.all() and r_minus.all())
+    else:
+        r_plus, r_minus = math.hypot(plus, omega1), math.hypot(minus, omega1)
+        vanishes = r_plus == 0.0 or r_minus == 0.0
+    if vanishes:
+        raise ValueError("Rabi vector vanishes in one coupling sector")
+    return math.pi * (plus / r_plus - minus / r_minus)
 
 
 @dataclass(frozen=True)
@@ -729,6 +745,9 @@ def fault_tolerance_surface(
     amp = np.asarray(omega1_grid, dtype=float)
     if det.size == 0 or amp.size == 0:
         raise ValueError("grids must be nonempty")
+    if not (np.isfinite(det).all() and np.isfinite(amp).all()
+            and math.isfinite(omega_a) and math.isfinite(J)):
+        raise ValueError("grid values, omega_a and J must be finite")
     if np.any(amp <= 0.0):
         raise ValueError("omega1 grid values must be positive")
     pj = math.pi * J
@@ -736,7 +755,10 @@ def fault_tolerance_surface(
     def f(d, w):
         return delta_gamma(omega_a, omega_a - d * pj, abs(w) * pj, J)
 
-    surface = np.array([[f(d, w) for w in amp] for d in det])
+    # One array call per row keeps the temporaries at the size of a row.
+    surface = np.empty((det.size, amp.size))
+    for i, d in enumerate(det):
+        surface[i] = f(d, amp)
     peaks = tuple(
         _locate_row_peak(partial(f, d), amp, row, d) for d, row in zip(det, surface)
     )
@@ -776,11 +798,12 @@ def _locate_row_peak(f, grid, vals, detuning) -> RowPeak:
 def write_surface_csv(surface: FaultToleranceSurface, path) -> None:
     """Row-major (detuning outer, omega1 inner) CSV with 12 significant
     digits: detuning_over_piJ,omega1_over_piJ,delta_gamma_rad."""
+    omega1 = [f"{w:.12g}" for w in surface.omega1_over_piJ.tolist()]
     with open(path, "w") as fh:
         fh.write("detuning_over_piJ,omega1_over_piJ,delta_gamma_rad\n")
-        for i, d in enumerate(surface.detuning_over_piJ):
-            for j, w in enumerate(surface.omega1_over_piJ):
-                fh.write(f"{d:.12g},{w:.12g},{surface.delta_gamma[i, j]:.12g}\n")
+        for det, row in zip(surface.detuning_over_piJ.tolist(), surface.delta_gamma):
+            d = f"{det:.12g}"
+            fh.write("".join([f"{d},{w},{v:.12g}\n" for w, v in zip(omega1, row.tolist())]))
 
 
 def write_peaks_csv(surface: FaultToleranceSurface, path) -> None:

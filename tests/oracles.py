@@ -4,9 +4,12 @@ they are written out independently of the package's vectorized Hamiltonian
 builders, so that an agreement means something.
 """
 
+import math
+
 import numpy as np
 
 from berrygate.bloch import RabiParams
+from berrygate.sequences import delta_gamma
 
 
 def rotating_hamiltonian_1q(p: RabiParams) -> np.ndarray:
@@ -69,3 +72,23 @@ def dynamic_phase(times: np.ndarray, states: np.ndarray, h_of_t) -> float:
     for k, (t, psi) in enumerate(zip(times, states)):
         energies[k] = np.vdot(psi, h_of_t(t) @ psi).real
     return float(-np.trapezoid(energies, times))
+
+
+def surface_by_points(omega_a: float, J: float, detuning, omega1) -> np.ndarray:
+    """Oracle: the fault-tolerance surface by one scalar `delta_gamma` call
+    per grid point, detuning outer, both axes in units of pi*J."""
+    pj = math.pi * J
+    return np.array(
+        [[delta_gamma(omega_a, omega_a - d * pj, abs(w) * pj, J) for w in omega1]
+         for d in detuning]
+    )
+
+
+def write_surface_csv_by_points(surface, path) -> None:
+    """Oracle: the surface CSV written one f-string and one write per grid
+    point."""
+    with open(path, "w") as fh:
+        fh.write("detuning_over_piJ,omega1_over_piJ,delta_gamma_rad\n")
+        for i, d in enumerate(surface.detuning_over_piJ):
+            for j, w in enumerate(surface.omega1_over_piJ):
+                fh.write(f"{d:.12g},{w:.12g},{surface.delta_gamma[i, j]:.12g}\n")

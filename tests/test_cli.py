@@ -105,6 +105,21 @@ def test_sweep_peak_slopes_reported(tmp_path, capsys):
         assert abs(float(fields[3])) < 1e-6 * float(fields[2])
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--detuning-max", "inf"), ("--omega1-min", "nan"), ("--omega-a", "inf"), ("--coupling", "nan"),
+])
+def test_sweep_with_a_non_finite_value_exits_2(tmp_path, capsys, flag, value):
+    out_csv = tmp_path / "s.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--detuning-count", "3", "--omega1-count", "4", flag, value,
+        "--output", str(out_csv),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: grid values, omega_a and J must be finite\n"
+    assert not out_csv.exists()
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0

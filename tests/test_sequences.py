@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from oracles import hamiltonian_of_schedule_1q
+from oracles import hamiltonian_of_schedule_1q, surface_by_points, write_surface_csv_by_points
 
 from berrygate import engine
 from berrygate.bloch import RabiParams
@@ -319,6 +319,49 @@ def test_delta_gamma_is_odd_in_J(omega_a, detuning, omega1, J):
     assert delta_gamma(omega_a, omega, omega1, -J) == -delta_gamma(omega_a, omega, omega1, J)
 
 
+def test_delta_gamma_of_floats_is_a_float():
+    assert type(delta_gamma(50.0, 49.0, 1.0, 2.0)) is float
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    omega_a=st.floats(1.0, 200.0),
+    J=st.floats(0.05, 5.0),
+    J_sign=st.sampled_from([1.0, -1.0]),
+    detunings=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    omega1s=st.lists(
+        st.floats(-10.0, 10.0).filter(lambda w: abs(w) >= 0.01), min_size=1, max_size=5
+    ),
+    shape=st.sampled_from(["scalar", "row", "grid"]),
+)
+def test_delta_gamma_on_arrays_is_the_scalar_value(
+    omega_a, J, J_sign, detunings, omega1s, shape
+):
+    J *= J_sign
+    omega = omega_a - np.array(detunings)
+    omega1 = np.array(omega1s)
+    if shape == "scalar":
+        omega, omega1 = omega[:1].reshape(()), omega1[:1].reshape(())
+    elif shape == "row":
+        omega = omega[0]
+    else:
+        omega = omega[:, None]
+    got = delta_gamma(omega_a, omega, omega1, J)
+    assert np.shape(got) == np.broadcast_shapes(np.shape(omega), np.shape(omega1))
+    om, w1 = np.broadcast_arrays(omega, omega1)
+    want = [delta_gamma(omega_a, float(o), float(w), J) for o, w in zip(om.flat, w1.flat)]
+    assert np.ravel(got).tolist() == want
+
+
+def test_delta_gamma_raises_if_any_element_has_no_rabi_vector():
+    wa, J = 50.0, 2.0
+    pj = math.pi * J
+    with pytest.raises(ValueError, match="vanishes"):
+        delta_gamma(wa, wa - pj, np.array([1.0, 0.0, 2.0]), J)
+    with pytest.raises(ValueError, match="vanishes"):
+        delta_gamma(wa, np.array([[wa], [wa + pj]]), np.array([0.0, 1.0]), J)
+
+
 def two_spin_params(detuning, amplitude, J=1.0 / math.pi):
     pj = math.pi * J
     return TwoSpinParams(
@@ -415,6 +458,44 @@ def test_surface_rejects_bad_grids():
         fault_tolerance_surface(50.0, 2.0, np.array([]), np.array([1.0]))
     with pytest.raises(ValueError):
         fault_tolerance_surface(50.0, 2.0, np.array([1.0]), np.array([0.0, 1.0]))
+    for bad in (math.inf, -math.inf, math.nan):
+        for args in (
+            (50.0, 2.0, np.array([1.0, bad]), np.array([1.0])),
+            (50.0, 2.0, np.array([1.0]), np.array([bad, 1.0])),
+            (bad, 2.0, np.array([1.0]), np.array([1.0])),
+            (50.0, bad, np.array([1.0]), np.array([1.0])),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                fault_tolerance_surface(*args)
+
+
+def test_surface_is_bit_for_bit_the_pointwise_closed_form():
+    # A grid on which np.hypot differs from math.hypot in the last place, and
+    # enough to change the closed form, so the surface matches its pointwise
+    # oracle only if its roots are taken with math.hypot.
+    omega_a, J = 100.0, 1.0 / math.pi
+    det, amp = np.linspace(0.2, 3.0, 30), np.linspace(0.1, 5.0, 60)
+    pj = math.pi * J
+    omega, w1 = omega_a - det[:, None] * pj, amp * pj
+    plus, minus = omega_a + pj - omega, omega_a - pj - omega
+    assert np.any(np.hypot(plus, w1) != np.frompyfunc(math.hypot, 2, 1)(plus, w1))
+    want = surface_by_points(omega_a, J, det, amp)
+    with_np_hypot = math.pi * (plus / np.hypot(plus, w1) - minus / np.hypot(minus, w1))
+    assert np.any(with_np_hypot != want)
+
+    got = fault_tolerance_surface(omega_a, J, det, amp).delta_gamma
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("grid", [(0.2, 3.0, 50, 0.1, 5.0, 100), (0.31, 2.93, 7, 0.06, 5.4, 13)])
+def test_surface_csv_matches_the_pointwise_writer(tmp_path, grid):
+    d0, d1, nd, w0, w1, nw = grid
+    surf = fault_tolerance_surface(
+        100.0, 1.0 / math.pi, np.linspace(d0, d1, nd), np.linspace(w0, w1, nw)
+    )
+    write_surface_csv(surf, tmp_path / "rows.csv")
+    write_surface_csv_by_points(surf, tmp_path / "points.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
 
 
 def test_surface_csv_format(tmp_path):
