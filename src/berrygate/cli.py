@@ -146,7 +146,7 @@ def cmd_conditional(args) -> int:
         RabiParams(args.omega_a, omega1, omega, 0.0),
     )
     ramp, sweep, dt = resolve_times(
-        partial(default_times_2q, p, args.drive_on_b), args.ramp_time, args.sweep_time,
+        partial(default_times_2q, p), args.ramp_time, args.sweep_time,
         args.dt, args.sweep_factor,
     )
     args.ramp_time, args.sweep_time, args.dt = ramp, sweep, dt
@@ -198,7 +198,10 @@ def cmd_sweep(args) -> int:
     print(f"rows_written = {det.size * amp.size}")
     print("# per-detuning peak: detuning/piJ, omega1*/piJ, shift_rad, d(shift)/d(omega1/piJ)")
     for pk in surface.peaks:
-        flag = " (zero-amplitude boundary)" if pk.boundary else ""
+        flag = ""
+        if pk.boundary:
+            flag = (" (zero-amplitude boundary)" if pk.omega1_over_piJ == 0.0
+                    else " (grid-edge: not stationary)")
         print(
             f"peak {_fmt(pk.detuning_over_piJ)}: omega1* = {_fmt(pk.omega1_over_piJ)}, "
             f"shift = {_fmt(pk.delta_gamma)}, slope = {_fmt(pk.slope)}{flag}"

@@ -1,44 +1,46 @@
-"""Fixed-step propagation of long pulse-schedule runs, sampled after every
-block of a power-of-two number of steps for phase and energy bookkeeping.
+"""Fixed-step fourth-order Magnus propagation of long pulse-schedule runs,
+sampled after every block of a power-of-two number of steps for phase and
+energy bookkeeping.
 
-One entry point, `propagate_sampled`, serves two propagators.  Which one runs
-follows from the structure of the Hamiltonian it is given:
+One entry point, `propagate_sampled`, runs the same Magnus-4 scheme in one
+of two forms.  Which one follows from the structure of the Hamiltonian it is
+given.  Both take the Hamiltonian at the two Gauss nodes
+t + (1/2 -+ sqrt(3)/6) h of each step (Blanes, Casas, Oteo & Ros, Phys. Rep.
+470, 151 (2009)):
 
 * `SectorField`: H(t) is a direct sum of uncoupled two-level sectors, equal
   to (1/2) v_s(t) . sigma on the row pair rows[s].  Each step of each sector
-  is the closed-form fourth-order Magnus map exp(-i w . sigma / 2), with the
-  field at the two Gauss nodes t + (1/2 -+ sqrt(3)/6) h and
+  is the closed-form map exp(-i w . sigma / 2) with
 
-      w = h/2 (v1 + v2) + (sqrt(3)/12) h^2 v2 x v1
+      w = h/2 (v1 + v2) + (sqrt(3)/12) h^2 v2 x v1.
 
-  (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  Each step is
-  a unit quaternion, held as its Cayley-Klein pair (a, b) with
-  U = [[a, -b*], [b, a*]], so every map is unitary up to rounding.  The
-  steps of each sample block are folded by pairwise products, and the
-  samples of a chunk come from a prefix scan over the block products.
-  The commutator term is the gap between this step and the second-order
-  (midpoint) Magnus step, so (sqrt(3)/12) h^2 |v2 x v1| is the step's
-  embedded error estimate (Kormann, Holmgren & Karlsson, J. Chem. Phys.
-  128, 184101 (2008)); a step whose gap exceeds `MAGNUS_GAP_LIMIT` raises
-  `StepSizeError`.  It comes from the fields at the Gauss nodes, so the
-  guard costs no extra field evaluation.
+  Each step is a unit quaternion, held as its Cayley-Klein pair (a, b) with
+  U = [[a, -b*], [b, a*]], so every map is unitary up to rounding, and the
+  running pairs act straight on the state's two rows of each sector.
 
-* Any other callable (times, *controls) -> (n, d, d) Hamiltonian stack,
-  such as the two-spin drive that also reaches spin b and so couples the
-  sectors.  It runs fourth-order Runge-Kutta.  Because the ODE is linear, one RK4 step
-  is a matrix
+* Any other callable (times, *controls) -> (n, d, d) Hermitian stack, such
+  as the two-spin drive that also reaches spin b and so couples the
+  sectors.  Each step is exp(-i K) with
 
-      M_k = 1 + (K1 + 2 K2 + 2 K3 + K4) / 6
-      K1 = A1,  K2 = A2 (1 + K1/2),  K3 = A2 (1 + K2/2),  K4 = A4 (1 + K3)
+      K = h/2 (H1 + H2) - i (sqrt(3)/12) h^2 [H2, H1],
 
-  with A_i = -i H(stage_i) dt, so all steps are built in batch and folded
-  the same way.  This is the scheme of the stepwise integrator in
-  `schrodinger` (verified against it in the tests), and it is the oracle
-  that the Magnus path is tested against.  A step whose dt times the
-  spectral spread of H exceeds `STEP_SPREAD_LIMIT` raises `StepSizeError`.
+  from a batched `eigh` of K.
 
-Both hold at most `_CHUNK_STEPS` steps (or one sample block, if longer) at
-a time.
+In both, the commutator term is the gap between the step and the
+second-order (midpoint) Magnus step, so (sqrt(3)/12) h^2 |v2 x v1|, or
+(sqrt(3)/12) h^2 ||[H2, H1]|| in the Frobenius norm, is the step's embedded
+error estimate (Kormann, Holmgren & Karlsson, J. Chem. Phys. 128, 184101
+(2008)); a step whose gap exceeds `MAGNUS_GAP_LIMIT` raises `StepSizeError`.
+It comes from the Hamiltonian at the Gauss nodes, so the guard costs no
+extra evaluation.  The steps of each sample block are folded by pairwise
+products, and the samples of a chunk come from a prefix scan over the block
+products.  At most `_CHUNK_STEPS` steps (or one sample block, if longer)
+are held at a time.
+
+Oracle: `rk4_transition_matrices` and `_check_spread` build one-step
+fourth-order Runge-Kutta maps of a dense Hamiltonian stack in batch, under
+the step bound of the stepwise integrator in `schrodinger`.  No production
+path calls them; the tests propagate with them to check the Magnus paths.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .schrodinger import STEP_SPREAD_LIMIT, StepSizeError
 MAGNUS_GAP_LIMIT = 1e-3
 _CHUNK_STEPS = 16384
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
+_MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
 _SU2_IDENTITY = np.array([1.0, 0.0], dtype=complex)
 
 
@@ -76,6 +79,20 @@ class SectorField:
     def __call__(self, times, *controls) -> np.ndarray:
         return sector_hamiltonians(self.field(times, *controls), self.rows, self.dim)
 
+    def expectation(self, field: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """<psi|H|psi> of states (n, dim, ...) under the fields (3, n, S) at
+        the same times, from each sector's two components x, y:
+        (1/2) [v_z (|x|^2 - |y|^2) + 2 v_x Re(x* y) + 2 v_y Im(x* y)]."""
+        energies = np.zeros(states.shape[:1] + states.shape[2:])
+        tail = (1,) * (states.ndim - 2)
+        for s, (i, j) in enumerate(self.rows):
+            x, y = states[:, i], states[:, j]
+            xy = x.conj() * y
+            vx, vy, vz = (c.reshape(c.shape + tail) for c in field[:, :, s])
+            energies += 0.5 * vz * (np.abs(x) ** 2 - np.abs(y) ** 2)
+            energies += vx * xy.real + vy * xy.imag
+        return energies
+
 
 def sector_hamiltonians(field: np.ndarray, rows, dim: int) -> np.ndarray:
     """(n, dim, dim) stack of the sum over sectors of (1/2) v_s . sigma
@@ -90,13 +107,21 @@ def sector_hamiltonians(field: np.ndarray, rows, dim: int) -> np.ndarray:
     return h
 
 
+def _check_gap(gap: float, norm: str) -> None:
+    if gap > MAGNUS_GAP_LIMIT:
+        raise StepSizeError(
+            f"Magnus-4 step gap (sqrt(3)/12) dt^2 {norm} = {gap:.3e} exceeds "
+            f"the tolerance {MAGNUS_GAP_LIMIT}; reduce dt"
+        )
+
+
 def magnus4_steps(v1: np.ndarray, v2: np.ndarray, h: float) -> tuple[np.ndarray, float]:
     """Cayley-Klein pairs (n, S, 2) of the fourth-order Magnus steps from
     the fields (3, n, S) at the first and second Gauss node of each step,
     and the largest gap (sqrt(3)/12) h^2 |v2 x v1| between one of them and
     its midpoint step."""
     w = 0.5 * h * (v1 + v2)
-    c = math.sqrt(3.0) / 12.0 * h * h
+    c = _MAGNUS_COMMUTATOR * h * h
     cross = np.empty_like(w)
     cross[0] = v2[1] * v1[2] - v2[2] * v1[1]
     cross[1] = v2[2] * v1[0] - v2[0] * v1[2]
@@ -116,6 +141,20 @@ def magnus4_steps(v1: np.ndarray, v2: np.ndarray, h: float) -> tuple[np.ndarray,
     return parts.view(complex), gap
 
 
+def magnus4_dense_steps(h1: np.ndarray, h2: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+    """Unitaries (n, d, d) of the fourth-order Magnus steps exp(-i K) from
+    the Hamiltonians (n, d, d) at the first and second Gauss node of each
+    step, and the largest gap (sqrt(3)/12) h^2 ||[H2, H1]|| (Frobenius
+    norm) between one of them and its midpoint step."""
+    c = _MAGNUS_COMMUTATOR * h * h
+    comm = h2 @ h1
+    comm -= h1 @ h2
+    gap = c * math.sqrt(float(np.max(np.sum(np.abs(comm) ** 2, axis=(-2, -1)))))
+    k = (0.5 * h) * (h1 + h2) - (1j * c) * comm
+    evals, evecs = np.linalg.eigh(k)
+    return (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(-1, -2), gap
+
+
 def _su2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cayley-Klein pair of the product U_a U_b (pairs on the last axis)."""
     a0, a1 = a[..., 0], a[..., 1]
@@ -123,23 +162,16 @@ def _su2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a0 * b0 - a1.conj() * b1, a1 * b0 + a0.conj() * b1], axis=-1)
 
 
-def _sector_unitaries(pairs: np.ndarray, rows, dim: int) -> np.ndarray:
-    """(n, dim, dim) unitaries [[a, -b*], [b, a*]] on each row pair from
-    the sectors' Cayley-Klein pairs (a, b) of shape (n, S, 2)."""
-    u = np.zeros((pairs.shape[0], dim, dim), dtype=complex)
-    u[:, np.arange(dim), np.arange(dim)] = 1.0
-    for s, (i, j) in enumerate(rows):
-        a, b = pairs[:, s, 0], pairs[:, s, 1]
-        u[:, i, i] = a
-        u[:, i, j] = -b.conj()
-        u[:, j, i] = b
-        u[:, j, j] = a.conj()
-    return u
-
-
 def rk4_transition_matrices(h_half: np.ndarray, dt: float) -> np.ndarray:
-    """One-step RK4 transition matrices from Hamiltonians on the half-step
-    grid t0, t0+dt/2, t0+dt, ... (shape (2n+1, d, d) in, (n, d, d) out)."""
+    """Oracle: one-step RK4 transition matrices from Hamiltonians on the
+    half-step grid t0, t0+dt/2, t0+dt, ... (shape (2n+1, d, d) in, (n, d, d)
+    out).  Because the ODE is linear, one RK4 step is the matrix
+
+        M = 1 + (K1 + 2 K2 + 2 K3 + K4) / 6
+        K1 = A1,  K2 = A2 (1 + K1/2),  K3 = A2 (1 + K2/2),  K4 = A4 (1 + K3)
+
+    with A_i = -i H(stage_i) dt: the scheme of the stepwise integrator in
+    `schrodinger`."""
     a = (-1j * dt) * h_half
     a1 = a[0:-1:2]
     a2 = a[1::2]
@@ -151,6 +183,20 @@ def rk4_transition_matrices(h_half: np.ndarray, dt: float) -> np.ndarray:
     m = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     m += np.eye(h_half.shape[-1], dtype=complex)
     return m
+
+
+def _check_spread(model, controls, t_chunk: float, nc: int, dt: float) -> None:
+    """Oracle step guard: reject dt if dt times the spectral spread of H,
+    at every 16th node of the half-step grid of nc RK4 steps from t_chunk,
+    exceeds STEP_SPREAD_LIMIT."""
+    n_nodes = 2 * nc + 1
+    nodes = t_chunk + 0.5 * dt * np.arange(0, n_nodes, max(1, n_nodes // 16))
+    evals = np.linalg.eigvalsh(model(nodes, *controls(nodes)))
+    spread = float(np.max(evals[:, -1] - evals[:, 0]))
+    if dt * spread > STEP_SPREAD_LIMIT * (1.0 + 1e-9):
+        raise StepSizeError(
+            f"dt * spectral spread = {dt * spread:.3e} exceeds {STEP_SPREAD_LIMIT}"
+        )
 
 
 def _block_products(steps: np.ndarray, mul, identity: np.ndarray, block: int) -> np.ndarray:
@@ -172,52 +218,47 @@ def _block_products(steps: np.ndarray, mul, identity: np.ndarray, block: int) ->
 
 
 def _prefix_products(x: np.ndarray, mul) -> np.ndarray:
-    """Running products x[k] ... x[0] along axis 0 (Hillis-Steele scan)."""
-    x = x.copy()
-    span = 1
-    while span < x.shape[0]:
-        x[span:] = mul(x[span:], x[:-span])
-        span *= 2
-    return x
+    """Running products x[k] ... x[0] along axis 0, by the work-efficient
+    scan: the running products of the pair products x[2k+1] x[2k] give the
+    odd entries, and each even entry is x[2k] times the odd one before it,
+    about 2n products in all."""
+    n = x.shape[0]
+    out = np.empty_like(x)
+    out[0] = x[0]
+    if n > 1:
+        out[1::2] = _prefix_products(mul(x[1::2], x[0 : n - 1 : 2]), mul)
+        out[2::2] = mul(x[2::2], out[1 : n - 1 : 2])
+    return out
 
 
-def _check_spread(model, controls, t_chunk: float, nc: int, dt: float) -> None:
-    """Reject dt if dt times the spectral spread of H, at every 16th node
-    of the chunk's half-step grid, exceeds STEP_SPREAD_LIMIT."""
-    n_nodes = 2 * nc + 1
-    nodes = t_chunk + 0.5 * dt * np.arange(0, n_nodes, max(1, n_nodes // 16))
-    evals = np.linalg.eigvalsh(model(nodes, *controls(nodes)))
-    spread = float(np.max(evals[:, -1] - evals[:, 0]))
-    if dt * spread > STEP_SPREAD_LIMIT * (1.0 + 1e-9):
-        raise StepSizeError(
-            f"dt * spectral spread = {dt * spread:.3e} exceeds {STEP_SPREAD_LIMIT}"
-        )
-
-
-def _chunk_maps(model, controls, t_chunk: float, nc: int, dt: float, block: int) -> np.ndarray:
-    """(ceil(nc/block), d, d) maps from the chunk start to each sample."""
-    if isinstance(model, SectorField):
-        nodes = (t_chunk + dt * (_GAUSS_NODES[:, None] + np.arange(nc))).ravel()
-        v = model.field(nodes, *controls(nodes))
-        steps, gap = magnus4_steps(v[:, :nc], v[:, nc:], dt)
-        if gap > MAGNUS_GAP_LIMIT:
-            raise StepSizeError(
-                f"Magnus-4 step gap (sqrt(3)/12) dt^2 |v2 x v1| = {gap:.3e} exceeds "
-                f"the tolerance {MAGNUS_GAP_LIMIT}; reduce dt"
-            )
-        blocks = _block_products(steps, _su2_mul, _SU2_IDENTITY, block)
-        cumulative = _prefix_products(blocks, _su2_mul)
-        # Rounding shrinks the norm of the steps and of their products by
-        # about 1e-17 each on average; since the norm is multiplicative,
-        # renormalizing the products keeps that bias from adding up over
-        # 10^6 steps.
-        cumulative /= np.sqrt(np.sum(np.abs(cumulative) ** 2, axis=-1, keepdims=True))
-        return _sector_unitaries(cumulative, model.rows, model.dim)
-    _check_spread(model, controls, t_chunk, nc, dt)
-    nodes = t_chunk + 0.5 * dt * np.arange(2 * nc + 1)
-    steps = rk4_transition_matrices(model(nodes, *controls(nodes)), dt)
-    identity = np.eye(steps.shape[-1], dtype=complex)
-    return _prefix_products(_block_products(steps, np.matmul, identity, block), np.matmul)
+def _chunk_states(model, controls, t_chunk: float, nc: int, dt: float, block: int,
+                  u: np.ndarray) -> np.ndarray:
+    """States (ceil(nc/block),) + u.shape at each sample of a chunk of nc
+    steps that starts from u at t_chunk."""
+    nodes = (t_chunk + dt * (_GAUSS_NODES[:, None] + np.arange(nc))).ravel()
+    if not isinstance(model, SectorField):
+        h = model(nodes, *controls(nodes))
+        steps, gap = magnus4_dense_steps(h[:nc], h[nc:], dt)
+        _check_gap(gap, "||[H2, H1]||")
+        identity = np.eye(steps.shape[-1], dtype=complex)
+        return _prefix_products(_block_products(steps, np.matmul, identity, block), np.matmul) @ u
+    v = model.field(nodes, *controls(nodes))
+    steps, gap = magnus4_steps(v[:, :nc], v[:, nc:], dt)
+    _check_gap(gap, "|v2 x v1|")
+    pairs = _prefix_products(_block_products(steps, _su2_mul, _SU2_IDENTITY, block), _su2_mul)
+    # Rounding shrinks the norm of the steps and of their products by about
+    # 1e-17 each on average; since the norm is multiplicative, renormalizing
+    # the products keeps that bias from adding up over 10^6 steps.
+    pairs /= np.sqrt(np.sum(np.abs(pairs) ** 2, axis=-1, keepdims=True))
+    states = np.empty(pairs.shape[:1] + u.shape, dtype=complex)
+    states[:] = u
+    tail = (1,) * (u.ndim - 1)
+    for s, (i, j) in enumerate(model.rows):
+        a = pairs[:, s, 0].reshape(-1, *tail)
+        b = pairs[:, s, 1].reshape(-1, *tail)
+        states[:, i] = a * u[i] - b.conj() * u[j]
+        states[:, j] = b * u[i] + a.conj() * u[j]
+    return states
 
 
 def propagate_sampled(
@@ -229,17 +270,18 @@ def propagate_sampled(
     controls,
     steps_per_sample: int,
 ):
-    """Propagate u0 (shape (d,) or (d, m)) over n_steps of size dt.
+    """Propagate u0 (shape (d,) or (d, m)) over n_steps Magnus-4 steps of
+    size dt.
 
     The Hamiltonian at a 1-d array of absolute times is
-    model(times, *controls(times)).  model is a `SectorField` (Magnus-4
-    steps) or any callable that returns the matching (len, d, d) Hamiltonian
-    stack (RK4 steps).  Returns (times, states) with states sampled at t0
-    and then after every block of steps_per_sample steps, a power of two
-    (the final sample always lands exactly on t0 + n_steps*dt); states has
-    shape (n_samples,) + u0.shape.  Sample k sits at t0 + (k *
-    steps_per_sample) * dt, so halving dt and doubling steps_per_sample
-    gives the same sample times.
+    model(times, *controls(times)).  model is a `SectorField` (closed-form
+    SU(2) steps per sector) or any callable that returns the matching
+    (len, d, d) Hermitian stack (dense steps).  Returns (times, states)
+    with states sampled at t0 and then after every block of
+    steps_per_sample steps, a power of two (the final sample always lands
+    exactly on t0 + n_steps*dt); states has shape (n_samples,) + u0.shape.
+    Sample k sits at t0 + (k * steps_per_sample) * dt, so halving dt and
+    doubling steps_per_sample gives the same sample times.
     """
     u = np.asarray(u0, dtype=complex).copy()
     samples = [u[None]]
@@ -248,7 +290,7 @@ def propagate_sampled(
     done = 0
     while done < n_steps:
         nc = min(chunk, n_steps - done)
-        states = _chunk_maps(model, controls, t0 + done * dt, nc, dt, steps_per_sample) @ u
+        states = _chunk_states(model, controls, t0 + done * dt, nc, dt, steps_per_sample, u)
         ends = np.minimum(np.arange(1, len(states) + 1) * steps_per_sample, nc)
         samples.append(states)
         times.append(t0 + (done + ends) * dt)

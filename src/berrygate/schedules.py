@@ -61,6 +61,16 @@ class Segment:
         om = self.omega[0] + (self.omega[1] - self.omega[0]) * x
         return w1, om, ph
 
+    def phase_rate_at(self, tau):
+        """d(phi)/dt at local time tau in [0, duration], of the profile of
+        `controls_at`: zero on the built-in ramps, and
+        (dphi/duration) (1 - cos 2 pi x) on a phase sweep."""
+        x = np.clip(np.asarray(tau, dtype=float) / self.duration, 0.0, 1.0)
+        rate = (self.phi[1] - self.phi[0]) / self.duration
+        if self.kind == "phase_sweep":
+            return rate * (1.0 - np.cos(2.0 * math.pi * x))
+        return np.full_like(x, rate)
+
 
 @dataclass(frozen=True)
 class PulseSchedule:

@@ -3,9 +3,14 @@
 Single-qubit schedules are integrated in the frame rotating at the (constant)
 drive frequency, where the Rabi vector is the slow control vector Omega'(t);
 the lab/rotating equivalence is itself verified in the test suite.  The
-two-spin system is integrated in the frame rotating at the drive frequency
+two-spin system is reported in the frame rotating at the drive frequency
 for spin a and at omega_b for spin b, which removes both fast Zeeman
 precessions while leaving the J coupling and the drive on spin a unchanged.
+A drive that also reaches spin b turns there at omega - omega_b, so that
+run is integrated in the frame where both spins turn at the drive frequency
+and then with the drive phase (`_PhiFrame`), where its Hamiltonian changes
+only as fast as the controls; its samples are mapped back by diagonal
+phases.
 
 Phase accounting: every adiabatic loop is closed in projective space per
 basis state, so its total phase is well defined and tracked continuously by
@@ -45,11 +50,10 @@ from .schrodinger import TwoSpinParams
 
 ADIABATIC_SWEEP_FACTOR = 500.0
 RAMP_FRACTION = 0.2
-# In units of 1/|Omega'|max: the RK4 step, and the sample spacing of
-# SAMPLE_BLOCK such steps, which is also the default Magnus-4 step.
-DT_RESOLUTION = 0.005
+# The sample spacing in units of 1/|Omega'|max, which is also the default
+# Magnus-4 step; a run without a field is sampled every SAMPLE_BLOCK steps.
+SAMPLE_RESOLUTION = 0.32
 SAMPLE_BLOCK = 64
-SAMPLE_RESOLUTION = SAMPLE_BLOCK * DT_RESOLUTION
 MIN_CLOSURE_FIDELITY = 0.999
 
 
@@ -90,24 +94,88 @@ def _model_2q(p: TwoSpinParams, drive_on_b: bool):
     """The drive on spin a alone leaves the spin-b sectors uncoupled; the
     drive that also reaches spin b couples them into one 4x4 problem."""
     if drive_on_b:
-        return partial(_h2q_stack, p)
+        return _PhiFrame(p)
     return engine.SectorField(
         partial(_cone_field, sector_freqs=(p.omega_plus, p.omega_minus)), ROWS_2Q, 4
     )
 
 
-def _h2q_stack(p: TwoSpinParams, times, w1, om, ph):
-    """(n, 4, 4) Hamiltonian with the drive on both spins: the spin-a
-    sectors of _cone_field, coupled by the same field seen by spin b from
-    its own rotating frame."""
-    v = _cone_field(times, w1, om, ph, sector_freqs=(p.omega_plus, p.omega_minus))
-    h = engine.sector_hamiltonians(v, ROWS_2Q, 4)
-    off_b = 0.5 * w1 * np.exp(-1j * (ph + (om - p.omega_b) * times))
-    h[:, 0, 1] = off_b
-    h[:, 2, 3] = off_b
-    h[:, 1, 0] = np.conj(off_b)
-    h[:, 3, 2] = np.conj(off_b)
+def _h2q_stack(p: TwoSpinParams, times, w1, om, ph_rate):
+    """(n, 4, 4) real Hamiltonian of the drive on both spins in the frame
+    of `_PhiFrame`:
+
+        H' = (w_a - om) S_az + (w_b - om) S_bz + 2 pi J S_az S_bz
+             + w1 (S_ax + S_bx) - phi' S_z^tot.
+
+    On the diagonal, rows 0, 2 hold the b-up cone sector at w+ and rows 1, 3
+    the b-down one at w-, as in `_cone_field`."""
+    zp, zm, zb = (0.5 * (w - om) for w in (p.omega_plus, p.omega_minus, p.omega_b))
+    h = np.zeros((len(times), 4, 4))
+    h[:, 0, 0] = zp + zb - ph_rate
+    h[:, 1, 1] = zm - zb
+    h[:, 2, 2] = zb - zp
+    h[:, 3, 3] = ph_rate - zm - zb
+    half_w1 = 0.5 * w1
+    for i, j in ((0, 2), (1, 3), (0, 1), (2, 3)):  # S_ax, then S_bx
+        h[:, i, j] = h[:, j, i] = half_w1
     return h
+
+
+# Diagonals of S_z^tot and S_bz in the two-spin basis.
+_SZ_TOTAL = np.array([1.0, 0.0, 0.0, -1.0])
+_SZ_B = np.array([0.5, -0.5, 0.5, -0.5])
+
+
+@dataclass(frozen=True)
+class _PhiFrame:
+    """The drive on both spins, integrated in the frame where both spins
+    turn at the drive frequency om and then with the drive phase phi(t).
+
+    The report frame (spin a at om, spin b at omega_b) holds
+    psi = exp(-i Phi(t)) psi' with the diagonal
+
+        Phi(t) = phi(t) S_z^tot + (om - omega_b) t S_bz
+
+    (om is constant in every built-in segment).  There the Hamiltonian is
+    H' = exp(i Phi) H exp(-i Phi) - dPhi/dt (`_h2q_stack`), real and as slow
+    as the controls: phi' is smooth within each segment and zero on the
+    ramps.  Its energy in the report frame is <psi'|H' + dPhi/dt|psi'>."""
+
+    p: TwoSpinParams
+
+    def run(self, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int):
+        """Sample times, states and energies of one segment, in the report
+        frame, from the state u at its start t0."""
+        model = partial(_h2q_stack, self.p)
+        controls = partial(_phi_frame_controls, seg, t0)
+        u = np.exp(1j * self._angles(seg, t0, np.array([t0])))[0, :, None] * u
+        times, states = engine.propagate_sampled(model, t0, n_steps, dt, u, controls, block)
+        w1, om, ph_rate = controls(times)
+        energies = _expectation(model(times, w1, om, ph_rate), states)
+        rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
+        rates += np.multiply.outer(om - self.p.omega_b, _SZ_B)
+        energies += np.einsum("sd,sdm->sm", rates, np.abs(states) ** 2)
+        states *= np.exp(-1j * self._angles(seg, t0, times))[:, :, None]
+        return times, states, energies
+
+    def _angles(self, seg: Segment, t0: float, times) -> np.ndarray:
+        """(n, 4) diagonal of Phi at absolute times of a segment."""
+        _, om, ph = seg.controls_at(times - t0)
+        b_angle = (om - self.p.omega_b) * times
+        return np.multiply.outer(ph, _SZ_TOTAL) + np.multiply.outer(b_angle, _SZ_B)
+
+
+def _phi_frame_controls(seg: Segment, t0: float, times):
+    """Controls (w1, om, phi') of `_h2q_stack` at absolute times of a
+    segment that starts at t0."""
+    tau = np.asarray(times) - t0
+    w1, om, _ = seg.controls_at(tau)
+    return w1, om, seg.phase_rate_at(tau)
+
+
+def _expectation(h: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """<psi|H|psi> (S, m) of states (S, d, m) under the Hamiltonians (S, d, d)."""
+    return np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +273,27 @@ def _segment_controls(seg: Segment, t0: float, times):
     return seg.controls_at(np.asarray(times) - t0)
 
 
+def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int):
+    """Sample times, states (S, d, m) and energies <psi|H|psi> (S, m) of one
+    segment that starts from u at t0."""
+    if isinstance(model, _PhiFrame):
+        return model.run(seg, t0, n_steps, dt, u, block)
+    controls = partial(_segment_controls, seg, t0)
+    times, states = engine.propagate_sampled(model, t0, n_steps, dt, u, controls, block)
+    if isinstance(model, engine.SectorField):
+        energies = model.expectation(model.field(times, *controls(times)), states)
+    else:
+        energies = _expectation(model(times, *controls(times)), states)
+    return times, states, energies
+
+
 def _run_plan(plan, model, u0, dt, spacing):
     """Run a list of ('seg', Segment) / ('pulse', matrix) items.
 
-    model is the Hamiltonian as a function of (times, w1, om, ph): either
-    an `engine.SectorField` over such a field function, which runs the
-    Magnus-4 propagator, or a callable returning the (n, d, d) Hamiltonian
-    stack, which runs RK4.  Each segment supplies the controls (w1, om,
-    ph).
+    model is the Hamiltonian: an `engine.SectorField` over a field function
+    of (times, w1, om, ph), a `_PhiFrame`, or a callable (times, w1, om, ph)
+    returning the (n, d, d) Hamiltonian stack.  Each segment supplies the
+    controls.
 
     Each segment is sampled on round(duration / spacing) equal intervals
     (at least one), each of the same power-of-two number of steps: the
@@ -242,13 +323,7 @@ def _run_plan(plan, model, u0, dt, spacing):
         n_steps = block * max(1, round(seg.duration / interval))
         dt_seg = seg.duration / n_steps
         t0 = t_abs
-
-        controls = partial(_segment_controls, seg, t0)
-        times, states = engine.propagate_sampled(
-            model, t0, n_steps, dt_seg, u, controls, block
-        )
-        h_stack = model(times, *controls(times))
-        energies = np.einsum("sdm,sde,sem->sm", states.conj(), h_stack, states).real
+        times, states, energies = _run_segment(model, seg, t0, n_steps, dt_seg, u, block)
         try:
             ledger.update(states, -cumulative_trapezoid(energies, times, axis=0, initial=0.0))
         except AdiabaticityError as exc:
@@ -326,8 +401,7 @@ def resolve_times(
     """(ramp_time, sweep_time, dt) of a run: the given values as they are,
     the missing ones from default_times(), which returns the (ramp, sweep,
     dt) of the adiabaticity and resolution rules (`default_times_1q`,
-    `default_times_2q`: one Magnus-4 step per sample, or 0.005/|Omega'|max
-    for the RK4 run with the drive on spin b).  A missing sweep is the
+    `default_times_2q`: one Magnus-4 step per sample).  A missing sweep is the
     default one times sweep_factor; a missing ramp keeps the default ratio
     of ramp to sweep.  This is the only place a run's dt is set."""
     if None not in (ramp_time, sweep_time, dt):
@@ -610,12 +684,10 @@ def conditional_target_gate(dg: float) -> np.ndarray:
     return np.diag(np.exp(1j * np.array([2.0 * dg, -2.0 * dg, -2.0 * dg, 2.0 * dg])))
 
 
-def default_times_2q(p: TwoSpinParams, drive_on_b: bool = False):
+def default_times_2q(p: TwoSpinParams):
     """(ramp_time, sweep_time, dt): sweep from the slower sector's Rabi
     vector, dt from the faster one: 64 * 0.005/|Omega'|max, one Magnus-4
-    step per sample, or, for the RK4 run with the drive on spin b,
-    0.005/|Omega'|max and small enough to resolve the off-resonant field on
-    spin b.
+    step per sample, also with the drive on spin b.
 
     The ramps start where the transverse drive vanishes, so their adiabatic
     bottleneck is the bare sector gap |w+- - w| rather than the plateau Rabi
@@ -636,8 +708,6 @@ def default_times_2q(p: TwoSpinParams, drive_on_b: bool = False):
         RAMP_FRACTION * sweep,
         2.0 * RAMP_FRACTION * ADIABATIC_SWEEP_FACTOR / min(z_gaps),
     )
-    if drive_on_b:
-        return ramp, sweep, min(DT_RESOLUTION / max(om_branches), 0.05 / abs(d.omega - p.omega_b))
     return ramp, sweep, SAMPLE_RESOLUTION / max(om_branches)
 
 
@@ -655,10 +725,10 @@ def run_conditional_sequence(
     the closed-form conditional phase pattern diag(e^{2i dg}, e^{-2i dg},
     e^{-2i dg}, e^{2i dg})."""
     ramp_time, sweep_time, dt = resolve_times(
-        partial(default_times_2q, p, drive_on_b), ramp_time, sweep_time, dt
+        partial(default_times_2q, p), ramp_time, sweep_time, dt
     )
     model = _model_2q(p, drive_on_b)
-    plan = _conditional_plan(p, ramp_time, sweep_time, model, pi_pulse_duration)
+    plan = _conditional_plan(p, ramp_time, sweep_time, pi_pulse_duration)
     spacing = _sample_spacing(max(_rabi_2q(p)), dt)
     res = _run_plan(plan, model, np.eye(4, dtype=complex), dt, spacing)
     u_f, total, dynamic = res.final, res.total, res.dynamic
@@ -695,11 +765,13 @@ def run_conditional_sequence(
     return result
 
 
-def _conditional_plan(p: TwoSpinParams, ramp_time, sweep_time, model, pi_pulse_duration):
+def _conditional_plan(p: TwoSpinParams, ramp_time, sweep_time, pi_pulse_duration):
     """Loop, pi_a, reversed loop, pi_b, twice; finite pi pulses act on top of
-    the model's static Hamiltonian."""
+    the static Hamiltonian, with the drive off and so the same whether or not
+    it reaches spin b."""
     loop_f = _schedule_plan(build_cone_loop(p.drive, ramp_time, sweep_time, "forward"))
     loop_r = _schedule_plan(build_cone_loop(p.drive, ramp_time, sweep_time, "reversed"))
+    model = _model_2q(p, False)
     pulse_a = [("pulse", _pi_pulse(model, p.drive.omega, "a", pi_pulse_duration))]
     pulse_b = [("pulse", _pi_pulse(model, p.drive.omega, "b", pi_pulse_duration))]
     return (loop_f + pulse_a + loop_r + pulse_b) * 2
@@ -715,7 +787,9 @@ class RowPeak:
     omega1_over_piJ: float
     delta_gamma: float
     slope: float
-    boundary: bool  # peak sits at the zero-amplitude boundary
+    # the maximum sits at the zero-amplitude boundary (stationary there), or
+    # at the grid's upper end with f still rising (not stationary)
+    boundary: bool
 
 
 @dataclass(frozen=True)
@@ -766,8 +840,18 @@ def fault_tolerance_surface(
 
 
 def _locate_row_peak(f, grid, vals, detuning) -> RowPeak:
-    """Peak of f over the amplitude axis, from its values vals on grid."""
+    """Peak of f over the amplitude axis, from its values vals on grid.  A
+    row still rising at its last grid point peaks beyond the grid: that
+    grid point is reported as it is, flagged as a boundary."""
+    h = 1e-5
+
+    def slope_at(w):
+        return (f(w + h) - f(w - h)) / (2.0 * h)
+
     i = int(np.argmax(vals))
+    if i == len(grid) - 1 and slope_at(grid[i]) > 0.0:
+        w_edge = float(grid[i])
+        return RowPeak(float(detuning), w_edge, float(vals[i]), float(slope_at(w_edge)), True)
     lo = 0.0 if i == 0 else grid[i - 1]
     hi = grid[min(i + 1, len(grid) - 1)]
     if hi <= lo:
@@ -790,9 +874,7 @@ def _locate_row_peak(f, grid, vals, detuning) -> RowPeak:
         height = f(w_star)
     except ValueError:
         height = f(1e-12)
-    h = 1e-5
-    slope = (f(w_star + h) - f(w_star - h)) / (2.0 * h)
-    return RowPeak(float(detuning), w_star, float(height), float(slope), boundary)
+    return RowPeak(float(detuning), w_star, float(height), float(slope_at(w_star)), boundary)
 
 
 def write_surface_csv(surface: FaultToleranceSurface, path) -> None:

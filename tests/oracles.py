@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 
+from berrygate import engine
 from berrygate.bloch import RabiParams
+from berrygate.schrodinger import TwoSpinParams
 from berrygate.sequences import delta_gamma
 
 
@@ -92,3 +94,55 @@ def write_surface_csv_by_points(surface, path) -> None:
         for i, d in enumerate(surface.detuning_over_piJ):
             for j, w in enumerate(surface.omega1_over_piJ):
                 fh.write(f"{d:.12g},{w:.12g},{surface.delta_gamma[i, j]:.12g}\n")
+
+
+def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample):
+    """Oracle for `engine.propagate_sampled`, same arguments and samples:
+    batched RK4 maps (`engine.rk4_transition_matrices`, under the step guard
+    `engine._check_spread`) of the dense stack model(times, *controls(times))
+    on the half-step grid, applied to the state one step at a time."""
+    engine._check_spread(model, controls, t0, n_steps, dt)
+    nodes = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
+    steps = engine.rk4_transition_matrices(model(nodes, *controls(nodes)), dt)
+    u = np.asarray(u0, dtype=complex)
+    samples, ends = [u], [0]
+    for k, step in enumerate(steps, 1):
+        u = step @ u
+        if k % steps_per_sample == 0 or k == n_steps:
+            samples.append(u)
+            ends.append(k)
+    return t0 + np.array(ends) * dt, np.array(samples)
+
+
+_SIGMA = {
+    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "y": np.array([[0.0, -1j], [1j, 0.0]]),
+    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+_SPIN_A = {k: np.kron(0.5 * s, np.eye(2)) for k, s in _SIGMA.items()}
+_SPIN_B = {k: np.kron(np.eye(2), 0.5 * s) for k, s in _SIGMA.items()}
+
+
+def drive_on_b_hamiltonian(p: TwoSpinParams):
+    """Oracle: (times, w1, om, ph) -> (n, 4, 4) Hamiltonian of the drive on
+    both spins in the frame of the reports, spin a turning at om and spin b
+    at omega_b, from the spin operators:
+
+        (w_a - om) S_az + 2 pi J S_az S_bz + w1 (cos ph S_ax + sin ph S_ay)
+        + w1 (cos al S_bx + sin al S_by),   al = ph + (om - w_b) t."""
+
+    def h(times, w1, om, ph):
+        times = np.asarray(times, dtype=float)
+        w1, om, ph = (np.broadcast_to(c, times.shape) for c in (w1, om, ph))
+        al = ph + (om - p.omega_b) * times
+        terms = [
+            (p.omega_a - om, _SPIN_A["z"]),
+            (np.full(times.shape, 2.0 * math.pi * p.J), _SPIN_A["z"] @ _SPIN_B["z"]),
+            (w1 * np.cos(ph), _SPIN_A["x"]),
+            (w1 * np.sin(ph), _SPIN_A["y"]),
+            (w1 * np.cos(al), _SPIN_B["x"]),
+            (w1 * np.sin(al), _SPIN_B["y"]),
+        ]
+        return sum(c[:, None, None] * op for c, op in terms)
+
+    return h

@@ -105,6 +105,26 @@ def test_sweep_peak_slopes_reported(tmp_path, capsys):
         assert abs(float(fields[3])) < 1e-6 * float(fields[2])
 
 
+def test_sweep_flags_a_peak_beyond_the_grid(tmp_path, capsys):
+    # both rows still rise at omega1 = 0.5, so their peaks lie beyond the grid
+    code, out, _ = run_cli(
+        capsys, "sweep", "--detuning-count", "2", "--omega1-count", "5",
+        "--detuning-min", "2.5", "--detuning-max", "3", "--omega1-max", "0.5",
+        "--output", str(tmp_path / "s.csv"),
+    )
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("peak ")]
+    assert len(lines) == 2
+    for line in lines:
+        assert "omega1* = 0.5," in line
+        assert line.endswith(" (grid-edge: not stationary)")
+    peaks = (tmp_path / "s.csv.peaks.csv").read_text().splitlines()[1:]
+    for row in peaks:
+        fields = row.split(",")
+        assert fields[1] == "0.5" and fields[4] == "1"
+        assert float(fields[3]) > 0.0
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--detuning-max", "inf"), ("--omega1-min", "nan"), ("--omega-a", "inf"), ("--coupling", "nan"),
 ])

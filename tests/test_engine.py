@@ -1,9 +1,9 @@
-"""The sector-split Magnus-4 propagator against the RK4 oracle.
+"""The two Magnus-4 propagators, closed-form SU(2) per sector and dense
+4x4 in the phi frame, against the batched RK4 oracle and each other.
 
-The RK4 path runs whenever the Hamiltonian comes as a plain matrix
-callable rather than as an `engine.SectorField`, so the oracle runs below
-are the production sequences with the sector model swapped for the 4x4 (or
-2x2) matrix stack of the same Hamiltonian.
+The oracle runs below are the production sequences with the propagator
+swapped for `oracles.rk4_propagate_sampled`, and the model for the matrix
+stack of the same Hamiltonian in the frame of the reports.
 """
 
 import math
@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import drive_on_b_hamiltonian, rk4_propagate_sampled
 
 from berrygate import engine, sequences
 from berrygate.bloch import RabiParams
-from berrygate.schrodinger import TwoSpinParams
+from berrygate.schrodinger import StepSizeError, TwoSpinParams
 
 SHORT = dict(ramp_time=5.0, sweep_time=10.0, dt=0.002)
 
@@ -31,13 +32,17 @@ def two_spin_params(detuning, amplitude):
 
 @contextmanager
 def rk4_oracle():
-    """Run the sequences on the RK4 path: the same Hamiltonians, handed to
-    the engine as plain matrix stacks."""
+    """Run the sequences on the RK4 oracle, with each Hamiltonian handed
+    over as a plain matrix stack in the frame of the reports."""
     model_1q, model_2q = sequences._model_1q, sequences._model_2q
+
+    def oracle_2q(p, on_b):
+        return drive_on_b_hamiltonian(p) if on_b else model_2q(p, False).__call__
+
     with mock.patch.object(
         sequences, "_model_1q", lambda w0: model_1q(w0).__call__
-    ), mock.patch.object(
-        sequences, "_model_2q", lambda p, on_b: model_2q(p, on_b).__call__
+    ), mock.patch.object(sequences, "_model_2q", oracle_2q), mock.patch.object(
+        sequences.engine, "propagate_sampled", rk4_propagate_sampled
     ):
         yield
 
@@ -66,6 +71,17 @@ def test_conditional_run_matches_rk4_oracle():
     _assert_gates_agree(su2, rk4, 1e-9)
 
 
+def test_drive_on_b_run_matches_rk4_oracle():
+    # dense Magnus-4 in the phi frame against RK4 in the frame of the
+    # reports: the gaps measure 2.5e-11 (gate), 2.2e-11 (total phases) and
+    # 2.1e-10 (dynamic phases), so the bound leaves a margin of about 5
+    p = two_spin_params(2.0, 1.2)
+    magnus = sequences.run_conditional_sequence(p, drive_on_b=True, **SHORT)
+    with rk4_oracle():
+        rk4 = sequences.run_conditional_sequence(p, drive_on_b=True, **SHORT)
+    _assert_gates_agree(magnus, rk4, 1e-9)
+
+
 def _plan_map(plan, model, dt):
     """The plan's propagator, without the phase ledger: at the short
     schedule some spots of the region leave the adiabatic branch far enough
@@ -88,9 +104,11 @@ def _plan_map(plan, model, dt):
     amplitude=st.floats(0.7, 1.7),
 )
 def test_sector_split_gate_equals_full_4x4_gate(detuning, amplitude):
+    # the closed-form SU(2) steps against the dense eigh steps of the full
+    # 4x4 stack of the same Hamiltonian
     p = two_spin_params(detuning, amplitude)
     sectors = sequences._model_2q(p, False)
-    plan = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], sectors, 0.0)
+    plan = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], 0.0)
     full = sectors.__call__
     assert isinstance(sectors, engine.SectorField)
     gate = _plan_map(plan, sectors, SHORT["dt"])
@@ -108,19 +126,47 @@ def _wobbling_field(times):
     return v
 
 
-def _final_map(dt, span=4.0):
-    h = engine.SectorField(_wobbling_field, sequences.ROWS_2Q, 4)
+def _final_map(dt, model, span=4.0):
     n = int(round(span / dt))
     _, states = engine.propagate_sampled(
-        h, 0.0, n, span / n, np.eye(4, dtype=complex), lambda times: (), 1
+        model, 0.0, n, span / n, np.eye(4, dtype=complex), lambda times: (), 1
     )
     return states[-1]
 
 
-def test_magnus_error_falls_as_h4():
-    exact = _final_map(0.04 / 32)
-    errs = [np.max(np.abs(_final_map(dt) - exact)) for dt in (0.04, 0.02)]
+def _assert_error_falls_as_h4(model):
+    exact = _final_map(0.04 / 32, model)
+    errs = [np.max(np.abs(_final_map(dt, model) - exact)) for dt in (0.04, 0.02)]
     assert 12.0 <= errs[0] / errs[1] <= 20.0, errs
+
+
+def test_magnus_error_falls_as_h4():
+    _assert_error_falls_as_h4(engine.SectorField(_wobbling_field, sequences.ROWS_2Q, 4))
+
+
+def _coupled_wobbling_field(times):
+    """A fast-varying real 4x4 Hamiltonian whose off-diagonal terms couple
+    every basis state, so no sector split applies."""
+    h = np.empty((len(times), 4, 4))
+    h[:] = 0.3 * np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+    h[:, 0, 1] = h[:, 1, 0] = 1.5 * np.cos(1.3 * times)
+    h[:, 2, 3] = h[:, 3, 2] = np.sin(0.7 * times) + 0.3 * times
+    h[:, 0, 3] = h[:, 3, 0] = 0.8 * np.sin(1.1 * times)
+    h[:, [0, 1, 2, 3], [0, 1, 2, 3]] = np.stack(
+        [2.0 + 0.5 * np.sin(2.0 * times), -1.0 + 0.4 * np.cos(3.0 * times),
+         0.5 * np.cos(times), -1.5 + 0.2 * times], axis=-1)
+    return h
+
+
+def test_dense_magnus_error_falls_as_h4():
+    # measured ratio 16.0
+    _assert_error_falls_as_h4(_coupled_wobbling_field)
+
+
+def test_oversized_dense_step_raises():
+    # the gap is 0.13 at dt 0.5
+    with pytest.raises(StepSizeError, match=r"\|\|\[H2, H1\]\|\| = .* exceeds the tolerance"):
+        _final_map(0.5, _coupled_wobbling_field)
 
 
 @pytest.fixture(scope="module")

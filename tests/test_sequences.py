@@ -1,12 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from oracles import hamiltonian_of_schedule_1q, surface_by_points, write_surface_csv_by_points
+from oracles import (
+    hamiltonian_of_schedule_1q,
+    rk4_propagate_sampled,
+    surface_by_points,
+    write_surface_csv_by_points,
+)
 
-from berrygate import engine
+from berrygate import engine, sequences
 from berrygate.bloch import RabiParams
 from berrygate.engine import rk4_transition_matrices
 from berrygate.gates import gate_fidelity, local_phase_equivalence
@@ -17,6 +23,7 @@ from berrygate.schrodinger import TwoSpinParams, integrate_schrodinger
 from berrygate.sequences import (
     AdiabaticityError,
     _aligned_start,
+    _conditional_plan,
     _model_1q,
     _model_2q,
     _pi_pulse,
@@ -44,6 +51,7 @@ def cone_params(theta, omega1=1.0, omega0=5.0):
 
 
 def test_engine_matches_stepwise_rk4():
+    # the batched RK4 oracle of the engine tests against the stepwise one
     p = RabiParams(5.0, 1.0, 4.0, 0.0)
     sched = build_cone_loop(p, ramp_time=4.0, sweep_time=20.0)
     psi0 = np.array([1.0, 0.0], dtype=complex)
@@ -51,11 +59,12 @@ def test_engine_matches_stepwise_rk4():
     ref = integrate_schrodinger(
         psi0, hamiltonian_of_schedule_1q(p.omega0, sched), (0.0, sched.total_duration), dt
     )
-    # A plain matrix callable, not an engine.SectorField: the RK4 oracle path.
+    # A plain matrix callable, not an engine.SectorField.
     rk4_model = _model_1q(p.omega0).__call__
     assert not isinstance(rk4_model, engine.SectorField)
     # spacing dt: one step per sample, so the steps are the oracle's own
-    res = _run_plan(_schedule_plan(sched), rk4_model, psi0, dt, dt)
+    with mock.patch.object(engine, "propagate_sampled", rk4_propagate_sampled):
+        res = _run_plan(_schedule_plan(sched), rk4_model, psi0, dt, dt)
     assert np.max(np.abs(res.final[:, 0] - ref.final_psi)) < 1e-12
 
 
@@ -166,9 +175,27 @@ def test_engine_rejects_oversized_step():
         run_cone_loop(p, ramp_time=5.0, sweep_time=20.0, dt=0.5)
 
 
+class _Resolved(Exception):
+    pass
+
+
+def _resolved_dt(*args, **kwargs) -> float:
+    """The dt that run_conditional_sequence(*args, **kwargs) hands to the
+    plan, without running it."""
+    seen = []
+
+    def stop(plan, model, u0, dt, spacing):
+        seen.append(dt)
+        raise _Resolved
+
+    with mock.patch.object(sequences, "_run_plan", stop), pytest.raises(_Resolved):
+        run_conditional_sequence(*args, **kwargs)
+    return seen[0]
+
+
 def test_default_times_respect_step_bound():
-    # one Magnus-4 step per sample, dt |Omega'|max = 64 * 0.005; the RK4 run
-    # with the drive on spin b keeps dt |Omega'|max within its bound 0.01
+    # one Magnus-4 step per sample, dt |Omega'|max = 64 * 0.005, with or
+    # without the drive on spin b
     p2 = two_spin_params(2.0, 1.2)
     rt, st, dt = default_times_2q(p2)
     max_omega = max(
@@ -176,7 +203,7 @@ def test_default_times_respect_step_bound():
         math.hypot(p2.omega_minus - p2.drive.omega, p2.drive.omega1),
     )
     assert abs(dt * max_omega - 0.32) < 1e-12
-    assert default_times_2q(p2, drive_on_b=True)[2] * max_omega <= 0.01 + 1e-12
+    assert abs(_resolved_dt(p2, drive_on_b=True) * max_omega - 0.32) < 1e-12
     p1 = cone_params(math.pi / 3)
     assert abs(default_times_1q(p1)[2] * math.hypot(1.0, 1.0 / math.sqrt(3.0)) - 0.32) < 1e-12
     with pytest.raises(ValueError):
@@ -283,12 +310,14 @@ def test_finite_pi_pulses_match_closed_form(tau):
         "a": np.array([[0, 0, x, 0], [0, 0, 0, x], [x, 0, 0, 0], [0, x, 0, 0]]),
         "b": np.array([[0, x, 0, 0], [x, 0, 0, 0], [0, 0, 0, x], [0, 0, x, 0]]),
     }
-    # the drive on spin b is off during the pulse, so both models agree
-    for drive_on_b in (False, True):
-        model = _model_2q(q, drive_on_b)
-        for target, drive in drives.items():
-            got = _pi_pulse(model, q.drive.omega, target, tau)
-            assert np.max(np.abs(got - expm_hermitian(static + drive, tau))) < 1e-14
+    for target, drive in drives.items():
+        got = _pi_pulse(_model_2q(q, False), q.drive.omega, target, tau)
+        assert np.max(np.abs(got - expm_hermitian(static + drive, tau))) < 1e-14
+    # the drive is off during the pulses, so the conditional plan has the
+    # same ones whether or not it reaches spin b
+    pulses = [item for kind, item in _conditional_plan(q, 5.0, 10.0, tau) if kind == "pulse"]
+    for got, target in zip(pulses, "abab", strict=True):
+        assert np.max(np.abs(got - expm_hermitian(static + drives[target], tau))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +472,24 @@ def test_surface_shapes_and_peaks():
             assert not pk.boundary
     heights = [pk.delta_gamma for pk in surf.peaks]
     assert all(a >= b - 1e-9 for a, b in zip(heights, heights[1:]))
+
+
+def test_surface_peak_beyond_the_grid_is_its_flagged_edge():
+    amp = np.linspace(0.1, 0.5, 5)
+    surf = fault_tolerance_surface(50.0, 2.0, np.array([2.5, 3.0]), amp)
+    for pk, row in zip(surf.peaks, surf.delta_gamma):
+        assert pk.boundary
+        assert pk.omega1_over_piJ == amp[-1]
+        assert pk.delta_gamma == row[-1]
+        assert pk.slope > 0.0
+    # a peak (at 3.3048) between the last two grid points is found inside,
+    # although the last point is the row's largest value
+    amp = np.linspace(0.11, 3.31, 5)
+    inner = fault_tolerance_surface(50.0, 2.0, np.array([2.5]), amp)
+    assert np.argmax(inner.delta_gamma[0]) == 4
+    pk = inner.peaks[0]
+    assert not pk.boundary and amp[3] < pk.omega1_over_piJ < amp[4]
+    assert abs(pk.slope) < 1e-6 * pk.delta_gamma
 
 
 def test_surface_vanishes_at_large_amplitude():
