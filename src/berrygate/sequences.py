@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, simpson
-from scipy.optimize import minimize_scalar
 
 from . import engine
 from .bloch import RabiParams, rotating_rabi_vector
@@ -325,16 +323,54 @@ def _run_plan(plan, model, u0, dt, spacing):
         t0 = t_abs
         times, states, energies = _run_segment(model, seg, t0, n_steps, dt_seg, u, block)
         try:
-            ledger.update(states, -cumulative_trapezoid(energies, times, axis=0, initial=0.0))
+            ledger.update(states, -_cumulative_trapezoid(energies, times))
         except AdiabaticityError as exc:
             raise AdiabaticityError(f"{exc} in segment {len(books)} ({seg.kind})") from None
-        dyn = -simpson(energies, x=times, axis=0)
+        dyn = -_simpson(energies, times)
         dynamic += dyn
         seg_dynamics.append(np.atleast_1d(dyn))
         books.append(_SegmentBook(times, states, seg.kind))
         u = states[-1]
         t_abs += seg.duration
     return _PlanResult(u, ledger.total, dynamic, seg_dynamics, books)
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y (n, ...) over x (n,), from 0: bit for
+    bit scipy.integrate.cumulative_trapezoid(y, x, axis=0, initial=0)."""
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros((1,) + res.shape[1:]), res])
+
+
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Simpson integral of y (n, ...) over x (n,): bit for bit
+    scipy.integrate.simpson(y, x=x, axis=0) of scipy 1.17, whose guards
+    against zero spacings are left out, as sample spacings never vanish.
+    Parabolas over pairs of intervals; for even n, Cartwright's correction
+    for the last interval, or for n = 2 the trapezoid."""
+    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    n = len(x)
+    if n == 2:
+        return 0.5 * h[0] * (y[1] + y[0])
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, ratio = h0 + h1, h0 / h1
+    result = np.sum(
+        hsum / 6.0 * (
+            y[0:stop:2] * (2.0 - 1.0 / ratio)
+            + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+            + y[2:stop + 2:2] * (2.0 - ratio)
+        ),
+        axis=0,
+    )
+    if n % 2 == 0:
+        g, k = h[-2, ...], h[-1, ...]  # arrays, as in scipy: numpy's array powers
+        alpha = (2 * k ** 2 + 3 * g * k) / (6 * (k + g))
+        beta = (k ** 2 + 3.0 * g * k) / (6 * g)
+        eta = k ** 3 / (6 * g * (g + k))
+        result = result + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
+    return result
 
 
 def _schedule_plan(schedule: PulseSchedule):
@@ -807,8 +843,8 @@ def fault_tolerance_surface(
     omega1_grid: np.ndarray,
 ) -> FaultToleranceSurface:
     """Differential shift on a (detuning, drive amplitude) grid, both axes in
-    units of pi*J, with the amplitude maximizing each row located to high
-    precision.
+    units of pi*J, with the amplitude maximizing each row in closed form
+    (`_ridge_amplitude`).
 
     Rows with detuning below pi*J are monotone in the amplitude: their
     maximum sits at the zero-amplitude boundary, where the slope vanishes
@@ -827,54 +863,63 @@ def fault_tolerance_surface(
     pj = math.pi * J
 
     def f(d, w):
-        return delta_gamma(omega_a, omega_a - d * pj, abs(w) * pj, J)
+        return delta_gamma(omega_a, omega_a - d * pj, w * pj, J)
 
     # One array call per row keeps the temporaries at the size of a row.
     surface = np.empty((det.size, amp.size))
     for i, d in enumerate(det):
         surface[i] = f(d, amp)
+    sign = math.copysign(1.0, J)
     peaks = tuple(
-        _locate_row_peak(partial(f, d), amp, row, d) for d, row in zip(det, surface)
+        _locate_row_peak(partial(f, d), amp, row, d, sign) for d, row in zip(det, surface)
     )
     return FaultToleranceSurface(det, amp, surface, peaks)
 
 
-def _locate_row_peak(f, grid, vals, detuning) -> RowPeak:
-    """Peak of f over the amplitude axis, from its values vals on grid.  A
-    row still rising at its last grid point peaks beyond the grid: that
-    grid point is reported as it is, flagged as a boundary."""
-    h = 1e-5
+def _ridge_amplitude(d: float) -> float | None:
+    """The amplitude w1* (units of pi*J) where the shift is stationary in
+    w1 at detuning d (units of pi*J), or None if |d| <= 1, where it is
+    monotone.  With a = d + 1 and b = d - 1 the sector shifts of
+    `delta_gamma` balance, a/(a^2 + w1^2)^(3/2) = b/(b^2 + w1^2)^(3/2), at
 
-    def slope_at(w):
-        return (f(w + h) - f(w - h)) / (2.0 * h)
+        w1*^2 = |ab|^(2/3) (|a|^(2/3) + |b|^(2/3)),
 
-    i = int(np.argmax(vals))
-    if i == len(grid) - 1 and slope_at(grid[i]) > 0.0:
-        w_edge = float(grid[i])
-        return RowPeak(float(detuning), w_edge, float(vals[i]), float(slope_at(w_edge)), True)
-    lo = 0.0 if i == 0 else grid[i - 1]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    if hi <= lo:
-        hi = lo + (grid[-1] - grid[0]) / max(len(grid) - 1, 1)
+    which has no cancellation as d -> 1 or as |d| grows."""
+    a, b = d + 1.0, d - 1.0
+    if not a * b > 0.0:
+        return None
+    p, q = abs(a) ** (2.0 / 3.0), abs(b) ** (2.0 / 3.0)
+    return math.sqrt(p * q * (p + q))
 
-    def neg(w):
-        try:
-            return -f(w)
-        except ValueError:
-            return math.inf
 
-    res = minimize_scalar(
-        neg, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-    )
-    w_star = float(res.x)
-    boundary = w_star < 1e-7
-    if boundary:
-        w_star = 0.0
+def _delta_gamma_slope(d: float, w: float) -> float:
+    """d(shift)/d(w1) at detuning d and amplitude w > 0, both in units of
+    pi*J, for J > 0 (the shift changes sign with J)."""
+    a, b = d + 1.0, d - 1.0
+    return math.pi * w * (b / (b * b + w * w) ** 1.5 - a / (a * a + w * w) ** 1.5)
+
+
+def _locate_row_peak(f, grid, vals, detuning, sign) -> RowPeak:
+    """Peak of f over the amplitude axis, from its values vals on grid, at
+    detuning (units of pi*J); sign is the sign of J.  A row still rising at
+    its last grid point peaks beyond the grid: that grid point is reported
+    as it is, flagged as a boundary.  Otherwise the peak is the ridge
+    amplitude, even below the first grid point, where the ridge is a
+    maximum (J > 0 and |detuning| > 1), and else the zero-amplitude
+    boundary."""
+    d = float(detuning)
+    w_edge = float(grid[-1])
+    edge_slope = sign * _delta_gamma_slope(d, w_edge)
+    if int(np.argmax(vals)) == len(grid) - 1 and edge_slope > 0.0:
+        return RowPeak(d, w_edge, float(vals[-1]), edge_slope, True)
+    w_star = _ridge_amplitude(d) if sign > 0.0 else None
+    if w_star is not None:
+        return RowPeak(d, w_star, float(f(w_star)), _delta_gamma_slope(d, w_star), False)
     try:
-        height = f(w_star)
+        height = f(0.0)
     except ValueError:
         height = f(1e-12)
-    return RowPeak(float(detuning), w_star, float(height), float(slope_at(w_star)), boundary)
+    return RowPeak(d, 0.0, float(height), 0.0, True)
 
 
 def write_surface_csv(surface: FaultToleranceSurface, path) -> None:

@@ -158,18 +158,37 @@ def test_verify_lines_carry_wall_time(capsys):
     assert [m.group(1) for m in matched] == check_names()
 
 
-def test_import_then_list_writes_only_the_names():
-    # A program that imports berrygate and then runs the CLI gets nothing on
-    # stdout beyond the CLI's own output, at import or at exit.
+def run_python(code):
+    """Run code in a fresh interpreter that imports this berrygate."""
     src = str(Path(berrygate.__file__).resolve().parent.parent)
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = ("import sys, berrygate; from berrygate.cli import main; "
-            "sys.exit(main(['verify', '--list']))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+def test_import_then_list_writes_only_the_names():
+    # A program that imports berrygate and then runs the CLI gets nothing on
+    # stdout beyond the CLI's own output, at import or at exit.
+    proc = run_python("import sys, berrygate; from berrygate.cli import main; "
+                      "sys.exit(main(['verify', '--list']))")
     assert proc.returncode == 0
     assert proc.stdout == "".join(f"{name}\n" for name in check_names())
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    # numpy is the only dependency: scipy, which takes most of a second to
+    # import, is a test oracle only.
+    sweep = ["sweep", "--detuning-count", "3", "--omega1-count", "4",
+             "--output", str(tmp_path / "s.csv")]
+    proc = run_python(
+        "import sys, berrygate, berrygate.cli; "
+        "assert berrygate.cli.main(['verify', '--list']) == 0; "
+        f"assert berrygate.cli.main({sweep!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

@@ -68,6 +68,42 @@ def test_engine_matches_stepwise_rk4():
     assert np.max(np.abs(res.final[:, 0] - ref.final_psi)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 17, 64, 65, 129, 1000, 1001])
+@pytest.mark.parametrize("columns", [None, 3])
+def test_quadratures_are_bit_for_bit_scipy(n, columns):
+    from scipy.integrate import cumulative_trapezoid, simpson  # the oracle
+
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.05, 1.0, n))
+    y = rng.normal(size=(n,) if columns is None else (n, columns))
+    assert np.array_equal(sequences._simpson(y, x), simpson(y, x=x, axis=0))
+    assert np.array_equal(
+        sequences._cumulative_trapezoid(y, x),
+        cumulative_trapezoid(y, x, axis=0, initial=0.0),
+    )
+
+
+def test_quadratures_of_a_run_are_bit_for_bit_scipy():
+    from scipy.integrate import cumulative_trapezoid, simpson  # the oracle
+
+    seen = []
+    real = sequences._simpson
+
+    def spy(y, x):
+        seen.append((y, x))
+        return real(y, x)
+
+    with mock.patch.object(sequences, "_simpson", spy):
+        run_conditional_sequence(two_spin_params(2.0, 1.2))
+    assert {len(x) % 2 for _, x in seen} == {0, 1}
+    for y, x in seen:
+        assert np.array_equal(sequences._simpson(y, x), simpson(y, x=x, axis=0))
+        assert np.array_equal(
+            sequences._cumulative_trapezoid(y, x),
+            cumulative_trapezoid(y, x, axis=0, initial=0.0),
+        )
+
+
 def test_transition_matrix_is_one_rk4_step():
     rng = np.random.default_rng(21)
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -490,6 +526,66 @@ def test_surface_peak_beyond_the_grid_is_its_flagged_edge():
     pk = inner.peaks[0]
     assert not pk.boundary and amp[3] < pk.omega1_over_piJ < amp[4]
     assert abs(pk.slope) < 1e-6 * pk.delta_gamma
+
+
+def shift(d, w):
+    """The differential shift at detuning d and amplitude w, in units of pi*J."""
+    return delta_gamma(d, 0.0, w, 1.0 / math.pi)
+
+
+RIDGE_DETUNINGS = (
+    st.floats(1.001, 50.0) | st.floats(-50.0, -1.001) | st.sampled_from([1.0 + 1e-9, -1.0 - 1e-9])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=RIDGE_DETUNINGS)
+def test_ridge_amplitude_is_the_maximum_of_the_shift(d):
+    w = sequences._ridge_amplitude(d)
+    assert math.isfinite(w) and w > 0.0
+    assert abs(sequences._delta_gamma_slope(d, w)) < 1e-12 * shift(d, w)
+    for eps in (1e-4, 1e-2):
+        assert shift(d, w) >= shift(d, w * (1.0 - eps))
+        assert shift(d, w) >= shift(d, w * (1.0 + eps))
+    # off the ridge, the analytic slope is the shift's central difference
+    w_off, h = 1.5 * w, 1e-4 * w
+    numeric = (shift(d, w_off + h) - shift(d, w_off - h)) / (2.0 * h)
+    assert sequences._delta_gamma_slope(d, w_off) == pytest.approx(numeric, rel=1e-5)
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=RIDGE_DETUNINGS)
+def test_ridge_amplitude_agrees_with_a_numerical_search(d):
+    from scipy.optimize import minimize_scalar  # the oracle
+
+    w = sequences._ridge_amplitude(d)
+    found = minimize_scalar(
+        lambda x: -shift(d, x), bounds=(0.0, 4.0 * abs(d) + 4.0), method="bounded",
+        options={"xatol": 1e-12},
+    ).x
+    assert abs(found - w) < 1e-6 * max(1.0, w)
+
+
+@settings(max_examples=15, deadline=None)
+@given(d=st.floats(-1.0, 1.0) | st.sampled_from([-1.0, 1.0]))
+def test_rows_without_a_ridge_peak_at_zero_amplitude(d):
+    assert sequences._ridge_amplitude(d) is None
+    pk = fault_tolerance_surface(50.0, 2.0, np.array([d]), np.linspace(0.1, 5.0, 20)).peaks[0]
+    assert pk.boundary and pk.omega1_over_piJ == 0.0 and pk.slope == 0.0
+
+
+def test_negative_coupling_peaks_at_a_boundary():
+    # The shift changes sign with J, so the ridge is a minimum: each row
+    # peaks at zero amplitude or, still rising there, at the grid's edge.
+    amp = np.linspace(0.1, 5.0, 40)
+    surf = fault_tolerance_surface(50.0, -2.0, np.linspace(-3.0, 3.0, 13), amp)
+    for pk, row in zip(surf.peaks, surf.delta_gamma):
+        assert pk.boundary
+        if pk.omega1_over_piJ == 0.0:
+            assert pk.slope == 0.0 and pk.delta_gamma >= row.max()
+        else:
+            assert pk.omega1_over_piJ == amp[-1] and pk.delta_gamma == row[-1]
+            assert pk.slope > 0.0
 
 
 def test_surface_vanishes_at_large_amplitude():
