@@ -49,7 +49,6 @@ from .schrodinger import (
     bloch_of_state,
     hamiltonian_1q,
     hamiltonian_2q,
-    hamiltonian_2q_full,
     integrate_schrodinger,
 )
 from .sequences import (

@@ -68,10 +68,8 @@ def _cone_params(theta: float, omega1: float = 1.0) -> RabiParams:
 
 def _slerp(a, b, n):
     ang = math.acos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
-    ts = np.linspace(0.0, 1.0, n, endpoint=False)
-    return np.array(
-        [(math.sin((1 - t) * ang) * a + math.sin(t * ang) * b) / math.sin(ang) for t in ts]
-    )
+    ts = np.linspace(0.0, 1.0, n, endpoint=False)[:, None]
+    return (np.sin((1 - ts) * ang) * a + np.sin(ts * ang) * b) / math.sin(ang)
 
 
 def check_pauli_algebra(cfg: VerifyConfig) -> CheckResult:

@@ -75,7 +75,7 @@ def cmd_simulate(args) -> int:
     p = RabiParams(args.omega0, args.omega1, args.omega, args.phi)
     ramp, sweep, dt = _resolve_times_1q(args)
     args.ramp_time, args.sweep_time, args.dt = ramp, sweep, dt
-    m = measure_cone_phase(p, ramp, sweep, dt)
+    m = measure_cone_phase(p, ramp, sweep, dt, check=True)
     run = m.forward if args.orientation == "forward" else m.reversed
 
     with open(args.output, "w") as fh:
@@ -114,7 +114,8 @@ def cmd_echo(args) -> int:
     p = RabiParams(args.omega0, args.omega1, args.omega, args.phi)
     ramp, sweep, dt = _resolve_times_1q(args)
     args.ramp_time, args.sweep_time, args.dt = ramp, sweep, dt
-    e = run_spin_echo_1q(p, ramp, sweep, dt, pi_pulse_duration=args.pi_pulse_duration)
+    e = run_spin_echo_1q(p, ramp, sweep, dt, pi_pulse_duration=args.pi_pulse_duration,
+                         check=True)
 
     print("# spin-echo report")
     print(_echo_config(args, ["omega0", "omega1", "omega", "phi", "ramp_time",
@@ -155,6 +156,7 @@ def cmd_conditional(args) -> int:
         p, ramp, sweep, dt,
         drive_on_b=args.drive_on_b,
         pi_pulse_duration=args.pi_pulse_duration,
+        check=True,
     )
 
     print("# conditional-gate report")

@@ -105,11 +105,6 @@ def drive_hamiltonian_2q(p: TwoSpinParams, t: float, drive_on_b: bool = False) -
     return h
 
 
-def hamiltonian_2q_full(p: TwoSpinParams, t: float, drive_on_b: bool = False) -> np.ndarray:
-    """Static two-spin Hamiltonian plus the rotating drive at time t."""
-    return hamiltonian_2q(p) + drive_hamiltonian_2q(p, t, drive_on_b)
-
-
 @dataclass(frozen=True)
 class SchrodingerTrajectory:
     """Sampled propagation record: times (n,), states (n, dim), and the

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -925,12 +926,16 @@ def _locate_row_peak(f, grid, vals, detuning, sign) -> RowPeak:
 def write_surface_csv(surface: FaultToleranceSurface, path) -> None:
     """Row-major (detuning outer, omega1 inner) CSV with 12 significant
     digits: detuning_over_piJ,omega1_over_piJ,delta_gamma_rad."""
-    omega1 = [f"{w:.12g}" for w in surface.omega1_over_piJ.tolist()]
+    # One `%` per row: '%.12g' % x and f'{x:.12g}' format alike, byte for byte.
+    omega1 = surface.omega1_over_piJ.tolist()
+    template = "".join([f"%s,{w:.12g},%.12g\n" for w in omega1])
+    args = [None] * (2 * len(omega1))
     with open(path, "w") as fh:
         fh.write("detuning_over_piJ,omega1_over_piJ,delta_gamma_rad\n")
         for det, row in zip(surface.detuning_over_piJ.tolist(), surface.delta_gamma):
-            d = f"{det:.12g}"
-            fh.write("".join([f"{d},{w},{v:.12g}\n" for w, v in zip(omega1, row.tolist())]))
+            args[0::2] = repeat(f"{det:.12g}", len(omega1))
+            args[1::2] = row.tolist()
+            fh.write(template % tuple(args))
 
 
 def write_peaks_csv(surface: FaultToleranceSurface, path) -> None:

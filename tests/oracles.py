@@ -10,7 +10,7 @@ import numpy as np
 
 from berrygate import engine
 from berrygate.bloch import RabiParams
-from berrygate.schrodinger import TwoSpinParams
+from berrygate.schrodinger import TwoSpinParams, drive_hamiltonian_2q, hamiltonian_2q
 from berrygate.sequences import delta_gamma
 
 
@@ -22,6 +22,12 @@ def rotating_hamiltonian_1q(p: RabiParams) -> np.ndarray:
         [[0.5 * (p.omega0 - p.omega), off], [np.conj(off), -0.5 * (p.omega0 - p.omega)]],
         dtype=complex,
     )
+
+
+def hamiltonian_2q_full(p: TwoSpinParams, t: float, drive_on_b: bool = False) -> np.ndarray:
+    """Oracle: the lab-frame two-spin Hamiltonian at time t, the static part
+    plus the rotating drive, as one dense 4x4 matrix."""
+    return hamiltonian_2q(p) + drive_hamiltonian_2q(p, t, drive_on_b)
 
 
 def hamiltonian_of_schedule_1q(omega0: float, schedule):
@@ -83,6 +89,16 @@ def surface_by_points(omega_a: float, J: float, detuning, omega1) -> np.ndarray:
     return np.array(
         [[delta_gamma(omega_a, omega_a - d * pj, abs(w) * pj, J) for w in omega1]
          for d in detuning]
+    )
+
+
+def slerp_by_points(a, b, n):
+    """Oracle: n points of the great-circle arc from unit vector a towards b,
+    endpoint excluded, one point at a time with `math.sin`."""
+    ang = math.acos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
+    ts = np.linspace(0.0, 1.0, n, endpoint=False)
+    return np.array(
+        [(math.sin((1 - t) * ang) * a + math.sin(t * ang) * b) / math.sin(ang) for t in ts]
     )
 
 

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from oracles import slerp_by_points
 
 from berrygate.bloch import RabiParams, from_rotating_frame, integrate_bloch
 from berrygate.cli import main as cli_main
@@ -92,14 +93,6 @@ def test_criterion_2_rate_independence():
     assert dyn_shift > 1.0
 
 
-def _slerp(a, b, n):
-    ang = math.acos(float(np.clip(np.dot(a, b), -1.0, 1.0)))
-    ts = np.linspace(0.0, 1.0, n, endpoint=False)
-    return np.array(
-        [(math.sin((1 - t) * ang) * a + math.sin(t * ang) * b) / math.sin(ang) for t in ts]
-    )
-
-
 def test_criterion_3_solid_angle_law():
     rng = np.random.default_rng(20260809)
     worst = 0.0
@@ -110,7 +103,7 @@ def test_criterion_3_solid_angle_law():
         if any(np.dot(v[i], v[(i + 1) % 3]) < -0.8 for i in range(3)):
             continue
         done += 1
-        pts = np.concatenate([_slerp(v[i], v[(i + 1) % 3], 700) for i in range(3)])
+        pts = np.concatenate([slerp_by_points(v[i], v[(i + 1) % 3], 700) for i in range(3)])
         th = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
         al = np.arctan2(pts[:, 1], pts[:, 0])
         spinors = np.stack([np.cos(th / 2), np.sin(th / 2) * np.exp(1j * al)], axis=1)

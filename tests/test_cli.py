@@ -271,14 +271,12 @@ def test_resolved_two_spin_times_scale_with_the_sweep():
     assert given == pytest.approx((0.5 * ramp, 0.5 * sweep, dt), rel=1e-15)
 
 
-SHORT_CONDITIONAL = ["conditional", "--ramp-time", "5", "--sweep-time", "10", "--dt", "0.002"]
-
-
 @pytest.mark.parametrize("text, expected", [("false", "False"), ("True", "True"), ("0", "False")])
 def test_config_drive_on_b_is_parsed_as_a_boolean(tmp_path, capsys, text, expected):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"drive_on_b = {text}\n")
-    code, out, _ = run_cli(capsys, "--config", str(cfg), *SHORT_CONDITIONAL)
+    # At its default times the gate's loops close, so the run exits 0.
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "conditional")
     assert code == 0
     assert echoed(out, "drive_on_b") == expected
 
@@ -286,7 +284,7 @@ def test_config_drive_on_b_is_parsed_as_a_boolean(tmp_path, capsys, text, expect
 def test_config_bad_boolean_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("drive_on_b = maybe\n")
-    code, _, err = run_cli(capsys, "--config", str(cfg), *SHORT_CONDITIONAL)
+    code, _, err = run_cli(capsys, "--config", str(cfg), "conditional")
     assert code == 2
     assert "drive_on_b" in err
 
@@ -338,6 +336,28 @@ def test_conditional_off_the_adiabatic_branch_exits_2(capsys):
     assert "below the floor 0.1" in err
     # the message names the segment: the phase sweep of the reversed loop
     assert err.rstrip().endswith("in segment 4 (phase_sweep)")
+
+
+# Near the equator the one-spin default ramp is not adiabatic at this spot.
+NEAR_EQUATOR = ["--omega0", "5", "--omega1", "1", "--omega", "4.949"]
+
+
+def test_simulate_off_the_adiabatic_branch_exits_2(tmp_path, capsys):
+    out_csv = tmp_path / "t.csv"
+    code, out, err = run_cli(capsys, "simulate", *NEAR_EQUATOR, "--output", str(out_csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cone loop closure fidelity 0.497")
+    assert err.rstrip().endswith("below 0.999")
+    assert not out_csv.exists()
+
+
+def test_echo_off_the_adiabatic_branch_exits_2(capsys):
+    code, out, err = run_cli(capsys, "echo", *NEAR_EQUATOR)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: echo closure fidelities (0.4998")
+    assert err.rstrip().endswith("below 0.999")
 
 
 def test_oversized_step_exits_2(tmp_path, capsys):

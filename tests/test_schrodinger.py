@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import rotating_hamiltonian_1q
+from oracles import hamiltonian_2q_full, rotating_hamiltonian_1q
 
 from berrygate.bloch import RabiParams, integrate_bloch
 from berrygate.linalg import is_hermitian, tensor
@@ -12,7 +12,6 @@ from berrygate.schrodinger import (
     bloch_of_state,
     hamiltonian_1q,
     hamiltonian_2q,
-    hamiltonian_2q_full,
     integrate_schrodinger,
 )
 

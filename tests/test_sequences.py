@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from oracles import (
     hamiltonian_of_schedule_1q,
@@ -630,11 +630,37 @@ def test_surface_is_bit_for_bit_the_pointwise_closed_form():
     assert got.tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("grid", [(0.2, 3.0, 50, 0.1, 5.0, 100), (0.31, 2.93, 7, 0.06, 5.4, 13)])
+@pytest.mark.parametrize("grid", [
+    (0.2, 3.0, 50, 0.1, 5.0, 100),
+    (0.31, 2.93, 7, 0.06, 5.4, 13),
+    # The benchmark's dense sweep: 400 x 1000 at the bounds of its seed 201.
+    (0.20072444636345144, 2.960405550054047, 400, 0.13533374072506477, 5.33727767591763, 1000),
+])
 def test_surface_csv_matches_the_pointwise_writer(tmp_path, grid):
     d0, d1, nd, w0, w1, nw = grid
     surf = fault_tolerance_surface(
         100.0, 1.0 / math.pi, np.linspace(d0, d1, nd), np.linspace(w0, w1, nw)
+    )
+    write_surface_csv(surf, tmp_path / "rows.csv")
+    write_surface_csv_by_points(surf, tmp_path / "points.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    nd=st.integers(2, 40),
+    nw=st.integers(2, 40),
+    J=st.floats(-3.0, -0.05) | st.floats(0.05, 3.0),
+    det=st.tuples(st.floats(-4.0, 4.0), st.floats(0.01, 4.0)),
+    # The smallest scale formats in exponent notation (1e-05 to 3e-05).
+    amp=st.tuples(st.sampled_from([1e-5, 1e-3, 0.1, 1.0]), st.floats(1.0, 3.0), st.floats(0.0, 2.0)),
+)
+def test_surface_csv_is_the_pointwise_writer_on_random_grids(tmp_path, nd, nw, J, det, amp):
+    scale, lo, span = amp
+    surf = fault_tolerance_surface(
+        100.0, J, np.linspace(det[0], det[0] + det[1], nd),
+        np.linspace(scale * lo, scale * (lo + span), nw),
     )
     write_surface_csv(surf, tmp_path / "rows.csv")
     write_surface_csv_by_points(surf, tmp_path / "points.csv")

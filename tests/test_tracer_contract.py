@@ -11,17 +11,35 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCRIPT = """
-import importlib.util, json, math, sys
+# Installs the tracer over the package; binds `tracing` and `tracer`.
+PREAMBLE = """
+import contextlib, importlib.util, io, json, math, sys
 sys.path.insert(0, sys.argv[1])
 import berrygate.cli
-from berrygate import RabiParams, TwoSpinParams, checks, run_conditional_sequence
 
 spec = importlib.util.spec_from_file_location("tracer", sys.argv[2])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 tracer = tracing.Tracer()
 tracer.install()
+"""
+
+
+def run_traced(body: str, *argv) -> dict:
+    """Run body after PREAMBLE in a process of its own (with argv after the
+    package and tracer paths) and return the JSON of its last line."""
+    run = subprocess.run(
+        [sys.executable, "-c", PREAMBLE + body, str(ROOT / "src"),
+         str(ROOT / "perfbench" / "tracer.py"), *map(str, argv)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+GATES = """
+from berrygate import RabiParams, TwoSpinParams, checks, run_conditional_sequence
+
 p = TwoSpinParams(100.0, 80.0, 1.0 / math.pi, RabiParams(100.0, 1.2, 98.0, 0.0))
 for on_b in (False, True):
     run_conditional_sequence(p, ramp_time=5.0, sweep_time=10.0, drive_on_b=on_b)
@@ -37,12 +55,7 @@ print(json.dumps({
 
 
 def test_traced_gates_report_every_layer_metric():
-    run = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "perfbench" / "tracer.py")],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout.splitlines()[-1])
+    got = run_traced(GATES)
     assert got["absent"] == []
     assert got["propagate"].get("steps", 0) > 0
     assert got["propagate"].get("samples", 0) > 0
@@ -51,3 +64,24 @@ def test_traced_gates_report_every_layer_metric():
     missing = [m["name"] for m in declared
                if m["name"] not in got["metrics"] and m["name"] not in got["host_metrics"]]
     assert missing == []
+
+
+SWEEP = """
+with contextlib.redirect_stdout(io.StringIO()):
+    code = berrygate.cli.main(["sweep", "--detuning-count", "6", "--omega1-count", "9",
+                               "--output", sys.argv[3], "--peaks-output", sys.argv[4]])
+values, absent = tracing.layer_metrics(tracer.stats, tracer.absent, 1)
+print(json.dumps({"code": code, "absent": absent, "values": values}))
+"""
+
+
+def test_traced_sweep_counts_its_writes_and_rows(tmp_path):
+    surface, peaks = tmp_path / "surface.csv", tmp_path / "peaks.csv"
+    got = run_traced(SWEEP, surface, peaks)
+    assert got["code"] == 0
+    assert got["absent"] == []
+    values = got["values"]
+    assert values["sequences.csv_bytes"] == surface.stat().st_size + peaks.stat().st_size
+    assert values["sequences.csv_write_s"] > 0
+    # Per detuning row: one array call for the row and one at its peak.
+    assert values["sequences.delta_gamma_calls"] == 2 * 6
