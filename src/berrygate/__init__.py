@@ -9,10 +9,8 @@ Conventions: hbar = 1, all angular quantities in rad/s, computational basis
 from .bloch import (
     BlochTrajectory,
     RabiParams,
-    bloch_derivative,
     from_rotating_frame,
     integrate_bloch,
-    lab_rabi_vector,
     rotating_rabi_vector,
     rotation_z,
     to_rotating_frame,

@@ -52,17 +52,6 @@ class BlochTrajectory:
     s: np.ndarray
 
 
-def bloch_derivative(s: np.ndarray, omega_vec: np.ndarray) -> np.ndarray:
-    """Right-hand side Omega x s of the precession equation."""
-    return np.cross(omega_vec, s)
-
-
-def lab_rabi_vector(p: RabiParams, t: float) -> np.ndarray:
-    """Lab-frame Rabi vector (omega1 cos(wt+phi), omega1 sin(wt+phi), omega0)."""
-    arg = p.omega * t + p.phi
-    return np.array([p.omega1 * np.cos(arg), p.omega1 * np.sin(arg), p.omega0])
-
-
 def rotating_rabi_vector(p: RabiParams) -> np.ndarray:
     """Static rotating-frame Rabi vector (omega1 cos phi, omega1 sin phi, omega0 - omega)."""
     return np.array(

@@ -37,10 +37,11 @@ products, and the samples of a chunk come from a prefix scan over the block
 products.  At most `_CHUNK_STEPS` steps (or one sample block, if longer)
 are held at a time.
 
-Oracle: `rk4_transition_matrices` and `_check_spread` build one-step
-fourth-order Runge-Kutta maps of a dense Hamiltonian stack in batch, under
-the step bound of the stepwise integrator in `schrodinger`.  No production
-path calls them; the tests propagate with them to check the Magnus paths.
+Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
+dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
+one-step RK4 maps that `schrodinger.integrate_schrodinger` folds, is
+re-exported from there.  No production path calls either; the tests
+propagate with them to check the Magnus paths.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from typing import Callable
 
 import numpy as np
 
-from .schrodinger import STEP_SPREAD_LIMIT, StepSizeError
+# rk4_transition_matrices is re-exported: the RK4 maps of the stepwise oracle.
+from .schrodinger import StepSizeError, check_step_spread, rk4_transition_matrices  # noqa: F401
 
 # Largest accepted gap between the Magnus-4 and the midpoint step, in rad.
 # At the default step a cone loop stays below 7e-5 sin(theta).
@@ -162,41 +164,13 @@ def _su2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack([a0 * b0 - a1.conj() * b1, a1 * b0 + a0.conj() * b1], axis=-1)
 
 
-def rk4_transition_matrices(h_half: np.ndarray, dt: float) -> np.ndarray:
-    """Oracle: one-step RK4 transition matrices from Hamiltonians on the
-    half-step grid t0, t0+dt/2, t0+dt, ... (shape (2n+1, d, d) in, (n, d, d)
-    out).  Because the ODE is linear, one RK4 step is the matrix
-
-        M = 1 + (K1 + 2 K2 + 2 K3 + K4) / 6
-        K1 = A1,  K2 = A2 (1 + K1/2),  K3 = A2 (1 + K2/2),  K4 = A4 (1 + K3)
-
-    with A_i = -i H(stage_i) dt: the scheme of the stepwise integrator in
-    `schrodinger`."""
-    a = (-1j * dt) * h_half
-    a1 = a[0:-1:2]
-    a2 = a[1::2]
-    a4 = a[2::2]
-    k1 = a1
-    k2 = a2 + 0.5 * (a2 @ k1)
-    k3 = a2 + 0.5 * (a2 @ k2)
-    k4 = a4 + a4 @ k3
-    m = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    m += np.eye(h_half.shape[-1], dtype=complex)
-    return m
-
-
 def _check_spread(model, controls, t_chunk: float, nc: int, dt: float) -> None:
     """Oracle step guard: reject dt if dt times the spectral spread of H,
     at every 16th node of the half-step grid of nc RK4 steps from t_chunk,
     exceeds STEP_SPREAD_LIMIT."""
     n_nodes = 2 * nc + 1
     nodes = t_chunk + 0.5 * dt * np.arange(0, n_nodes, max(1, n_nodes // 16))
-    evals = np.linalg.eigvalsh(model(nodes, *controls(nodes)))
-    spread = float(np.max(evals[:, -1] - evals[:, 0]))
-    if dt * spread > STEP_SPREAD_LIMIT * (1.0 + 1e-9):
-        raise StepSizeError(
-            f"dt * spectral spread = {dt * spread:.3e} exceeds {STEP_SPREAD_LIMIT}"
-        )
+    check_step_spread(model(nodes, *controls(nodes)), dt)
 
 
 def _block_products(steps: np.ndarray, mul, identity: np.ndarray, block: int) -> np.ndarray:

@@ -10,7 +10,12 @@ import numpy as np
 
 from berrygate import engine
 from berrygate.bloch import RabiParams
-from berrygate.schrodinger import TwoSpinParams, drive_hamiltonian_2q, hamiltonian_2q
+from berrygate.schrodinger import (
+    SchrodingerTrajectory,
+    TwoSpinParams,
+    drive_hamiltonian_2q,
+    hamiltonian_2q,
+)
 from berrygate.sequences import delta_gamma
 
 
@@ -44,13 +49,23 @@ def hamiltonian_of_schedule_1q(omega0: float, schedule):
     return h_of_t
 
 
+def bloch_derivative(s: np.ndarray, omega_vec: np.ndarray) -> np.ndarray:
+    """Right-hand side Omega x s of the precession equation."""
+    return np.cross(omega_vec, s)
+
+
+def lab_rabi_vector(p: RabiParams, t: float) -> np.ndarray:
+    """Lab-frame Rabi vector (omega1 cos(wt+phi), omega1 sin(wt+phi), omega0)."""
+    arg = p.omega * t + p.phi
+    return np.array([p.omega1 * np.cos(arg), p.omega1 * np.sin(arg), p.omega0])
+
+
 def rk4_bloch(s0, p: RabiParams, t_span, dt, frame="lab"):
     """Oracle: fixed-step RK4 for ds/dt = Omega(t) x s in vector form, with
     `np.cross` on numpy 3-vectors, on the step grid of `integrate_bloch`.
     Returns the (n+1, 3) states."""
     if frame == "lab":
-        field = lambda t: np.array([p.omega1 * np.cos(p.omega * t + p.phi),
-                                    p.omega1 * np.sin(p.omega * t + p.phi), p.omega0])
+        field = lambda t: lab_rabi_vector(p, t)
     else:
         static = np.array(
             [p.omega1 * np.cos(p.phi), p.omega1 * np.sin(p.phi), p.omega0 - p.omega]
@@ -61,12 +76,46 @@ def rk4_bloch(s0, p: RabiParams, t_span, dt, frame="lab"):
     out = [np.array(s0, dtype=float)]
     for t in t_span[0] + h * np.arange(n):
         s = out[-1]
-        k1 = np.cross(field(t), s)
-        k2 = np.cross(field(t + 0.5 * h), s + 0.5 * h * k1)
-        k3 = np.cross(field(t + 0.5 * h), s + 0.5 * h * k2)
-        k4 = np.cross(field(t + h), s + h * k3)
+        k1 = bloch_derivative(s, field(t))
+        k2 = bloch_derivative(s + 0.5 * h * k1, field(t + 0.5 * h))
+        k3 = bloch_derivative(s + 0.5 * h * k2, field(t + 0.5 * h))
+        k4 = bloch_derivative(s + h * k3, field(t + h))
         out.append(s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     return np.array(out)
+
+
+def rk4_schrodinger_by_stages(psi0, h_of_t, t_span, dt) -> SchrodingerTrajectory:
+    """Oracle for `integrate_schrodinger`, same arguments and grid: the four
+    RK4 stages of each step applied to the state, with three h_of_t calls
+    per step, and each column's phase arg<psi(0)|psi(t)> unwrapped against
+    the running angle one step at a time (held where the overlap is at
+    most 1e-6).  No step-size guard."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    cols = psi0.reshape(len(psi0), -1)
+    n = max(1, int(round((t_span[1] - t_span[0]) / dt)))
+    h = (t_span[1] - t_span[0]) / n
+    times = t_span[0] + h * np.arange(n + 1)
+    psi, out = cols, [cols]
+    angles, phase = [0.0] * cols.shape[1], []
+    for t in times[:-1].tolist():
+        phase.append(list(angles))
+        h1, hm, h2 = h_of_t(t), h_of_t(t + 0.5 * h), h_of_t(t + h)
+        k1 = -1j * h1 @ psi
+        k2 = -1j * hm @ (psi + 0.5 * h * k1)
+        k3 = -1j * hm @ (psi + 0.5 * h * k2)
+        k4 = -1j * h2 @ (psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(psi)
+        for j in range(cols.shape[1]):
+            ov = np.vdot(cols[:, j], psi[:, j])
+            if abs(ov) > 1e-6:
+                jump = math.atan2(ov.imag, ov.real) - angles[j]
+                angles[j] += jump - 2.0 * math.pi * round(jump / (2.0 * math.pi))
+    phase.append(angles)
+    states, phase = np.array(out), np.array(phase)
+    if psi0.ndim == 1:
+        return SchrodingerTrajectory(t=times, psi=states[:, :, 0], phase=phase[:, 0])
+    return SchrodingerTrajectory(t=times, psi=states, phase=phase)
 
 
 def dynamic_phase(times: np.ndarray, states: np.ndarray, h_of_t) -> float:

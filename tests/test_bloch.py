@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from oracles import rk4_bloch
+from oracles import bloch_derivative, lab_rabi_vector, rk4_bloch
 
 from berrygate.bloch import (
     M_Z,
     RabiParams,
-    bloch_derivative,
     from_rotating_frame,
     integrate_bloch,
-    lab_rabi_vector,
     rotating_rabi_vector,
     rotation_z,
     to_rotating_frame,

@@ -140,6 +140,32 @@ def test_sweep_with_a_non_finite_value_exits_2(tmp_path, capsys, flag, value):
     assert not out_csv.exists()
 
 
+NON_FINITE_TIMES = [
+    ("simulate", "ramp-time", "inf"), ("simulate", "sweep-time", "nan"),
+    ("simulate", "dt", "nan"), ("simulate", "dt", "inf"), ("simulate", "sweep-factor", "nan"),
+    ("echo", "sweep-factor", "inf"), ("echo", "pi-pulse-duration", "nan"),
+    ("conditional", "sweep-time", "inf"), ("conditional", "pi-pulse-duration", "inf"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, key, value", NON_FINITE_TIMES)
+def test_non_finite_time_exits_2(tmp_path, capsys, source, command, key, value):
+    out_csv = tmp_path / "t.csv"
+    output = ["--output", str(out_csv)] if command == "simulate" else []
+    if source == "flag":
+        argv = [command, f"--{key}", value, *output]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key.replace('-', '_')} = {value}\n")
+        argv = ["--config", str(cfg), command, *output]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {key} must be finite\n"
+    assert not out_csv.exists()
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0

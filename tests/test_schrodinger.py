@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import hamiltonian_2q_full, rotating_hamiltonian_1q
+from oracles import hamiltonian_2q_full, rk4_schrodinger_by_stages, rotating_hamiltonian_1q
 
+from berrygate import schrodinger
 from berrygate.bloch import RabiParams, integrate_bloch
 from berrygate.linalg import is_hermitian, tensor
 from berrygate.schrodinger import (
@@ -143,6 +144,83 @@ def test_block_with_one_unnormalized_column_rejected():
     block[:, 1] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match="normalized"):
         integrate_schrodinger(block, lambda t: np.zeros((2, 2), complex), (0.0, 1.0), 0.01)
+
+
+def _random_columns(seed, dim, columns):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, columns)) + 1j * rng.normal(size=(dim, columns))
+    return np.linalg.qr(m)[0]
+
+
+_P1 = RabiParams(2.0, 0.9, 1.7, 0.3)
+_P2 = TwoSpinParams(3.0, 1.0, 0.4, RabiParams(3.0, 0.8, 2.7, 0.3))
+_FLOP = RabiParams(omega0=2.0, omega1=0.7, omega=2.0, phi=0.0)
+_LONG = (schrodinger._MAP_CHUNK * 5 // 2) * 0.002
+ORACLE_CASES = {
+    "1q-one-column": (_random_columns(3, 2, 1)[:, 0], lambda t: hamiltonian_1q(_P1, t), 1.5, 0.002),
+    "drive-on-b-block": (_random_columns(8, 4, 3),
+                         lambda t: hamiltonian_2q_full(_P2, t, drive_on_b=True), 1.2, 0.0015),
+    "longer-than-a-chunk": (_random_columns(5, 2, 2), lambda t: hamiltonian_1q(_P1, t), _LONG, 0.002),
+    # <up|psi(t)> passes through zero near t = pi / omega1
+    "resonant-flop-from-up": (UP, lambda t: hamiltonian_1q(_FLOP, t), 8.0, 0.003),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_matches_the_stage_form_oracle(case):
+    psi0, h_of_t, t1, dt = ORACLE_CASES[case]
+    traj = integrate_schrodinger(psi0, h_of_t, (0.0, t1), dt)
+    ref = rk4_schrodinger_by_stages(psi0, h_of_t, (0.0, t1), dt)
+    assert np.array_equal(traj.t, ref.t)
+    assert traj.psi.shape == ref.psi.shape and traj.phase.shape == ref.phase.shape
+    assert np.max(np.abs(traj.psi - ref.psi)) < 1e-12
+    # arg<psi0|psi> moves by at most |d psi| / |<psi0|psi>| when psi moves by
+    # d psi, so next to a zero of the overlap the phases agree less closely
+    overlap = np.abs(np.einsum("i...,ki...->k...", np.conj(psi0), traj.psi))
+    drift = np.linalg.norm(traj.psi - ref.psi, axis=1)
+    assert np.all(np.abs(traj.phase - ref.phase) <= 1e-12 + drift / overlap)
+    assert np.max(np.abs(traj.phase - ref.phase)[overlap > 1e-2]) < 1e-12
+    if case == "longer-than-a-chunk":
+        assert len(traj.t) - 1 > 2 * schrodinger._MAP_CHUNK
+    if case == "resonant-flop-from-up":
+        # the unwrap takes the sign change as one near-pi jump, on the
+        # oracle's branch
+        assert np.min(np.abs(traj.psi[:, 0])) < 1e-2
+        assert np.max(np.abs(np.diff(traj.phase))) > 0.9 * math.pi
+
+
+def test_one_hamiltonian_call_per_half_step_node():
+    calls = []
+    h = np.diag([0.8, -0.8]).astype(complex)
+
+    def h_of_t(t):
+        calls.append(t)
+        return h
+
+    traj = integrate_schrodinger(UP, h_of_t, (0.0, 2.0), 0.004)
+    n = len(traj.t) - 1
+    assert n == 500
+    assert len(calls) == 2 * n + 1
+    assert all(type(t) is float for t in calls)
+    assert np.allclose(calls, np.linspace(0.0, 2.0, 2 * n + 1), rtol=0.0, atol=1e-15)
+
+
+def test_unwrap_holds_the_angle_across_a_vanishing_overlap():
+    overlap = np.array([1.0, np.exp(2j), 1e-7 * np.exp(-2j), np.exp(4j), np.exp(5j)])
+    assert np.allclose(schrodinger._unwrapped_phase(overlap), [0.0, 2.0, 2.0, 4.0, 5.0],
+                       rtol=0.0, atol=1e-14)
+
+
+def test_a_jump_of_pi_per_step_aborts():
+    # For H = c 1 with c dt = sqrt(6), one RK4 step multiplies the state by
+    # 1 - 3 + 36/24 = -1/2: a phase step of pi, which the spread guard
+    # (spread 0) lets through and the unwrap must refuse.
+    dt = 0.01
+    h = (math.sqrt(6.0) / dt) * np.eye(2, dtype=complex)
+    with pytest.raises(RuntimeError, match="per-step jump >= pi"):
+        integrate_schrodinger(UP, lambda t: h, (0.0, 0.1), dt)
+    with pytest.raises(RuntimeError, match="per-step jump >= pi"):
+        schrodinger._unwrapped_phase(np.array([1.0, np.exp(1j * (math.pi - 1e-13))]))
 
 
 def test_bloch_of_state_cases():

@@ -85,3 +85,26 @@ def test_traced_sweep_counts_its_writes_and_rows(tmp_path):
     assert values["sequences.csv_write_s"] > 0
     # Per detuning row: one array call for the row and one at its peak.
     assert values["sequences.delta_gamma_calls"] == 2 * 6
+
+
+SCHRODINGER = """
+import numpy as np
+from berrygate import schrodinger
+from berrygate.bloch import RabiParams
+
+p = RabiParams(2.0, 0.7, 2.0, 0.0)
+traj = schrodinger.integrate_schrodinger(
+    np.array([1.0, 0.0], dtype=complex), lambda t: schrodinger.hamiltonian_1q(p, t),
+    (0.0, 3.0), 0.003)
+values, absent = tracing.layer_metrics(tracer.stats, tracer.absent, 1)
+print(json.dumps({"absent": absent, "steps": len(traj.t) - 1, "values": values}))
+"""
+
+
+def test_traced_schrodinger_oracle_reports_its_steps_and_maps():
+    got = run_traced(SCHRODINGER)
+    assert got["absent"] == []
+    assert got["steps"] == 1000
+    assert got["values"]["schrodinger.steps"] == got["steps"]
+    # the one-step maps are built by the function the tracer wraps by name
+    assert got["values"]["engine.step_maps_s"] > 0
