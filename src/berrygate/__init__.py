@@ -13,18 +13,16 @@ from .bloch import (
     integrate_bloch,
     rotating_rabi_vector,
     rotation_z,
-    to_rotating_frame,
 )
 from .gates import (
     controlled_phase,
-    equal_up_to_global_phase,
     gate_fidelity,
     hadamard,
     local_phase_equivalence,
     phase_gate,
     prepare_network,
 )
-from .linalg import expm_hermitian, is_hermitian, is_unitary, pauli, tensor
+from .linalg import expm_hermitian, pauli, tensor
 from .phase import (
     DegenerateSpectrumError,
     LoopSpec,
@@ -36,7 +34,6 @@ from .phase import (
     eigenstate_path,
     geometric_phase_discrete,
     solid_angle_spherical_polygon,
-    spinor_of_direction,
     wrap_to_pi,
 )
 from .schedules import PulseSchedule, Segment, build_cone_loop, pi_pulse

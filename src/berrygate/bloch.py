@@ -64,13 +64,9 @@ def rotation_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def to_rotating_frame(s_lab: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """Map a lab-frame Bloch vector into the frame rotating at omega: R_z(wt)^-1 s."""
-    return rotation_z(omega * t).T @ np.asarray(s_lab, dtype=float)
-
-
 def from_rotating_frame(s_rot: np.ndarray, omega: float, t: float) -> np.ndarray:
-    """Inverse of to_rotating_frame: s = R_z(wt) s'."""
+    """Lab-frame Bloch vector s = R_z(wt) s' of s' in the frame rotating at
+    omega; at -t it maps the lab frame into the rotating one."""
     return rotation_z(omega * t) @ np.asarray(s_rot, dtype=float)
 
 

@@ -62,8 +62,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _cone_params(theta: float, omega1: float = 1.0) -> RabiParams:
-    return RabiParams(5.0, omega1, 5.0 - omega1 / math.tan(theta), 0.0)
+def _cone_params(theta: float) -> RabiParams:
+    return RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(theta), 0.0)
 
 
 def _slerp(a, b, n):

@@ -341,16 +341,6 @@ def _validate(args) -> None:
     # argparse checks choices on flags only, not on config-file defaults
     if getattr(args, "orientation", "forward") not in ("forward", "reversed"):
         raise ValueError(f"orientation must be forward or reversed, not {args.orientation!r}")
-    for key in ("ramp_time", "sweep_time", "dt", "pi_pulse_duration", "sweep_factor"):
-        val = getattr(args, key, None)
-        if val is not None and not math.isfinite(val):
-            raise ValueError(f"{key.replace('_', '-')} must be finite")
-    for key in ("ramp_time", "sweep_time", "dt", "pi_pulse_duration"):
-        val = getattr(args, key, None)
-        if val is not None and val < 0.0:
-            raise ValueError(f"{key.replace('_', '-')} must be nonnegative")
-        if key != "pi_pulse_duration" and val is not None and val == 0.0:
-            raise ValueError(f"{key.replace('_', '-')} must be positive")
     for key in ("detuning_count", "omega1_count"):
         val = getattr(args, key, None)
         if val is not None and val < 2:

@@ -32,10 +32,10 @@ second-order (midpoint) Magnus step, so (sqrt(3)/12) h^2 |v2 x v1|, or
 error estimate (Kormann, Holmgren & Karlsson, J. Chem. Phys. 128, 184101
 (2008)); a step whose gap exceeds `MAGNUS_GAP_LIMIT` raises `StepSizeError`.
 It comes from the Hamiltonian at the Gauss nodes, so the guard costs no
-extra evaluation.  The steps of each sample block are folded by pairwise
-products, and the samples of a chunk come from a prefix scan over the block
-products.  At most `_CHUNK_STEPS` steps (or one sample block, if longer)
-are held at a time.
+extra evaluation.  A run is a whole number of sample blocks: the steps of
+each block are folded by pairwise products, and the samples of a chunk
+come from a prefix scan over the block products.  At most `_CHUNK_STEPS`
+steps (or one sample block, if longer) are held at a time.
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -61,7 +61,6 @@ MAGNUS_GAP_LIMIT = 1e-3
 _CHUNK_STEPS = 16384
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
-_SU2_IDENTITY = np.array([1.0, 0.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -82,15 +81,15 @@ class SectorField:
         return sector_hamiltonians(self.field(times, *controls), self.rows, self.dim)
 
     def expectation(self, field: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """<psi|H|psi> of states (n, dim, ...) under the fields (3, n, S) at
-        the same times, from each sector's two components x, y:
+        """<psi|H|psi> (n, m) of the columns of states (n, dim, m) under the
+        fields (3, n, S) at the same times, from each sector's two
+        components x, y:
         (1/2) [v_z (|x|^2 - |y|^2) + 2 v_x Re(x* y) + 2 v_y Im(x* y)]."""
-        energies = np.zeros(states.shape[:1] + states.shape[2:])
-        tail = (1,) * (states.ndim - 2)
+        energies = np.zeros((states.shape[0], states.shape[2]))
         for s, (i, j) in enumerate(self.rows):
             x, y = states[:, i], states[:, j]
             xy = x.conj() * y
-            vx, vy, vz = (c.reshape(c.shape + tail) for c in field[:, :, s])
+            vx, vy, vz = field[:, :, s, None]
             energies += 0.5 * vz * (np.abs(x) ** 2 - np.abs(y) ** 2)
             energies += vx * xy.real + vy * xy.imag
         return energies
@@ -173,22 +172,14 @@ def _check_spread(model, controls, t_chunk: float, nc: int, dt: float) -> None:
     check_step_spread(model(nodes, *controls(nodes)), dt)
 
 
-def _block_products(steps: np.ndarray, mul, identity: np.ndarray, block: int) -> np.ndarray:
+def _block_products(steps: np.ndarray, mul, block: int) -> np.ndarray:
     """Time-ordered products over consecutive blocks of `block` steps (a
-    power of two) along axis 0, later steps on the left.  A short last block
-    is padded with the identity."""
-    n = steps.shape[0]
-    n_full = (n // block) * block
-    parts = [steps[:n_full].reshape(n_full // block, block, *steps.shape[1:])]
-    if n_full < n:
-        pad = np.broadcast_to(identity, (n_full + block - n, *steps.shape[1:]))
-        parts.append(np.concatenate([steps[n_full:], pad])[None])
-    out = []
-    for x in parts:
-        while x.shape[1] > 1:
-            x = mul(x[:, 1::2], x[:, 0::2])
-        out.append(x[:, 0])
-    return np.concatenate(out)
+    power of two that divides the step count) along axis 0, later steps on
+    the left."""
+    x = steps.reshape(-1, block, *steps.shape[1:])
+    while x.shape[1] > 1:
+        x = mul(x[:, 1::2], x[:, 0::2])
+    return x[:, 0]
 
 
 def _prefix_products(x: np.ndarray, mul) -> np.ndarray:
@@ -207,29 +198,26 @@ def _prefix_products(x: np.ndarray, mul) -> np.ndarray:
 
 def _chunk_states(model, controls, t_chunk: float, nc: int, dt: float, block: int,
                   u: np.ndarray) -> np.ndarray:
-    """States (ceil(nc/block),) + u.shape at each sample of a chunk of nc
-    steps that starts from u at t_chunk."""
+    """States (nc/block,) + u.shape at each sample of a chunk of nc steps
+    that starts from u at t_chunk."""
     nodes = (t_chunk + dt * (_GAUSS_NODES[:, None] + np.arange(nc))).ravel()
     if not isinstance(model, SectorField):
         h = model(nodes, *controls(nodes))
         steps, gap = magnus4_dense_steps(h[:nc], h[nc:], dt)
         _check_gap(gap, "||[H2, H1]||")
-        identity = np.eye(steps.shape[-1], dtype=complex)
-        return _prefix_products(_block_products(steps, np.matmul, identity, block), np.matmul) @ u
+        return _prefix_products(_block_products(steps, np.matmul, block), np.matmul) @ u
     v = model.field(nodes, *controls(nodes))
     steps, gap = magnus4_steps(v[:, :nc], v[:, nc:], dt)
     _check_gap(gap, "|v2 x v1|")
-    pairs = _prefix_products(_block_products(steps, _su2_mul, _SU2_IDENTITY, block), _su2_mul)
+    pairs = _prefix_products(_block_products(steps, _su2_mul, block), _su2_mul)
     # Rounding shrinks the norm of the steps and of their products by about
     # 1e-17 each on average; since the norm is multiplicative, renormalizing
     # the products keeps that bias from adding up over 10^6 steps.
     pairs /= np.sqrt(np.sum(np.abs(pairs) ** 2, axis=-1, keepdims=True))
     states = np.empty(pairs.shape[:1] + u.shape, dtype=complex)
     states[:] = u
-    tail = (1,) * (u.ndim - 1)
     for s, (i, j) in enumerate(model.rows):
-        a = pairs[:, s, 0].reshape(-1, *tail)
-        b = pairs[:, s, 1].reshape(-1, *tail)
+        a, b = pairs[:, s, 0, None], pairs[:, s, 1, None]
         states[:, i] = a * u[i] - b.conj() * u[j]
         states[:, j] = b * u[i] + a.conj() * u[j]
     return states
@@ -244,19 +232,23 @@ def propagate_sampled(
     controls,
     steps_per_sample: int,
 ):
-    """Propagate u0 (shape (d,) or (d, m)) over n_steps Magnus-4 steps of
-    size dt.
+    """Propagate the columns u0 (d, m) over n_steps Magnus-4 steps of size
+    dt.
 
     The Hamiltonian at a 1-d array of absolute times is
     model(times, *controls(times)).  model is a `SectorField` (closed-form
     SU(2) steps per sector) or any callable that returns the matching
     (len, d, d) Hermitian stack (dense steps).  Returns (times, states)
     with states sampled at t0 and then after every block of
-    steps_per_sample steps, a power of two (the final sample always lands
-    exactly on t0 + n_steps*dt); states has shape (n_samples,) + u0.shape.
+    steps_per_sample steps, a power of two that divides n_steps (a
+    ValueError otherwise); states has shape (n_samples, d, m).
     Sample k sits at t0 + (k * steps_per_sample) * dt, so halving dt and
     doubling steps_per_sample gives the same sample times.
     """
+    if n_steps % steps_per_sample:
+        raise ValueError(
+            f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"
+        )
     u = np.asarray(u0, dtype=complex).copy()
     samples = [u[None]]
     times = [np.array([t0])]
@@ -265,7 +257,7 @@ def propagate_sampled(
     while done < n_steps:
         nc = min(chunk, n_steps - done)
         states = _chunk_states(model, controls, t0 + done * dt, nc, dt, steps_per_sample, u)
-        ends = np.minimum(np.arange(1, len(states) + 1) * steps_per_sample, nc)
+        ends = np.arange(1, len(states) + 1) * steps_per_sample
         samples.append(states)
         times.append(t0 + (done + ends) * dt)
         u = states[-1]

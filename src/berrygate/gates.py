@@ -52,15 +52,6 @@ def gate_fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(abs(np.trace(a.conj().T @ b)) / a.shape[0])
 
 
-def equal_up_to_global_phase(
-    a: np.ndarray, b: np.ndarray, tol: float = 1e-10
-) -> tuple[bool, float]:
-    """Whether two same-dimension unitaries agree up to one global phase,
-    plus the fidelity |tr(a^dag b)| / dim the decision is based on."""
-    fid = gate_fidelity(a, b)
-    return fid >= 1.0 - tol, fid
-
-
 def local_phase_equivalence(g: np.ndarray, tol: float = 1e-9):
     """Decompose a diagonal two-qubit unitary into global phase, single-qubit
     z-phases and a controlled phase B(phi_B).

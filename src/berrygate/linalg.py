@@ -2,15 +2,14 @@
 
 Everything lives in dimension 2 or 4, with the four-dimensional basis ordered
 {up-up, up-down, down-up, down-down}.  States and operators are plain numpy
-complex arrays; the helpers here add the dimension/Hermiticity/unitarity
-checks the rest of the package relies on.
+complex arrays; the helpers here build the Pauli algebra, tensor products
+and the exact propagator of a constant Hermitian generator, with the
+dimension and Hermiticity checks that go with them.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-DEFAULT_TOL = 1e-10
 
 # Computational basis kets, |0> identified with spin-up throughout the repo.
 KET_UP = np.array([1.0, 0.0], dtype=complex)
@@ -21,8 +20,6 @@ _PAULI = {
     "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
-
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -52,40 +49,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def expm_hermitian(h: np.ndarray, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Unitary propagator exp(-i h t) for a Hermitian h of dimension 2 or 4.
-
-    For a 2x2 generator the closed form
-        exp(-i (a . sigma) theta) = cos(theta) 1 - i sin(theta) (a_hat . sigma)
-    is used; the 4x4 case goes through an eigendecomposition.
-    """
+def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
+    """Unitary propagator exp(-i h t) for a Hermitian h of dimension 2 or 4,
+    from its eigendecomposition."""
     h = np.asarray(h, dtype=complex)
     if h.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {h.shape}")
-    if not np.allclose(h, h.conj().T, atol=tol):
+    if not np.allclose(h, h.conj().T, atol=1e-10):
         raise ValueError("generator is not Hermitian")
-    if h.shape == (2, 2):
-        c0 = 0.5 * (h[0, 0] + h[1, 1]).real
-        ax = h[0, 1].real
-        ay = -h[0, 1].imag
-        az = 0.5 * (h[0, 0] - h[1, 1]).real
-        norm = np.sqrt(ax * ax + ay * ay + az * az)
-        theta = norm * t
-        if norm == 0.0:
-            u = IDENTITY_2.copy()
-        else:
-            nhat = np.array([ax, ay, az]) / norm
-            u = np.cos(theta) * IDENTITY_2 - 1j * np.sin(theta) * pauli_dot(nhat)
-        return np.exp(-1j * c0 * t) * u
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-
-
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.all(np.abs(m - m.conj().T) < tol))
-
-
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m)
-    return bool(np.all(np.abs(m.conj().T @ m - np.eye(m.shape[0])) < tol))

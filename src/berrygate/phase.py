@@ -12,7 +12,9 @@ lift, and converges at second order to the continuum line integral.  For a
 densely sampled path the accumulated sum also carries the winding (e.g. -2*pi
 for a full-sphere cone loop) rather than collapsing to a principal value;
 branch bookkeeping beyond mod 2*pi is only meaningful for such continuous
-paths.  wrap_to_pi is the canonicalizer onto (-pi, pi].
+paths.  wrap_to_pi is the canonicalizer onto (-pi, pi].  berry_cone_phase is
+the closed form the cone loop and the echo report against, and
+eigenstate_path continues instantaneous eigenstates along a Hamiltonian path.
 """
 
 from __future__ import annotations
@@ -61,15 +63,6 @@ class LoopSpec:
             raise ValueError("orientation must be 'forward' or 'reversed'")
 
 
-def spinor_of_direction(theta: float, alpha: float) -> np.ndarray:
-    """Spin-half state cos(theta/2)|up> + sin(theta/2) e^{i alpha}|down>
-    pointing along the Bloch direction (theta, alpha)."""
-    return np.array(
-        [math.cos(0.5 * theta), math.sin(0.5 * theta) * np.exp(1j * alpha)],
-        dtype=complex,
-    )
-
-
 def cone_state_path(spec: LoopSpec) -> np.ndarray:
     """States along the closed cone loop of the given spec, azimuth sampled on
     [0, 2*pi) without the duplicate endpoint (shape (n_steps, 2))."""
@@ -82,21 +75,18 @@ def cone_state_path(spec: LoopSpec) -> np.ndarray:
     return out
 
 
-def geometric_phase_discrete(states: np.ndarray, closed: bool = True) -> float:
-    """Discrete holonomy -sum_k arg<psi_k|psi_{k+1}> along a state path.
+def geometric_phase_discrete(states: np.ndarray) -> float:
+    """Discrete holonomy -sum_k arg<psi_k|psi_{k+1}> around a closed path.
 
-    With closed=True the product wraps around to the first state, making the
-    result independent of each state's individual phase (mod 2*pi).  Any
+    The product wraps around to the first state, making the result
+    independent of each state's individual phase (mod 2*pi).  Any
     consecutive overlap with magnitude below 0.1 means the path is too coarse
     and raises ValueError.
     """
     states = np.asarray(states, dtype=complex)
-    n = states.shape[0]
-    if n < 2:
+    if states.shape[0] < 2:
         raise ValueError("need at least 2 states")
-    nxt = np.roll(states, -1, axis=0) if closed else states[1:]
-    cur = states if closed else states[:-1]
-    overlaps = np.einsum("ij,ij->i", cur.conj(), nxt)
+    overlaps = np.einsum("ij,ij->i", states.conj(), np.roll(states, -1, axis=0))
     mags = np.abs(overlaps)
     if np.any(mags <= MIN_OVERLAP):
         k = int(np.argmin(mags))

@@ -29,11 +29,8 @@ import numpy as np
 from .bloch import RabiParams
 from .linalg import pauli
 
-_SX = pauli("x")
-_SY = pauli("y")
-# The drive's Paulis embedded on spin a and on spin b of the two-spin basis.
-_SX_A, _SY_A = np.kron(_SX, np.eye(2)), np.kron(_SY, np.eye(2))
-_SX_B, _SY_B = np.kron(np.eye(2), _SX), np.kron(np.eye(2), _SY)
+# The drive's Paulis embedded on spin a of the two-spin basis.
+_SX_A, _SY_A = np.kron(pauli("x"), np.eye(2)), np.kron(pauli("y"), np.eye(2))
 
 # Max allowed dt * (eigenvalue spread); RK4 stays phase-accurate below this.
 STEP_SPREAD_LIMIT = 0.01
@@ -99,29 +96,21 @@ def hamiltonian_2q(p: TwoSpinParams) -> np.ndarray:
     )
 
 
-def drive_hamiltonian_2q(p: TwoSpinParams, t: float, drive_on_b: bool = False) -> np.ndarray:
-    """Lab-frame drive term for the two-spin system at time t.
-
-    The rotating field is addressed to spin a; with drive_on_b the same field
-    also couples (off-resonantly) to spin b, which is physical but not part
-    of the analytic treatment.
-    """
+def drive_hamiltonian_2q(p: TwoSpinParams, t: float) -> np.ndarray:
+    """Lab-frame drive term for the two-spin system at time t: the rotating
+    field addressed to spin a."""
     d = p.drive
     arg = d.omega * t + d.phi
     hx = 0.5 * d.omega1 * np.cos(arg)
     hy = 0.5 * d.omega1 * np.sin(arg)
-    h = hx * _SX_A + hy * _SY_A
-    if drive_on_b:
-        h = h + (hx * _SX_B + hy * _SY_B)
-    return h
+    return hx * _SX_A + hy * _SY_A
 
 
 @dataclass(frozen=True)
 class SchrodingerTrajectory:
     """Sampled propagation record: times (n,), states (n, dim), and the
     continuously unwrapped phase arg<psi(0)|psi(t)> (n,).  A block of B
-    initial columns gives states (n, dim, B) and phases (n, B); the
-    scalar properties below are for a single column."""
+    initial columns gives states (n, dim, B) and phases (n, B)."""
 
     t: np.ndarray
     psi: np.ndarray
@@ -130,14 +119,6 @@ class SchrodingerTrajectory:
     @property
     def final_psi(self) -> np.ndarray:
         return self.psi[-1]
-
-    @property
-    def accumulated_global_phase(self) -> float:
-        return float(self.phase[-1])
-
-    @property
-    def final_norm(self) -> float:
-        return float(np.linalg.norm(self.psi[-1]))
 
 
 def rk4_transition_matrices(h_half: np.ndarray, dt: float) -> np.ndarray:

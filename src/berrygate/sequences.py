@@ -18,11 +18,11 @@ unwrapping the argument of one basis component of the state (a reference
 that never vanishes along the cone paths, unlike the overlap with the start
 state), taken against the running trapezoid of the dynamic phase so that
 only the slow remainder has to be unwrapped.  The dynamic part comes from
-Simpson quadrature of -<psi|H|psi> over the sampled trajectory, and the
-geometric part is the difference.  Samples sit on a fixed time grid set by
-the fastest Rabi vector of the system (`_sample_spacing`), whatever the
-step.  Ideal pi pulses permute amplitudes without touching phases, so
-per-loop phases add up across a compound sequence.
+Simpson quadrature of -<psi|H|psi> over each segment's equally spaced
+samples, and the geometric part is the difference.  Samples sit on a fixed
+time grid set by the fastest Rabi vector of the system (`_sample_spacing`),
+whatever the step.  Ideal pi pulses permute amplitudes without touching
+phases, so per-loop phases add up across a compound sequence.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .gates import gate_fidelity
 from .linalg import expm_hermitian
 from .phase import (
     PhaseDecomposition,
+    berry_cone_phase,
     cos_theta_resonance,
     geometric_phase_discrete,
     wrap_to_pi,
@@ -200,13 +201,8 @@ class _PhaseLedger:
     """
 
     def __init__(self, u0: np.ndarray):
-        m = u0.shape[1]
-        self.ref = np.argmax(np.abs(u0), axis=0)
-        cols = np.arange(m)
-        comp = u0[self.ref, cols]
-        self.prev_arg = np.angle(comp)
-        self.offset = self.prev_arg.copy()
-        self.total = np.zeros(m)
+        self.total = np.zeros(u0.shape[1])
+        self.after_pulse(u0)
 
     def _rebase(self, u: np.ndarray) -> None:
         mags = np.abs(u)
@@ -249,8 +245,8 @@ class _PhaseLedger:
         self._rebase(states[-1])
 
     def after_pulse(self, u: np.ndarray) -> None:
-        """Re-anchor after an instantaneous pulse (which itself adds no
-        tracked phase: the new reference component is re-based in place)."""
+        """Anchor on u, at the start or after an instantaneous pulse (which
+        adds no tracked phase: the new reference is re-based in place)."""
         cols = np.arange(u.shape[1])
         self.ref = np.argmax(np.abs(u), axis=0)
         new_arg = np.angle(u[self.ref, cols])
@@ -327,7 +323,7 @@ def _run_plan(plan, model, u0, dt, spacing):
             ledger.update(states, -_cumulative_trapezoid(energies, times))
         except AdiabaticityError as exc:
             raise AdiabaticityError(f"{exc} in segment {len(books)} ({seg.kind})") from None
-        dyn = -_simpson(energies, times)
+        dyn = -_simpson(energies, block * dt_seg)
         dynamic += dyn
         seg_dynamics.append(np.atleast_1d(dyn))
         books.append(_SegmentBook(times, states, seg.kind))
@@ -344,33 +340,23 @@ def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros((1,) + res.shape[1:]), res])
 
 
-def _simpson(y: np.ndarray, x: np.ndarray):
-    """Simpson integral of y (n, ...) over x (n,): bit for bit
-    scipy.integrate.simpson(y, x=x, axis=0) of scipy 1.17, whose guards
-    against zero spacings are left out, as sample spacings never vanish.
-    Parabolas over pairs of intervals; for even n, Cartwright's correction
-    for the last interval, or for n = 2 the trapezoid."""
-    h = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    n = len(x)
+def _simpson(y: np.ndarray, h: float):
+    """Simpson integral of y (n, ...) sampled every h along axis 0: bit for
+    bit scipy.integrate.simpson(y, dx=h, axis=0) of scipy 1.17.  Parabolas
+    over pairs of intervals; for even n, Cartwright's correction for the
+    last interval, or for n = 2 the trapezoid."""
+    n = len(y)
     if n == 2:
-        return 0.5 * h[0] * (y[1] + y[0])
+        return 0.5 * h * (y[-1] + y[-2])
     stop = n - 2 if n % 2 else n - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum, ratio = h0 + h1, h0 / h1
-    result = np.sum(
-        hsum / 6.0 * (
-            y[0:stop:2] * (2.0 - 1.0 / ratio)
-            + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-            + y[2:stop + 2:2] * (2.0 - ratio)
-        ),
-        axis=0,
-    )
+    result = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2], axis=0)
+    result *= h / 3.0
     if n % 2 == 0:
-        g, k = h[-2, ...], h[-1, ...]  # arrays, as in scipy: numpy's array powers
+        g, k = np.asarray([h, h], dtype=np.float64)  # scipy's h[0], h[1]
         alpha = (2 * k ** 2 + 3 * g * k) / (6 * (k + g))
         beta = (k ** 2 + 3.0 * g * k) / (6 * g)
         eta = k ** 3 / (6 * g * (g + k))
-        result = result + (alpha * y[-1] + beta * y[-2] - eta * y[-3])
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
     return result
 
 
@@ -380,10 +366,15 @@ def _schedule_plan(schedule: PulseSchedule):
 
 def _pi_pulse(model, omega: float, target: str, duration: float) -> np.ndarray:
     """Pi pulse on the target ('single', 'a' or 'b'): the ideal swap if
-    duration is not positive, else a constant resonant x drive of area pi
-    on top of the static Hamiltonian, the model at zero drive amplitude
-    (exact constant-H propagator)."""
-    if duration <= 0.0:
+    duration is zero, else a constant resonant x drive of area pi on top of
+    the static Hamiltonian, the model at zero drive amplitude (exact
+    constant-H propagator).  A negative or non-finite duration raises
+    ValueError."""
+    if not math.isfinite(duration):
+        raise ValueError("pi-pulse-duration must be finite")
+    if duration < 0.0:
+        raise ValueError("pi-pulse-duration must be nonnegative")
+    if duration == 0.0:
         return pi_pulse(target)
     h_static = model(np.zeros(1), 0.0, omega, 0.0)[0]
     return expm_hermitian(h_static + (math.pi / (2.0 * duration)) * pi_pulse(target), duration)
@@ -440,7 +431,14 @@ def resolve_times(
     dt) of the adiabaticity and resolution rules (`default_times_1q`,
     `default_times_2q`: one Magnus-4 step per sample).  A missing sweep is the
     default one times sweep_factor; a missing ramp keeps the default ratio
-    of ramp to sweep.  This is the only place a run's dt is set."""
+    of ramp to sweep.  This is the only place a run's dt is set.  A given
+    time or sweep_factor that is not finite and positive raises ValueError."""
+    for name, val in (("ramp-time", ramp_time), ("sweep-time", sweep_time), ("dt", dt),
+                      ("sweep-factor", sweep_factor)):
+        if val is not None and not math.isfinite(val):
+            raise ValueError(f"{name} must be finite")
+        if val is not None and val <= 0.0:
+            raise ValueError(f"{name} must be positive")
     if None not in (ramp_time, sweep_time, dt):
         return ramp_time, sweep_time, dt
     d_ramp, d_sweep, d_dt = default_times()
@@ -478,16 +476,15 @@ def run_cone_loop(
     sweep_time: float | None = None,
     dt: float | None = None,
     orientation: str = "forward",
-    psi0: np.ndarray | None = None,
     check: bool = False,
 ) -> ConeRunResult:
-    """Simulate one adiabatic cone loop from the aligned eigenstate (or a
-    caller-supplied start state) and decompose its phase."""
+    """Simulate one adiabatic cone loop from the aligned eigenstate and
+    decompose its phase."""
     ramp_time, sweep_time, dt = resolve_times(
         partial(default_times_1q, p), ramp_time, sweep_time, dt
     )
     schedule = build_cone_loop(p, ramp_time, sweep_time, orientation)
-    start = _aligned_start(p) if psi0 is None else np.asarray(psi0, dtype=complex)
+    start = _aligned_start(p)
 
     spacing = _sample_spacing(_rabi_1q(p), dt)
     res = _run_plan(_schedule_plan(schedule), _model_1q(p.omega0), start, dt, spacing)
@@ -497,10 +494,10 @@ def run_cone_loop(
     times = np.concatenate([b.times for b in books])
     states = np.concatenate([b.states[:, :, 0] for b in books])
     if p.omega1 > 0.0:
-        raw = geometric_phase_discrete(states, closed=True)
+        raw = geometric_phase_discrete(states)
         holo = decomp.geometric + wrap_to_pi(raw - decomp.geometric)
         theta = math.acos(cos_theta_resonance(p.omega0, p.omega, p.omega1))
-        expected = -math.pi * (1.0 - math.cos(theta))
+        expected = berry_cone_phase(theta)
         if orientation == "reversed":
             expected = -expected
         theta_measured = _measured_cone_angle(books)
@@ -570,9 +567,7 @@ def measure_cone_phase(
 def _measured_cone_angle(books) -> float:
     """Polar angle of the Bloch vector averaged over the first 5% of the
     phase sweep, where the drive phase is still stationary."""
-    sweep = next((b for b in books if b.kind == "phase_sweep"), None)
-    if sweep is None:
-        return float("nan")
+    sweep = next(b for b in books if b.kind == "phase_sweep")
     t0 = sweep.times[0]
     span = sweep.times[-1] - t0
     mask = sweep.times - t0 <= 0.05 * span
@@ -635,7 +630,7 @@ def run_spin_echo_1q(
     loop2 = sum(res.seg_dynamics[n_loop_segs:])
 
     theta = math.acos(cos_theta_resonance(p.omega0, p.omega, p.omega1))
-    expected = 4.0 * math.pi * (1.0 - math.cos(theta))
+    expected = -4.0 * berry_cone_phase(theta)
     fids = tuple(
         float(abs(u_f[j, j]) / np.linalg.norm(u_f[:, j])) for j in range(2)
     )

@@ -31,8 +31,24 @@ def rotating_hamiltonian_1q(p: RabiParams) -> np.ndarray:
 
 def hamiltonian_2q_full(p: TwoSpinParams, t: float, drive_on_b: bool = False) -> np.ndarray:
     """Oracle: the lab-frame two-spin Hamiltonian at time t, the static part
-    plus the rotating drive, as one dense 4x4 matrix."""
-    return hamiltonian_2q(p) + drive_hamiltonian_2q(p, t, drive_on_b)
+    plus the rotating drive, as one dense 4x4 matrix.  The drive is
+    addressed to spin a; with drive_on_b the same field also reaches spin b
+    (off resonance)."""
+    h = hamiltonian_2q(p) + drive_hamiltonian_2q(p, t)
+    if drive_on_b:
+        d = p.drive
+        arg = d.omega * t + d.phi
+        h = h + d.omega1 * (np.cos(arg) * _SPIN_B["x"] + np.sin(arg) * _SPIN_B["y"])
+    return h
+
+
+def spinor_of_direction(theta: float, alpha: float) -> np.ndarray:
+    """Spin-half state cos(theta/2)|up> + sin(theta/2) e^{i alpha}|down>
+    pointing along the Bloch direction (theta, alpha)."""
+    return np.array(
+        [math.cos(0.5 * theta), math.sin(0.5 * theta) * np.exp(1j * alpha)],
+        dtype=complex,
+    )
 
 
 def hamiltonian_of_schedule_1q(omega0: float, schedule):
@@ -166,6 +182,10 @@ def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample
     batched RK4 maps (`engine.rk4_transition_matrices`, under the step guard
     `engine._check_spread`) of the dense stack model(times, *controls(times))
     on the half-step grid, applied to the state one step at a time."""
+    if n_steps % steps_per_sample:
+        raise ValueError(
+            f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"
+        )
     engine._check_spread(model, controls, t0, n_steps, dt)
     nodes = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
     steps = engine.rk4_transition_matrices(model(nodes, *controls(nodes)), dt)
@@ -173,7 +193,7 @@ def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample
     samples, ends = [u], [0]
     for k, step in enumerate(steps, 1):
         u = step @ u
-        if k % steps_per_sample == 0 or k == n_steps:
+        if k % steps_per_sample == 0:
             samples.append(u)
             ends.append(k)
     return t0 + np.array(ends) * dt, np.array(samples)

@@ -11,7 +11,6 @@ from berrygate.bloch import (
     integrate_bloch,
     rotating_rabi_vector,
     rotation_z,
-    to_rotating_frame,
 )
 from berrygate.phase import cos_theta_resonance
 
@@ -67,12 +66,13 @@ def test_rabi_params_validation():
 
 def test_frame_transform_basics():
     s = np.array([0.3, -0.5, 0.8])
-    assert np.allclose(to_rotating_frame(s, 2.0, 0.0), s)
+    # from_rotating_frame at -t maps the lab frame into the rotating one
+    assert np.allclose(from_rotating_frame(s, 2.0, 0.0), s)
     zhat = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(to_rotating_frame(zhat, 1.7, 3.9), zhat)
-    back = from_rotating_frame(to_rotating_frame(s, 1.7, 3.9), 1.7, 3.9)
+    assert np.allclose(from_rotating_frame(zhat, 1.7, -3.9), zhat)
+    back = from_rotating_frame(from_rotating_frame(s, 1.7, -3.9), 1.7, 3.9)
     assert np.allclose(back, s, atol=1e-14)
-    assert abs(np.linalg.norm(to_rotating_frame(s, 1.7, 3.9)) - np.linalg.norm(s)) < 1e-14
+    assert abs(np.linalg.norm(from_rotating_frame(s, 1.7, -3.9)) - np.linalg.norm(s)) < 1e-14
 
 
 def test_mz_generates_cross_product():

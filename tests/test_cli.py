@@ -166,6 +166,24 @@ def test_non_finite_time_exits_2(tmp_path, capsys, source, command, key, value):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("simulate", "dt", "0", "dt must be positive"),
+    ("echo", "ramp-time", "-1", "ramp-time must be positive"),
+    ("echo", "pi-pulse-duration", "-1", "pi-pulse-duration must be nonnegative"),
+    ("conditional", "pi-pulse-duration", "-1", "pi-pulse-duration must be nonnegative"),
+    ("conditional", "sweep-factor", "0", "sweep-factor must be positive"),
+])
+def test_out_of_range_time_exits_2(tmp_path, capsys, command, key, value, message):
+    # the message is the API's own: the runs check their times
+    out_csv = tmp_path / "t.csv"
+    output = ["--output", str(out_csv)] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, f"--{key}", value, *output)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_csv.exists()
+
+
 def test_verify_list(capsys):
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0

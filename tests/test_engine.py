@@ -169,6 +169,16 @@ def test_oversized_dense_step_raises():
         _final_map(0.5, _coupled_wobbling_field)
 
 
+@pytest.mark.parametrize("propagate", [engine.propagate_sampled, rk4_propagate_sampled])
+@pytest.mark.parametrize("n_steps, steps_per_sample", [(5, 2), (64, 128), (96, 64)])
+def test_a_partial_sample_block_raises(propagate, n_steps, steps_per_sample):
+    model = engine.SectorField(_wobbling_field, sequences.ROWS_2Q, 4)
+    with pytest.raises(ValueError, match=r"^steps_per_sample \d+ does not divide n_steps \d+$"):
+        propagate(
+            model, 0.0, n_steps, 0.01, np.eye(4, dtype=complex), lambda times: (), steps_per_sample
+        )
+
+
 @pytest.fixture(scope="module")
 def default_spot_runs():
     """The default-spot gate at the default step, one Magnus-4 step per

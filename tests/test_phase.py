@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import dynamic_phase, rotating_hamiltonian_1q
+from oracles import dynamic_phase, rotating_hamiltonian_1q, spinor_of_direction
 
 from berrygate.bloch import RabiParams
 from berrygate.linalg import pauli
@@ -17,7 +17,6 @@ from berrygate.phase import (
     eigenstate_path,
     geometric_phase_discrete,
     solid_angle_spherical_polygon,
-    spinor_of_direction,
     wrap_to_pi,
 )
 from berrygate.schrodinger import integrate_schrodinger
@@ -139,7 +138,7 @@ def test_closure_total_equals_dynamic_plus_geometric():
     period = 2.0 * math.pi / math.hypot(1.2, 0.9)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     traj = integrate_schrodinger(psi0, lambda t: h, (0.0, period), period / 6000)
-    total = traj.accumulated_global_phase
+    total = traj.phase[-1]
     dyn = dynamic_phase(traj.t, traj.psi, lambda t: h)
     geo = geometric_phase_discrete(traj.psi)
     assert circle_distance(total, dyn + geo) < 1e-4

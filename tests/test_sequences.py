@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from berrygate.sequences import (
     delta_gamma,
     fault_tolerance_surface,
     measure_cone_phase,
+    resolve_times,
     run_cone_loop,
     run_conditional_sequence,
     run_spin_echo_1q,
@@ -75,8 +77,9 @@ def test_quadratures_are_bit_for_bit_scipy(n, columns):
 
     rng = np.random.default_rng(n)
     x = np.cumsum(rng.uniform(0.05, 1.0, n))
+    h = rng.uniform(0.05, 1.0)
     y = rng.normal(size=(n,) if columns is None else (n, columns))
-    assert np.array_equal(sequences._simpson(y, x), simpson(y, x=x, axis=0))
+    assert np.array_equal(sequences._simpson(y, h), simpson(y, dx=h, axis=0))
     assert np.array_equal(
         sequences._cumulative_trapezoid(y, x),
         cumulative_trapezoid(y, x, axis=0, initial=0.0),
@@ -86,18 +89,30 @@ def test_quadratures_are_bit_for_bit_scipy(n, columns):
 def test_quadratures_of_a_run_are_bit_for_bit_scipy():
     from scipy.integrate import cumulative_trapezoid, simpson  # the oracle
 
-    seen = []
-    real = sequences._simpson
+    # Each segment hands the trapezoid its sample times and then Simpson's
+    # equal-spacing rule the same energies with one spacing h.
+    trapezoids, simpsons = [], []
+    real_trapezoid, real_simpson = sequences._cumulative_trapezoid, sequences._simpson
 
-    def spy(y, x):
-        seen.append((y, x))
-        return real(y, x)
+    def spy_trapezoid(y, x):
+        trapezoids.append((y, x))
+        return real_trapezoid(y, x)
 
-    with mock.patch.object(sequences, "_simpson", spy):
+    def spy_simpson(y, h):
+        simpsons.append((y, h))
+        return real_simpson(y, h)
+
+    with mock.patch.object(sequences, "_cumulative_trapezoid", spy_trapezoid), \
+            mock.patch.object(sequences, "_simpson", spy_simpson):
         run_conditional_sequence(two_spin_params(2.0, 1.2))
-    assert {len(x) % 2 for _, x in seen} == {0, 1}
-    for y, x in seen:
-        assert np.array_equal(sequences._simpson(y, x), simpson(y, x=x, axis=0))
+    assert len(simpsons) == len(trapezoids) == 12
+    assert {len(y) % 2 for y, _ in simpsons} == {0, 1}
+    for (y, x), (y_simpson, h) in zip(trapezoids, simpsons):
+        assert y_simpson is y
+        # the precondition of the rule: the samples sit every h, up to the
+        # rounding of absolute times of up to 2880 s (at most 3.8e-13 s here)
+        assert np.max(np.abs(np.diff(x) - h)) <= 1e-12
+        assert np.array_equal(sequences._simpson(y, h), simpson(y, dx=h, axis=0))
         assert np.array_equal(
             sequences._cumulative_trapezoid(y, x),
             cumulative_trapezoid(y, x, axis=0, initial=0.0),
@@ -245,6 +260,47 @@ def test_default_times_respect_step_bound():
     with pytest.raises(ValueError):
         # drive resonant with the minus sector: no adiabatic connection
         default_times_2q(two_spin_params(1.0, 1.2))
+
+
+# The API checks its times as the CLI does, with the CLI's messages.
+BAD_TIMES = [
+    (dict(dt=0.0), "dt must be positive"),
+    (dict(dt=-1.0), "dt must be positive"),
+    (dict(ramp_time=math.inf), "ramp-time must be finite"),
+    (dict(dt=math.nan), "dt must be finite"),
+    (dict(sweep_time=math.nan), "sweep-time must be finite"),
+    (dict(ramp_time=1.0, sweep_time=-2.0, dt=0.01), "sweep-time must be positive"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", BAD_TIMES)
+def test_runs_reject_bad_times(kwargs, message):
+    for run in (partial(run_cone_loop, cone_params(math.pi / 3)),
+                partial(run_conditional_sequence, two_spin_params(2.0, 1.2))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(**kwargs)
+
+
+@pytest.mark.parametrize("factor, message", [
+    (math.nan, "sweep-factor must be finite"), (math.inf, "sweep-factor must be finite"),
+    (0.0, "sweep-factor must be positive"),
+])
+def test_resolve_times_rejects_a_bad_sweep_factor(factor, message):
+    defaults = partial(default_times_1q, cone_params(math.pi / 3))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        resolve_times(defaults, sweep_factor=factor)
+
+
+@pytest.mark.parametrize("duration, message", [
+    (-1.0, "pi-pulse-duration must be nonnegative"),
+    (math.nan, "pi-pulse-duration must be finite"),
+    (math.inf, "pi-pulse-duration must be finite"),
+])
+def test_runs_reject_a_bad_pi_pulse_duration(duration, message):
+    for run in (partial(run_spin_echo_1q, cone_params(math.pi / 3)),
+                partial(run_conditional_sequence, two_spin_params(2.0, 1.2))):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(pi_pulse_duration=duration)
 
 
 def test_sample_times_do_not_depend_on_the_step():
