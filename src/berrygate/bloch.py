@@ -10,9 +10,9 @@ static vector
 
 The drive parameters and Rabi vectors are shared with the rest of the
 package; the stepwise integrator `integrate_bloch` is a test and `verify`
-oracle that the production propagator in `engine` never calls.  Its RK4
-step runs on Python floats, and the (n+1, 3) trajectory array is built once,
-at the end.
+oracle that the production propagator in `engine` never calls.  The ODE is
+linear, ds/dt = [Omega]x s, so its RK4 steps are 3x3 maps, which it folds by
+a prefix scan as the Schrodinger oracle does (`linalg.rk4_fold`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .linalg import half_step_grid, rk4_fold, rk4_step_maps
 
 # Generator of rotations about z: M_z s = z_hat x s.
 M_Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -80,50 +82,25 @@ def integrate_bloch(
     """Classical fixed-step RK4 integration of ds/dt = Omega(t) x s.
 
     frame="lab" drives with the oscillating lab Rabi vector, frame="rotating"
-    with the static Omega'.  The trajectory is sampled at every step.  Each
-    cross product is written out by component in the order of `np.cross`,
-    so the float step is the same arithmetic as the vector form.
+    with the static Omega'; s0 is a finite 3-vector.  The field is taken once
+    per node of the half-step grid, and the one-step maps of h [Omega]x are
+    folded by a prefix scan.  The trajectory is sampled at every step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
+    s0 = np.asarray(s0, dtype=float)
+    if s0.shape != (3,) or not np.all(np.isfinite(s0)):
+        raise ValueError(f"s0 must be a finite 3-vector, got {s0!r}")
+    times, nodes, h = half_step_grid(t_span, dt)
     if frame == "lab":
-        w1, om, phi, w0 = p.omega1, p.omega, p.phi, p.omega0
-
-        def field(t):
-            arg = om * t + phi
-            return w1 * math.cos(arg), w1 * math.sin(arg), w0
-
+        arg = p.omega * nodes + p.phi
+        field = (p.omega1 * np.cos(arg), p.omega1 * np.sin(arg), p.omega0)
     elif frame == "rotating":
-        static = (p.omega1 * math.cos(p.phi), p.omega1 * math.sin(p.phi), p.omega0 - p.omega)
-
-        def field(t):
-            return static
-
+        field = rotating_rabi_vector(p)
     else:
         raise ValueError(f"unknown frame {frame!r}")
-
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
-    half, sixth = 0.5 * h, h / 6.0
-    times = t0 + h * np.arange(n_steps + 1)
-    x, y, z = np.asarray(s0, dtype=float).tolist()
-    out = [(x, y, z)]
-    for t in times[:-1].tolist():
-        ax, ay, az = field(t)
-        bx, by, bz = field(t + half)
-        cx, cy, cz = field(t + h)
-        k1x, k1y, k1z = ay * z - az * y, az * x - ax * z, ax * y - ay * x
-        ux, uy, uz = x + half * k1x, y + half * k1y, z + half * k1z
-        k2x, k2y, k2z = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
-        ux, uy, uz = x + half * k2x, y + half * k2y, z + half * k2z
-        k3x, k3y, k3z = by * uz - bz * uy, bz * ux - bx * uz, bx * uy - by * ux
-        ux, uy, uz = x + h * k3x, y + h * k3y, z + h * k3z
-        k4x, k4y, k4z = cy * uz - cz * uy, cz * ux - cx * uz, cx * uy - cy * ux
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        out.append((x, y, z))
-    return BlochTrajectory(t=times, s=np.array(out))
+    # a = h [Omega]x, with [Omega]x s = Omega x s
+    a = np.zeros((len(nodes), 3, 3))
+    for (i, j), w in zip(((2, 1), (0, 2), (1, 0)), field):
+        a[:, i, j] = h * w
+        a[:, j, i] = -h * w
+    states = rk4_fold(a, s0.reshape(1, 3, 1), rk4_step_maps)
+    return BlochTrajectory(t=times, s=states[:, 0, :, 0])

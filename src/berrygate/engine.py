@@ -52,6 +52,7 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import prefix_products
 # rk4_transition_matrices is re-exported: the RK4 maps of the stepwise oracle.
 from .schrodinger import StepSizeError, check_step_spread, rk4_transition_matrices  # noqa: F401
 
@@ -182,20 +183,6 @@ def _block_products(steps: np.ndarray, mul, block: int) -> np.ndarray:
     return x[:, 0]
 
 
-def _prefix_products(x: np.ndarray, mul) -> np.ndarray:
-    """Running products x[k] ... x[0] along axis 0, by the work-efficient
-    scan: the running products of the pair products x[2k+1] x[2k] give the
-    odd entries, and each even entry is x[2k] times the odd one before it,
-    about 2n products in all."""
-    n = x.shape[0]
-    out = np.empty_like(x)
-    out[0] = x[0]
-    if n > 1:
-        out[1::2] = _prefix_products(mul(x[1::2], x[0 : n - 1 : 2]), mul)
-        out[2::2] = mul(x[2::2], out[1 : n - 1 : 2])
-    return out
-
-
 def _chunk_states(model, controls, t_chunk: float, nc: int, dt: float, block: int,
                   u: np.ndarray) -> np.ndarray:
     """States (nc/block,) + u.shape at each sample of a chunk of nc steps
@@ -205,11 +192,11 @@ def _chunk_states(model, controls, t_chunk: float, nc: int, dt: float, block: in
         h = model(nodes, *controls(nodes))
         steps, gap = magnus4_dense_steps(h[:nc], h[nc:], dt)
         _check_gap(gap, "||[H2, H1]||")
-        return _prefix_products(_block_products(steps, np.matmul, block), np.matmul) @ u
+        return prefix_products(_block_products(steps, np.matmul, block), np.matmul) @ u
     v = model.field(nodes, *controls(nodes))
     steps, gap = magnus4_steps(v[:, :nc], v[:, nc:], dt)
     _check_gap(gap, "|v2 x v1|")
-    pairs = _prefix_products(_block_products(steps, _su2_mul, block), _su2_mul)
+    pairs = prefix_products(_block_products(steps, _su2_mul, block), _su2_mul)
     # Rounding shrinks the norm of the steps and of their products by about
     # 1e-17 each on average; since the norm is multiplicative, renormalizing
     # the products keeps that bias from adding up over 10^6 steps.

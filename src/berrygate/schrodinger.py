@@ -10,13 +10,14 @@ propagator; the columns share the Hamiltonian calls, and each column's
 norm check and phase unwrap are its own.
 
 The ODE is linear, so one RK4 step is one matrix (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 151 (2009)).  The integrator runs in three batched
-stages and one short loop: the scalar-time h_of_t once per node of the
-half-step grid, stacked; the one-step maps from that stack
-(`rk4_transition_matrices`, the only copy of the formula, which `engine`
-re-exports), `_MAP_CHUNK` steps at a time; the maps applied to the states
-one step at a time; and, after that fold, the overlaps with psi(0) and
-their unwrap.  The tests check it against a stage-form RK4 loop.
+Ros, Phys. Rep. 470, 151 (2009)).  The integrator runs in batched stages:
+the scalar-time h_of_t once per node of the half-step grid, stacked; the
+spread guard on that stack; the one-step maps `rk4_transition_matrices`
+(which `engine` re-exports; it calls `linalg.rk4_step_maps`, the only copy
+of the formula), folded by a prefix scan `linalg.RK4_CHUNK` steps at a
+time onto the chunk's start state (`linalg.rk4_fold`); and, after the
+fold, the overlaps with psi(0) and their unwrap.  The tests check it
+against a stage-form RK4 loop.
 """
 
 from __future__ import annotations
@@ -27,15 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import RabiParams
-from .linalg import pauli
+from .linalg import half_step_grid, pauli, rk4_fold, rk4_step_maps
 
 # The drive's Paulis embedded on spin a of the two-spin basis.
 _SX_A, _SY_A = np.kron(pauli("x"), np.eye(2)), np.kron(pauli("y"), np.eye(2))
 
 # Max allowed dt * (eigenvalue spread); RK4 stays phase-accurate below this.
 STEP_SPREAD_LIMIT = 0.01
-# Steps whose one-step maps are held at a time: memory O(_MAP_CHUNK d^2).
-_MAP_CHUNK = 1024
 
 
 class StepSizeError(ValueError):
@@ -122,25 +121,10 @@ class SchrodingerTrajectory:
 
 
 def rk4_transition_matrices(h_half: np.ndarray, dt: float) -> np.ndarray:
-    """One-step RK4 transition matrices from Hamiltonians on the half-step
-    grid t0, t0+dt/2, t0+dt, ... (shape (2n+1, d, d) in, (n, d, d) out).
-    Because the ODE is linear, one RK4 step is the matrix
-
-        M = 1 + (K1 + 2 K2 + 2 K3 + K4) / 6
-        K1 = A1,  K2 = A2 (1 + K1/2),  K3 = A2 (1 + K2/2),  K4 = A4 (1 + K3)
-
-    with A_i = -i H(stage_i) dt."""
-    a = (-1j * dt) * h_half
-    a1 = a[0:-1:2]
-    a2 = a[1::2]
-    a4 = a[2::2]
-    k1 = a1
-    k2 = a2 + 0.5 * (a2 @ k1)
-    k3 = a2 + 0.5 * (a2 @ k2)
-    k4 = a4 + a4 @ k3
-    m = (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    m += np.eye(h_half.shape[-1], dtype=complex)
-    return m
+    """One-step RK4 transition matrices of i d|psi>/dt = H(t)|psi> from
+    Hamiltonians on the half-step grid t0, t0+dt/2, t0+dt, ... (shape
+    (2n+1, d, d) in, (n, d, d) out): `linalg.rk4_step_maps` of -i H dt."""
+    return rk4_step_maps((-1j * dt) * h_half)
 
 
 def check_step_spread(hams: np.ndarray, dt: float) -> None:
@@ -187,46 +171,30 @@ def integrate_schrodinger(
     psi0 is one state (dim,) or a block of states (dim, B), such as
     np.eye(dim) for the propagator.  h_of_t(t) takes one time and is
     called once per node of the half-step grid (2n+1 calls for n steps).
-    The one-step maps are built in batch and applied one step at a time,
-    and every column takes the same matrix-vector product per step, so a
-    block reproduces the B single-column runs.
-    Requires every column to have |psi0| = 1 and dt * (max eigenvalue
-    spread of H) <= 0.01; a violating step size raises StepSizeError
-    instead of silently degrading.  The state is never renormalized.  Each
-    column's global phase arg<psi(0)|psi(t)> is unwrapped step to step; a
-    jump >= pi between healthy samples (overlap magnitude above 1e-6)
-    aborts, since it means the sampling cannot resolve the phase winding.
+    The one-step maps are built in batch and folded by a prefix scan onto
+    each chunk's start state, and every column takes the same matrix-vector
+    product per step, so a block reproduces the B single-column runs.
+    Requires a finite psi0 whose every column has |psi0| = 1, a finite,
+    increasing t_span, a finite dt > 0 and dt * (max eigenvalue spread of
+    H) <= 0.01; a violating step size raises StepSizeError instead of
+    silently degrading.  The state is never renormalized.  Each column's
+    global phase arg<psi(0)|psi(t)> is unwrapped step to step; a jump >= pi
+    between healthy samples (overlap magnitude above 1e-6) aborts, since it
+    means the sampling cannot resolve the phase winding.
     """
     psi0 = np.asarray(psi0, dtype=complex)
+    if not np.all(np.isfinite(psi0)):
+        raise ValueError("initial state must be finite")
     if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-10):
         raise ValueError("initial state must be normalized")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    t0, t1 = t_span
-    if t1 <= t0:
-        raise ValueError("t_span must be increasing")
-
-    n_steps = max(1, int(round((t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
-    times = t0 + h * np.arange(n_steps + 1)
-    nodes = np.empty(2 * n_steps + 1)
-    nodes[0::2] = times
-    nodes[1::2] = times[:-1] + 0.5 * h
+    times, nodes, h = half_step_grid(t_span, dt)
+    n_steps = len(times) - 1
     hams = np.array([h_of_t(t) for t in nodes.tolist()], dtype=complex)
     check_step_spread(hams[0::2][:: max(1, n_steps // 32)], h)
 
-    # The columns run as a (B, dim, 1) stack of column vectors, which
-    # np.matmul multiplies one matrix-vector product at a time.
-    dim = psi0.shape[0]
-    out = np.empty((n_steps + 1, psi0.size // dim, dim, 1), dtype=complex)
-    out[0] = psi0.reshape(dim, -1).T[:, :, None]
-    for start in range(0, n_steps, _MAP_CHUNK):
-        stop = min(start + _MAP_CHUNK, n_steps)
-        maps = rk4_transition_matrices(hams[2 * start : 2 * stop + 1], h)
-        for k, m in enumerate(maps, start):
-            np.matmul(m, out[k], out=out[k + 1])
-
-    states = out[..., 0]  # (n+1, B, dim)
+    # The columns run as a (B, dim, 1) stack of column vectors.
+    cols = psi0.reshape(psi0.shape[0], -1).T[:, :, None]
+    states = rk4_fold(hams, cols, lambda x: rk4_transition_matrices(x, h))[..., 0]  # (n+1, B, dim)
     phase = np.stack(
         [_unwrapped_phase(states[:, j] @ states[0, j].conj()) for j in range(states.shape[1])],
         axis=-1,

@@ -12,6 +12,7 @@ from berrygate.bloch import (
     rotating_rabi_vector,
     rotation_z,
 )
+from berrygate.linalg import RK4_CHUNK
 from berrygate.phase import cos_theta_resonance
 
 
@@ -94,6 +95,14 @@ def test_integrate_rejects_bad_args():
         integrate_bloch(np.array([0, 0, 1.0]), p, (1.0, 0.5), 0.01)
     with pytest.raises(ValueError):
         integrate_bloch(np.array([0, 0, 1.0]), p, (0.0, 1.0), 0.01, frame="weird")
+    z = np.array([0.0, 0.0, 1.0])
+    for s0 in (np.array([np.nan, 0.0, 1.0]), np.array([0.0, np.inf, 1.0]), z[None], z[:2]):
+        with pytest.raises(ValueError, match="finite 3-vector"):
+            integrate_bloch(s0, p, (0.0, 1.0), 0.01)
+    for t_span, dt in (((0.0, np.inf), 0.01), ((-np.inf, 1.0), 0.01), ((0.0, np.nan), 0.01),
+                       ((0.0, 1.0), np.nan), ((0.0, 1.0), np.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate_bloch(z, p, t_span, dt)
 
 
 def test_static_parallel_trajectory_constant():
@@ -154,9 +163,8 @@ def test_lab_vs_rotating_frame_equivalence():
             assert np.max(np.abs(back - lab.s[k])) < 1e-6
 
 
-@pytest.mark.parametrize("frame", ["lab", "rotating"])
-def test_integrate_bloch_matches_the_vector_rk4_oracle_bit_for_bit(frame):
-    # the float step writes out the same arithmetic as np.cross on 3-vectors
+def _oracle_cases():
+    """Four seeded short runs, then one longer than 2.5 fold chunks."""
     rng = np.random.default_rng(41)
     for _ in range(4):
         p = RabiParams(
@@ -165,5 +173,47 @@ def test_integrate_bloch_matches_the_vector_rk4_oracle_bit_for_bit(frame):
         s0 = rng.normal(size=3)
         t_span = (rng.uniform(-1.0, 0.0), rng.uniform(1.0, 2.0))
         dt = rng.uniform(1e-3, 2e-2)
+        yield p, s0, t_span, dt
+    n_long = RK4_CHUNK * 5 // 2 + 100
+    yield RabiParams(2.0, 0.9, 1.7, 0.3), rng.normal(size=3), (0.5, 0.5 + 0.002 * n_long), 0.002
+
+
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_integrate_bloch_matches_the_vector_rk4_oracle(frame):
+    # The scan multiplies the one-step maps in another order than the
+    # oracle's sequential steps, so the two agree to rounding, not bit for bit.
+    for p, s0, t_span, dt in _oracle_cases():
         traj = integrate_bloch(s0, p, t_span, dt, frame=frame)
-        assert np.array_equal(traj.s, rk4_bloch(s0, p, t_span, dt, frame=frame))
+        ref = rk4_bloch(s0, p, t_span, dt, frame=frame)
+        n = max(1, int(round((t_span[1] - t_span[0]) / dt)))
+        h = (t_span[1] - t_span[0]) / n
+        assert np.array_equal(traj.t, t_span[0] + h * np.arange(n + 1))
+        assert traj.s.shape == ref.shape
+        assert np.max(np.abs(traj.s - ref)) < 1e-12 * np.linalg.norm(s0)
+    assert n > 2.5 * RK4_CHUNK
+
+
+def _exact_bloch(s0, p, t, frame):
+    """Exact trajectory from s0 at t = 0: in the rotating frame the Rodrigues
+    rotation about the static Omega' by |Omega'| t, in the lab frame that
+    vector taken back by `from_rotating_frame`."""
+    w = rotating_rabi_vector(p)
+    n, angle = w / np.linalg.norm(w), np.linalg.norm(w) * t[:, None]
+    s = s0 * np.cos(angle) + np.cross(n, s0) * np.sin(angle)
+    s += n * np.dot(n, s0) * (1.0 - np.cos(angle))
+    if frame == "lab":
+        s = np.array([from_rotating_frame(v, p.omega, tk) for v, tk in zip(s, t)])
+    return s
+
+
+@pytest.mark.parametrize("frame", ["lab", "rotating"])
+def test_integrate_bloch_converges_at_fourth_order(frame):
+    p = RabiParams(2.0, 1.0, 1.5, 0.3)
+    s0 = np.array([0.6, -0.48, 0.64])
+    errors = []
+    for dt in (0.04, 0.02):
+        traj = integrate_bloch(s0, p, (0.0, 6.0), dt, frame=frame)
+        errors.append(np.max(np.abs(traj.s - _exact_bloch(s0, p, traj.t, frame))))
+    # both errors stand well above rounding, and halving dt divides them by 2^4
+    assert min(errors) >= 1e-9
+    assert 12.0 <= errors[0] / errors[1] <= 20.0

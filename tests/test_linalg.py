@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from berrygate.engine import _su2_mul
 from berrygate.linalg import (
     KET_UP,
     expm_hermitian,
     pauli,
     pauli_dot,
+    prefix_products,
     tensor,
 )
 
@@ -107,3 +109,39 @@ def test_expm_unitarity_and_group_law():
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValueError):
         expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+
+
+def _unitary_stack(rng, n, dim, dtype):
+    m = rng.normal(size=(n, dim, dim))
+    if dtype is complex:
+        m = m + 1j * rng.normal(size=(n, dim, dim))
+    return np.linalg.qr(m)[0]
+
+
+def _su2_pairs(rng, n):
+    pairs = rng.normal(size=(n, 3, 2)) + 1j * rng.normal(size=(n, 3, 2))
+    return pairs / np.linalg.norm(pairs, axis=-1, keepdims=True)
+
+
+# (operands, product): real rotations, complex unitaries, and the engine's
+# Cayley-Klein pairs of three sectors, all of norm one so that long products
+# stay of order one.
+SCAN_OPERANDS = {
+    "real-3x3": (lambda rng, n: _unitary_stack(rng, n, 3, float), np.matmul),
+    "complex-4x4": (lambda rng, n: _unitary_stack(rng, n, 4, complex), np.matmul),
+    "su2-pairs": (_su2_pairs, _su2_mul),
+}
+
+
+@pytest.mark.parametrize("kind", SCAN_OPERANDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 1023, 1024, 1025])
+def test_prefix_products_match_a_sequential_left_fold(kind, n):
+    make, mul = SCAN_OPERANDS[kind]
+    x = make(np.random.default_rng(n), n)
+    ref = np.empty_like(x)
+    ref[0] = x[0]
+    for k in range(1, n):
+        ref[k] = mul(x[k], ref[k - 1])
+    out = prefix_products(x, mul)
+    assert out.shape == x.shape and out.dtype == x.dtype
+    assert np.max(np.abs(out - ref)) < 1e-13

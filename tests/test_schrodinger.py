@@ -6,7 +6,7 @@ from oracles import hamiltonian_2q_full, rk4_schrodinger_by_stages, rotating_ham
 
 from berrygate import schrodinger
 from berrygate.bloch import RabiParams, integrate_bloch
-from berrygate.linalg import tensor
+from berrygate.linalg import RK4_CHUNK, tensor
 from berrygate.schrodinger import (
     StepSizeError,
     TwoSpinParams,
@@ -124,6 +124,17 @@ def test_requires_normalized_state():
         integrate_schrodinger(2.0 * UP, lambda t: np.zeros((2, 2), complex), (0.0, 1.0), 0.01)
 
 
+def test_rejects_non_finite_input():
+    zero = lambda t: np.zeros((2, 2), complex)
+    for psi0 in (np.array([np.nan, 0.0j]), np.array([[1.0, 0.0], [0.0, np.inf]], complex)):
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            integrate_schrodinger(psi0, zero, (0.0, 1.0), 0.001)
+    for t_span, dt in (((0.0, np.inf), 0.01), ((-np.inf, 1.0), 0.01), ((0.0, np.nan), 0.01),
+                       ((0.0, 1.0), np.nan), ((0.0, 1.0), np.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate_schrodinger(UP, zero, t_span, dt)
+
+
 def test_block_matches_single_column_runs():
     p = TwoSpinParams(3.0, 1.0, 0.4, RabiParams(3.0, 0.8, 2.7, 0.3))
     rng = np.random.default_rng(8)
@@ -155,7 +166,7 @@ def _random_columns(seed, dim, columns):
 _P1 = RabiParams(2.0, 0.9, 1.7, 0.3)
 _P2 = TwoSpinParams(3.0, 1.0, 0.4, RabiParams(3.0, 0.8, 2.7, 0.3))
 _FLOP = RabiParams(omega0=2.0, omega1=0.7, omega=2.0, phi=0.0)
-_LONG = (schrodinger._MAP_CHUNK * 5 // 2) * 0.002
+_LONG = (RK4_CHUNK * 5 // 2) * 0.002
 ORACLE_CASES = {
     "1q-one-column": (_random_columns(3, 2, 1)[:, 0], lambda t: hamiltonian_1q(_P1, t), 1.5, 0.002),
     "drive-on-b-block": (_random_columns(8, 4, 3),
@@ -181,7 +192,7 @@ def test_matches_the_stage_form_oracle(case):
     assert np.all(np.abs(traj.phase - ref.phase) <= 1e-12 + drift / overlap)
     assert np.max(np.abs(traj.phase - ref.phase)[overlap > 1e-2]) < 1e-12
     if case == "longer-than-a-chunk":
-        assert len(traj.t) - 1 > 2 * schrodinger._MAP_CHUNK
+        assert len(traj.t) - 1 > 2 * RK4_CHUNK
     if case == "resonant-flop-from-up":
         # the unwrap takes the sign change as one near-pi jump, on the
         # oracle's branch
