@@ -6,17 +6,19 @@ integrator is fixed-step RK4 on the complex ODE i d|psi>/dt = H(t)|psi>,
 with no renormalization: norm drift is a measured diagnostic, and a step
 size too large for the spectral spread is rejected outright.  It takes one
 state or a (dim, B) block of columns, such as the identity for a whole
-propagator; the columns share the Hamiltonian calls, and each column's
-norm check and phase unwrap are its own.
+propagator; the columns share the Hamiltonian stack, and each column's
+norm check and phase unwrap are its own.  The Hamiltonians take a scalar
+time or an array of times.
 
 The ODE is linear, so one RK4 step is one matrix (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)).  The integrator runs in batched stages:
-the scalar-time h_of_t once per node of the half-step grid, stacked; the
-spread guard on that stack; the one-step maps `rk4_transition_matrices`
-(which `engine` re-exports; it calls `linalg.rk4_step_maps`, the only copy
-of the formula), folded by a prefix scan `linalg.RK4_CHUNK` steps at a
-time onto the chunk's start state (`linalg.rk4_fold`); and, after the
-fold, the overlaps with psi(0) and their unwrap.  The tests check it
+one h_of_t call on all nodes of the half-step grid, giving the (2n+1, d, d)
+stack, checked finite and Hermitian; the spread guard on that stack; the
+one-step maps `rk4_transition_matrices` (which `engine` re-exports; it
+calls `linalg.rk4_step_maps`, the only copy of the formula), folded by a
+prefix scan `linalg.RK4_CHUNK` steps at a time onto the chunk's start
+state (`linalg.rk4_fold`); and, after the fold, the overlaps with psi(0)
+and their unwrap.  The tests check it
 against a stage-form RK4 loop.
 """
 
@@ -35,6 +37,8 @@ _SX_A, _SY_A = np.kron(pauli("x"), np.eye(2)), np.kron(pauli("y"), np.eye(2))
 
 # Max allowed dt * (eigenvalue spread); RK4 stays phase-accurate below this.
 STEP_SPREAD_LIMIT = 0.01
+# Largest |H - H^dagger| entry accepted, the atol of `linalg.expm_hermitian`.
+HERMITIAN_TOL = 1e-10
 
 
 class StepSizeError(ValueError):
@@ -69,15 +73,17 @@ class TwoSpinParams:
         return self.omega_a - math.pi * self.J
 
 
-def hamiltonian_1q(p: RabiParams, t: float) -> np.ndarray:
+def hamiltonian_1q(p: RabiParams, t) -> np.ndarray:
     """Rotating-wave lab-frame Hamiltonian of the driven qubit at time t:
 
         (1/2) [[omega0, omega1 e^{-i(wt+phi)}], [omega1 e^{+i(wt+phi)}, -omega0]]
-    """
-    off = 0.5 * p.omega1 * np.exp(-1j * (p.omega * t + p.phi))
-    return np.array(
-        [[0.5 * p.omega0, off], [np.conj(off), -0.5 * p.omega0]], dtype=complex
-    )
+
+    A scalar t gives (2, 2), an array of times (..., 2, 2)."""
+    off = 0.5 * p.omega1 * np.exp(-1j * (p.omega * np.asarray(t, dtype=float) + p.phi))
+    h = np.empty(off.shape + (2, 2), dtype=complex)
+    h[..., 0, 0], h[..., 0, 1] = 0.5 * p.omega0, off
+    h[..., 1, 0], h[..., 1, 1] = np.conj(off), -0.5 * p.omega0
+    return h
 
 
 def hamiltonian_2q(p: TwoSpinParams) -> np.ndarray:
@@ -95,11 +101,12 @@ def hamiltonian_2q(p: TwoSpinParams) -> np.ndarray:
     )
 
 
-def drive_hamiltonian_2q(p: TwoSpinParams, t: float) -> np.ndarray:
+def drive_hamiltonian_2q(p: TwoSpinParams, t) -> np.ndarray:
     """Lab-frame drive term for the two-spin system at time t: the rotating
-    field addressed to spin a."""
+    field addressed to spin a.  A scalar t gives (4, 4), an array of times
+    (..., 4, 4)."""
     d = p.drive
-    arg = d.omega * t + d.phi
+    arg = (d.omega * np.asarray(t, dtype=float) + d.phi)[..., None, None]
     hx = 0.5 * d.omega1 * np.cos(arg)
     hy = 0.5 * d.omega1 * np.sin(arg)
     return hx * _SX_A + hy * _SY_A
@@ -139,6 +146,27 @@ def check_step_spread(hams: np.ndarray, dt: float) -> None:
         )
 
 
+def _hamiltonian_stack(h_of_t, nodes: np.ndarray, dim: int) -> np.ndarray:
+    """h_of_t(nodes) as a (len(nodes), dim, dim) complex stack, a (dim, dim)
+    return broadcast to it; ValueError unless it is finite and Hermitian
+    within HERMITIAN_TOL."""
+    hams = np.asarray(h_of_t(nodes), dtype=complex)
+    shape = (len(nodes), dim, dim)
+    if hams.shape == shape[1:]:
+        hams = np.broadcast_to(hams, shape)
+    if hams.shape != shape:
+        raise ValueError(f"h_of_t must return shape {shape[1:]} or {shape}, got {hams.shape}")
+    if not np.all(np.isfinite(hams)):
+        raise ValueError("Hamiltonian must be finite")
+    defect = float(np.max(np.abs(hams - hams.conj().swapaxes(-1, -2))))
+    if defect > HERMITIAN_TOL:
+        raise ValueError(
+            f"Hamiltonian is not Hermitian: max |H - H^dagger| = {defect:.3e} "
+            f"exceeds {HERMITIAN_TOL}"
+        )
+    return hams
+
+
 def _unwrapped_phase(overlap: np.ndarray) -> np.ndarray:
     """Continuous arg of one column's overlaps <psi(0)|psi(t_k)> (n+1,).
     Only healthy samples (magnitude above 1e-6) move the phase; the others
@@ -169,14 +197,17 @@ def integrate_schrodinger(
     """Fixed-step RK4 propagation of i d|psi>/dt = H(t)|psi>.
 
     psi0 is one state (dim,) or a block of states (dim, B), such as
-    np.eye(dim) for the propagator.  h_of_t(t) takes one time and is
-    called once per node of the half-step grid (2n+1 calls for n steps).
-    The one-step maps are built in batch and folded by a prefix scan onto
-    each chunk's start state, and every column takes the same matrix-vector
-    product per step, so a block reproduces the B single-column runs.
-    Requires a finite psi0 whose every column has |psi0| = 1, a finite,
-    increasing t_span, a finite dt > 0 and dt * (max eigenvalue spread of
-    H) <= 0.01; a violating step size raises StepSizeError instead of
+    np.eye(dim) for the propagator.  h_of_t is called once, with the
+    (2n+1,) nodes of the half-step grid of n steps, and returns H at those
+    times as a (2n+1, dim, dim) stack, or a constant H as one (dim, dim)
+    matrix (so `lambda t: h` works).  The one-step maps are built in batch
+    and folded by a prefix scan onto each chunk's start state, and every
+    column takes the same matrix-vector product per step, so a block
+    reproduces the B single-column runs.  Requires a finite psi0 whose
+    every column has |psi0| = 1, a finite, increasing t_span, a finite
+    dt > 0 and a finite stack of that shape, Hermitian within
+    HERMITIAN_TOL (ValueError otherwise), and dt * (max eigenvalue spread
+    of H) <= 0.01; a violating step size raises StepSizeError instead of
     silently degrading.  The state is never renormalized.  Each column's
     global phase arg<psi(0)|psi(t)> is unwrapped step to step; a jump >= pi
     between healthy samples (overlap magnitude above 1e-6) aborts, since it
@@ -189,7 +220,7 @@ def integrate_schrodinger(
         raise ValueError("initial state must be normalized")
     times, nodes, h = half_step_grid(t_span, dt)
     n_steps = len(times) - 1
-    hams = np.array([h_of_t(t) for t in nodes.tolist()], dtype=complex)
+    hams = _hamiltonian_stack(h_of_t, nodes, psi0.shape[0])
     check_step_spread(hams[0::2][:: max(1, n_steps // 32)], h)
 
     # The columns run as a (B, dim, 1) stack of column vectors.

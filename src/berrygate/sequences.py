@@ -696,7 +696,6 @@ def delta_gamma(
 class ConditionalPhaseResult:
     delta_gamma: float
     gate: np.ndarray  # measured 4x4 propagator
-    target: np.ndarray  # diag(e^{2i dg}, e^{-2i dg}, e^{-2i dg}, e^{2i dg})
     fidelity: float
     off_diagonal_leakage: float
     dynamic_residual: float
@@ -766,15 +765,13 @@ def run_conditional_sequence(
     u_f, total, dynamic = res.final, res.total, res.dynamic
 
     dg = delta_gamma(p.omega_a, p.drive.omega, p.drive.omega1, p.J)
-    target = conditional_target_gate(dg)
-    fid = gate_fidelity(u_f, target)
+    fid = gate_fidelity(u_f, conditional_target_gate(dg))
     off = u_f - np.diag(np.diag(u_f))
     col_norms = np.linalg.norm(u_f, axis=0)
     fids = np.abs(np.diag(u_f)) / col_norms
     result = ConditionalPhaseResult(
         delta_gamma=dg,
         gate=u_f,
-        target=target,
         fidelity=fid,
         off_diagonal_leakage=float(np.max(np.abs(off))),
         dynamic_residual=float(np.max(np.abs(dynamic - dynamic.mean()))),

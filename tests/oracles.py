@@ -22,22 +22,28 @@ from berrygate.sequences import delta_gamma
 def rotating_hamiltonian_1q(p: RabiParams) -> np.ndarray:
     """Time-independent Hamiltonian in the frame rotating at the drive
     frequency: (1/2) Omega' . sigma with Omega' = (w1 cos phi, w1 sin phi, w0 - w)."""
-    off = 0.5 * p.omega1 * np.exp(-1j * p.phi)
-    return np.array(
-        [[0.5 * (p.omega0 - p.omega), off], [np.conj(off), -0.5 * (p.omega0 - p.omega)]],
-        dtype=complex,
+    return _rotating_hamiltonian(p.omega0 - p.omega, p.omega1, p.phi)
+
+
+def _rotating_hamiltonian(detuning, omega1, phi) -> np.ndarray:
+    """(1/2) [[detuning, omega1 e^{-i phi}], [omega1 e^{+i phi}, -detuning]],
+    (..., 2, 2) for arrays of the three controls."""
+    off = 0.5 * omega1 * np.exp(-1j * phi)
+    return np.moveaxis(
+        np.array([[0.5 * detuning, off], [np.conj(off), -0.5 * detuning]], dtype=complex),
+        (0, 1), (-2, -1),
     )
 
 
-def hamiltonian_2q_full(p: TwoSpinParams, t: float, drive_on_b: bool = False) -> np.ndarray:
+def hamiltonian_2q_full(p: TwoSpinParams, t, drive_on_b: bool = False) -> np.ndarray:
     """Oracle: the lab-frame two-spin Hamiltonian at time t, the static part
-    plus the rotating drive, as one dense 4x4 matrix.  The drive is
-    addressed to spin a; with drive_on_b the same field also reaches spin b
-    (off resonance)."""
+    plus the rotating drive, as one dense 4x4 matrix, or (..., 4, 4) for an
+    array of times.  The drive is addressed to spin a; with drive_on_b the
+    same field also reaches spin b (off resonance)."""
     h = hamiltonian_2q(p) + drive_hamiltonian_2q(p, t)
     if drive_on_b:
         d = p.drive
-        arg = d.omega * t + d.phi
+        arg = (d.omega * np.asarray(t, dtype=float) + d.phi)[..., None, None]
         h = h + d.omega1 * (np.cos(arg) * _SPIN_B["x"] + np.sin(arg) * _SPIN_B["y"])
     return h
 
@@ -52,15 +58,20 @@ def spinor_of_direction(theta: float, alpha: float) -> np.ndarray:
 
 
 def hamiltonian_of_schedule_1q(omega0: float, schedule):
-    """Scalar-time rotating-frame Hamiltonian H(t) of a single-qubit
-    schedule, for the stepwise integrator."""
+    """Rotating-frame Hamiltonian H(t) of a single-qubit schedule, for the
+    stepwise integrators: (2, 2) at a scalar t, (..., 2, 2) for an array of
+    times, each time read from the segment it falls in."""
     starts = np.cumsum([0.0] + [seg.duration for seg in schedule.segments])
 
-    def h_of_t(t: float) -> np.ndarray:
-        t = min(max(t, 0.0), starts[-1])
-        i = int(np.clip(np.searchsorted(starts, t) - 1, 0, len(starts) - 2))
-        w1, om, ph = schedule.segments[i].controls_at(t - starts[i])
-        return rotating_hamiltonian_1q(RabiParams(omega0, float(w1), float(om), float(ph)))
+    def h_of_t(t) -> np.ndarray:
+        t = np.clip(np.asarray(t, dtype=float), 0.0, starts[-1])
+        seg_of = np.clip(np.searchsorted(starts, t) - 1, 0, len(starts) - 2)
+        controls = np.zeros((3,) + t.shape)
+        for i, seg in enumerate(schedule.segments):
+            here = seg_of == i
+            controls[:, here] = seg.controls_at(t[here] - starts[i])
+        w1, om, ph = controls
+        return _rotating_hamiltonian(omega0 - om, w1, ph)
 
     return h_of_t
 

@@ -1,16 +1,20 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import hamiltonian_2q_full, rk4_schrodinger_by_stages, rotating_hamiltonian_1q
 
 from berrygate import schrodinger
 from berrygate.bloch import RabiParams, integrate_bloch
-from berrygate.linalg import RK4_CHUNK, tensor
+from berrygate.linalg import RK4_CHUNK, half_step_grid, tensor
 from berrygate.schrodinger import (
     StepSizeError,
     TwoSpinParams,
     bloch_of_state,
+    drive_hamiltonian_2q,
     hamiltonian_1q,
     hamiltonian_2q,
     integrate_schrodinger,
@@ -201,6 +205,7 @@ def test_matches_the_stage_form_oracle(case):
 
 
 def test_one_hamiltonian_call_per_half_step_node():
+    # one call in all, with every node of the half-step grid at once
     calls = []
     h = np.diag([0.8, -0.8]).astype(complex)
 
@@ -209,11 +214,53 @@ def test_one_hamiltonian_call_per_half_step_node():
         return h
 
     traj = integrate_schrodinger(UP, h_of_t, (0.0, 2.0), 0.004)
-    n = len(traj.t) - 1
-    assert n == 500
-    assert len(calls) == 2 * n + 1
-    assert all(type(t) is float for t in calls)
-    assert np.allclose(calls, np.linspace(0.0, 2.0, 2 * n + 1), rtol=0.0, atol=1e-15)
+    assert len(traj.t) - 1 == 500
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], half_step_grid((0.0, 2.0), 0.004)[1])
+
+
+_FREQ = st.floats(-150.0, 150.0)
+_PHASE = st.floats(-7.0, 7.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    drive=st.tuples(_FREQ, st.floats(0.0, 5.0), _FREQ, _PHASE).map(lambda c: RabiParams(*c)),
+    wb=st.floats(1.0, 99.0),
+    J=st.floats(-2.0, 2.0),
+    ts=st.lists(st.floats(-100.0, 3000.0), min_size=1, max_size=40).map(np.array),
+)
+def test_batched_hamiltonians_equal_the_stacked_scalar_calls(drive, wb, J, ts):
+    q = TwoSpinParams(100.0, wb, J, drive)
+    for f in (partial(hamiltonian_1q, drive), partial(drive_hamiltonian_2q, q)):
+        assert np.array_equal(f(ts), np.array([f(t) for t in ts.tolist()]))
+
+
+_NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+BAD_HAMILTONIANS = {
+    "nan": (lambda t: np.full((2, 2), np.nan), "finite"),
+    "inf-at-one-node": (lambda t: np.where((t == t[3])[:, None, None], np.inf, 0.0)
+                        * np.ones((2, 2)), "finite"),
+    "3x3": (lambda t: np.zeros((3, 3)), "shape"),
+    "stack-one-node-short": (lambda t: np.zeros((len(t) - 1, 2, 2)), "shape"),
+    "scalar-per-node": (lambda t: np.zeros_like(t), "shape"),
+    "upper-triangle-only": (lambda t: _NOT_HERMITIAN, "Hermitian"),
+    "non-hermitian-by-2e-10": (lambda t: hamiltonian_1q(_P1, t) + 2e-10 * _NOT_HERMITIAN,
+                               "Hermitian"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_HAMILTONIANS)
+def test_bad_hamiltonian_rejected(case):
+    h_of_t, message = BAD_HAMILTONIANS[case]
+    with pytest.raises(ValueError, match=message):
+        integrate_schrodinger(UP, h_of_t, (0.0, 1.0), 0.01)
+
+
+def test_hermitian_within_the_bound_accepted():
+    h_of_t = lambda t: hamiltonian_1q(_P1, t) + 0.5e-10 * _NOT_HERMITIAN
+    traj = integrate_schrodinger(UP, h_of_t, (0.0, 1.0), 0.002)
+    assert np.all(np.isfinite(traj.psi))
 
 
 def test_unwrap_holds_the_angle_across_a_vanishing_overlap():
