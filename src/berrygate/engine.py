@@ -37,6 +37,18 @@ each block are folded by pairwise products, and the samples of a chunk
 come from a prefix scan over the block products.  At most `_CHUNK_STEPS`
 steps (or one sample block, if longer) are held at a time.
 
+The work splits at the start state.  The maps from a chunk's start to each
+of its samples (the controls at the Gauss nodes, the steps with their gap
+guard, the block products, the prefix scan, the renormalized pairs) do not
+depend on the state; only applying them does.  Where the Hamiltonian is a
+function of the time since the run's start t0 alone, they do not depend on
+t0 either, so a later run of the same segment can take them as they are
+(`propagate_sampled`'s maps).  `sequences._run_plan` relies on this for its
+two production models, whose Hamiltonians (`sequences._cone_field`,
+`sequences._h2q_stack`) read their times only for their length and take the
+controls at local time.  A Hamiltonian given as a plain callable may depend
+on absolute time, and is propagated afresh on every use.
+
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
 one-step RK4 maps that `schrodinger.integrate_schrodinger` folds, is
@@ -183,16 +195,17 @@ def _block_products(steps: np.ndarray, mul, block: int) -> np.ndarray:
     return x[:, 0]
 
 
-def _chunk_states(model, controls, t_chunk: float, nc: int, dt: float, block: int,
-                  u: np.ndarray) -> np.ndarray:
-    """States (nc/block,) + u.shape at each sample of a chunk of nc steps
-    that starts from u at t_chunk."""
+def _chunk_maps(model, controls, t_chunk: float, nc: int, dt: float, block: int) -> np.ndarray:
+    """State-independent maps from the start of a chunk of nc steps at
+    t_chunk to each of its nc/block samples: Cayley-Klein pairs
+    (nc/block, S, 2) per sector of a `SectorField`, else unitaries
+    (nc/block, d, d)."""
     nodes = (t_chunk + dt * (_GAUSS_NODES[:, None] + np.arange(nc))).ravel()
     if not isinstance(model, SectorField):
         h = model(nodes, *controls(nodes))
         steps, gap = magnus4_dense_steps(h[:nc], h[nc:], dt)
         _check_gap(gap, "||[H2, H1]||")
-        return prefix_products(_block_products(steps, np.matmul, block), np.matmul) @ u
+        return prefix_products(_block_products(steps, np.matmul, block), np.matmul)
     v = model.field(nodes, *controls(nodes))
     steps, gap = magnus4_steps(v[:, :nc], v[:, nc:], dt)
     _check_gap(gap, "|v2 x v1|")
@@ -201,10 +214,18 @@ def _chunk_states(model, controls, t_chunk: float, nc: int, dt: float, block: in
     # 1e-17 each on average; since the norm is multiplicative, renormalizing
     # the products keeps that bias from adding up over 10^6 steps.
     pairs /= np.sqrt(np.sum(np.abs(pairs) ** 2, axis=-1, keepdims=True))
-    states = np.empty(pairs.shape[:1] + u.shape, dtype=complex)
+    return pairs
+
+
+def _apply_maps(model, maps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States (len(maps),) + u.shape of the maps of `_chunk_maps` applied
+    to the chunk's start state u."""
+    if not isinstance(model, SectorField):
+        return maps @ u
+    states = np.empty(maps.shape[:1] + u.shape, dtype=complex)
     states[:] = u
     for s, (i, j) in enumerate(model.rows):
-        a, b = pairs[:, s, 0, None], pairs[:, s, 1, None]
+        a, b = maps[:, s, 0, None], maps[:, s, 1, None]
         states[:, i] = a * u[i] - b.conj() * u[j]
         states[:, j] = b * u[i] + a.conj() * u[j]
     return states
@@ -218,6 +239,7 @@ def propagate_sampled(
     u0: np.ndarray,
     controls,
     steps_per_sample: int,
+    maps: list | None = None,
 ):
     """Propagate the columns u0 (d, m) over n_steps Magnus-4 steps of size
     dt.
@@ -231,6 +253,13 @@ def propagate_sampled(
     ValueError otherwise); states has shape (n_samples, d, m).
     Sample k sits at t0 + (k * steps_per_sample) * dt, so halving dt and
     doubling steps_per_sample gives the same sample times.
+
+    maps, if given, holds the state-independent sample maps of the run, one
+    entry per chunk: an empty list is filled, and a filled one is applied
+    to u0 as it is, with no Hamiltonian evaluated and no step taken.  A
+    filled list is only valid for a run of the same n_steps, dt and
+    steps_per_sample whose Hamiltonian is the same function of the time
+    since t0 (see the module docstring).
     """
     if n_steps % steps_per_sample:
         raise ValueError(
@@ -240,13 +269,18 @@ def propagate_sampled(
     samples = [u[None]]
     times = [np.array([t0])]
     chunk = max(1, _CHUNK_STEPS // steps_per_sample) * steps_per_sample
-    done = 0
-    while done < n_steps:
-        nc = min(chunk, n_steps - done)
-        states = _chunk_states(model, controls, t0 + done * dt, nc, dt, steps_per_sample, u)
+    reuse = bool(maps)
+    for k, done in enumerate(range(0, n_steps, chunk)):
+        if reuse:
+            chunk_maps = maps[k]
+        else:
+            nc = min(chunk, n_steps - done)
+            chunk_maps = _chunk_maps(model, controls, t0 + done * dt, nc, dt, steps_per_sample)
+            if maps is not None:
+                maps.append(chunk_maps)
+        states = _apply_maps(model, chunk_maps, u)
         ends = np.arange(1, len(states) + 1) * steps_per_sample
         samples.append(states)
         times.append(t0 + (done + ends) * dt)
         u = states[-1]
-        done += nc
     return np.concatenate(times), np.concatenate(samples)

@@ -146,13 +146,14 @@ def solid_angle_spherical_polygon(vertices) -> float:
     return total
 
 
-def eigenstate_path(hams, branch: int, scale: float | None = None) -> np.ndarray:
+def eigenstate_path(hams, branch: int) -> np.ndarray:
     """Instantaneous eigenvectors of a sequence of Hamiltonians, tracked
     continuously: each step's eigenvector is phase-aligned so its overlap with
     the previous one is real positive.
 
     branch indexes the eigenvalues in ascending order (0 = lowest).  A gap
-    |E_branch - E_other| below 1e-9 times the spectral scale aborts with
+    |E_branch - E_other| below 1e-9 times the spectral scale max(|E_min|,
+    |E_max|) (1e-300 for the zero matrix) aborts with
     DegenerateSpectrumError, since tracking through a degeneracy is
     ill-defined.
     """
@@ -164,7 +165,7 @@ def eigenstate_path(hams, branch: int, scale: float | None = None) -> np.ndarray
     prev = None
     for k, h in enumerate(hams):
         evals, evecs = np.linalg.eigh(h)
-        ref = scale if scale is not None else max(abs(evals[0]), abs(evals[-1]), 1e-300)
+        ref = max(abs(evals[0]), abs(evals[-1]), 1e-300)
         gaps = [abs(evals[branch] - evals[j]) for j in range(dim) if j != branch]
         if min(gaps) < 1e-9 * ref:
             raise DegenerateSpectrumError(

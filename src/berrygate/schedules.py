@@ -89,10 +89,6 @@ class PulseSchedule:
                     )
             prev_end = (seg.omega1[1], seg.omega[1], seg.phi[1])
 
-    @property
-    def total_duration(self) -> float:
-        return sum(seg.duration for seg in self.segments)
-
 
 def build_cone_loop(
     p: RabiParams,

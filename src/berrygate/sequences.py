@@ -28,6 +28,7 @@ phases, so per-loop phases add up across a compound sequence.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import repeat
@@ -76,7 +77,9 @@ ROWS_2Q = ((0, 2), (1, 3))
 
 def _cone_field(times, w1, om, ph, *, sector_freqs) -> np.ndarray:
     """(3, n, S) Bloch fields of cone sectors that share one drive and
-    differ in their transition frequency."""
+    differ in their transition frequency.  times is read only for its
+    length, so the fields depend on the controls alone (`_run_plan` shares
+    a segment's maps among its uses on that ground)."""
     n = len(times)
     v = np.empty((3, n, len(sector_freqs)))
     v[0] = np.broadcast_to(w1 * np.cos(ph), (n,))[:, None]
@@ -108,7 +111,8 @@ def _h2q_stack(p: TwoSpinParams, times, w1, om, ph_rate):
              + w1 (S_ax + S_bx) - phi' S_z^tot.
 
     On the diagonal, rows 0, 2 hold the b-up cone sector at w+ and rows 1, 3
-    the b-down one at w-, as in `_cone_field`."""
+    the b-down one at w-, as in `_cone_field`.  As there, times is read only
+    for its length."""
     zp, zm, zb = (0.5 * (w - om) for w in (p.omega_plus, p.omega_minus, p.omega_b))
     h = np.zeros((len(times), 4, 4))
     h[:, 0, 0] = zp + zb - ph_rate
@@ -143,20 +147,29 @@ class _PhiFrame:
 
     p: TwoSpinParams
 
-    def run(self, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int):
+    def run(self, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
+            shared: _SegmentMaps):
         """Sample times, states and energies of one segment, in the report
-        frame, from the state u at its start t0."""
+        frame, from the state u at its start t0.  The frame's angles depend
+        on absolute time and are taken on every use; H' and dPhi/dt at the
+        samples come from shared."""
         model = partial(_h2q_stack, self.p)
         controls = partial(_phi_frame_controls, seg, t0)
         u = np.exp(1j * self._angles(seg, t0, np.array([t0])))[0, :, None] * u
-        times, states = engine.propagate_sampled(model, t0, n_steps, dt, u, controls, block)
-        w1, om, ph_rate = controls(times)
-        energies = _expectation(model(times, w1, om, ph_rate), states)
-        rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
-        rates += np.multiply.outer(om - self.p.omega_b, _SZ_B)
+        times, states = engine.propagate_sampled(
+            model, t0, n_steps, dt, u, controls, block, shared.maps
+        )
+        h, rates = shared.at_samples(lambda: self._energy_terms(times, *controls(times)))
+        energies = _expectation(h, states)
         energies += np.einsum("sd,sdm->sm", rates, np.abs(states) ** 2)
         states *= np.exp(-1j * self._angles(seg, t0, times))[:, :, None]
         return times, states, energies
+
+    def _energy_terms(self, times, w1, om, ph_rate):
+        """H' (S, 4, 4) and the diagonal of dPhi/dt (S, 4) at the samples."""
+        rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
+        rates += np.multiply.outer(om - self.p.omega_b, _SZ_B)
+        return _h2q_stack(self.p, times, w1, om, ph_rate), rates
 
     def _angles(self, seg: Segment, t0: float, times) -> np.ndarray:
         """(n, 4) diagonal of Phi at absolute times of a segment."""
@@ -180,6 +193,23 @@ def _expectation(h: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Plan execution
+
+
+class _SegmentMaps:
+    """The state-independent work of one segment run: the engine's sample
+    maps (`engine.propagate_sampled`) and the model's terms of the energies
+    at the sample times.  Both are filled by the first use, and a segment
+    that recurs in a plan shares one instance among its uses."""
+
+    def __init__(self):
+        self.maps: list = []
+        self._at_samples = None
+
+    def at_samples(self, compute):
+        """compute() on the first call, the same value after."""
+        if self._at_samples is None:
+            self._at_samples = compute()
+        return self._at_samples
 
 
 @dataclass
@@ -268,15 +298,20 @@ def _segment_controls(seg: Segment, t0: float, times):
     return seg.controls_at(np.asarray(times) - t0)
 
 
-def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int):
+def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
+                 shared: _SegmentMaps):
     """Sample times, states (S, d, m) and energies <psi|H|psi> (S, m) of one
-    segment that starts from u at t0."""
+    segment that starts from u at t0, with its state-independent work in
+    shared."""
     if isinstance(model, _PhiFrame):
-        return model.run(seg, t0, n_steps, dt, u, block)
+        return model.run(seg, t0, n_steps, dt, u, block, shared)
     controls = partial(_segment_controls, seg, t0)
-    times, states = engine.propagate_sampled(model, t0, n_steps, dt, u, controls, block)
+    times, states = engine.propagate_sampled(
+        model, t0, n_steps, dt, u, controls, block, shared.maps
+    )
     if isinstance(model, engine.SectorField):
-        energies = model.expectation(model.field(times, *controls(times)), states)
+        field = shared.at_samples(lambda: model.field(times, *controls(times)))
+        energies = model.expectation(field, states)
     else:
         energies = _expectation(model(times, *controls(times)), states)
     return times, states, energies
@@ -296,10 +331,28 @@ def _run_plan(plan, model, u0, dt, spacing):
     every step instead.  So at any dt up to the spacing the sample times
     are the same, and only the steps change.
 
+    A segment's Hamiltonian in the rotating frame (`engine.SectorField`)
+    and in the phi frame (`_PhiFrame`) is a function of its controls at
+    local time alone, so its sample maps do not depend on its start time or
+    state (see `engine`).  A segment that occurs more than once in the plan,
+    with the same step count and dt, is propagated once: its
+    `_SegmentMaps` are kept for its later uses, which only apply the maps
+    to their own start states and take their own energies, phase ledger,
+    quadratures and book.  A segment that occurs once keeps nothing, and a
+    plain callable model, which may depend on absolute time, is propagated
+    afresh on every use.  Nothing outlives the call.
+
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
     interval = max(spacing, dt)
     block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
+    runs = []
+    for kind, seg in plan:
+        if kind == "seg":
+            n_steps = block * max(1, round(seg.duration / interval))
+            runs.append((seg, n_steps, seg.duration / n_steps))
+    shareable = isinstance(model, (engine.SectorField, _PhiFrame))
+    shared = {run: _SegmentMaps() for run, uses in Counter(runs).items() if shareable and uses > 1}
     u = np.asarray(u0, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
@@ -314,11 +367,12 @@ def _run_plan(plan, model, u0, dt, spacing):
             u = payload @ u
             ledger.after_pulse(u)
             continue
-        seg: Segment = payload
-        n_steps = block * max(1, round(seg.duration / interval))
-        dt_seg = seg.duration / n_steps
+        run = runs[len(books)]
+        seg, n_steps, dt_seg = run
         t0 = t_abs
-        times, states, energies = _run_segment(model, seg, t0, n_steps, dt_seg, u, block)
+        times, states, energies = _run_segment(
+            model, seg, t0, n_steps, dt_seg, u, block, shared.get(run) or _SegmentMaps()
+        )
         try:
             ledger.update(states, -_cumulative_trapezoid(energies, times))
         except AdiabaticityError as exc:

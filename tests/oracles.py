@@ -188,11 +188,12 @@ def write_surface_csv_by_points(surface, path) -> None:
                 fh.write(f"{d:.12g},{w:.12g},{surface.delta_gamma[i, j]:.12g}\n")
 
 
-def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample):
+def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample, maps=None):
     """Oracle for `engine.propagate_sampled`, same arguments and samples:
     batched RK4 maps (`engine.rk4_transition_matrices`, under the step guard
     `engine._check_spread`) of the dense stack model(times, *controls(times))
-    on the half-step grid, applied to the state one step at a time."""
+    on the half-step grid, applied to the state one step at a time.  It
+    ignores maps and propagates afresh on every call."""
     if n_steps % steps_per_sample:
         raise ValueError(
             f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"

@@ -247,7 +247,7 @@ def test_eigenstate_path_degeneracy_aborts():
     with pytest.raises(DegenerateSpectrumError):
         eigenstate_path([np.zeros((2, 2), dtype=complex)] * 3, branch=0)
     with pytest.raises(DegenerateSpectrumError):
-        eigenstate_path([pauli("z"), np.zeros((2, 2), complex)], branch=0, scale=1.0)
+        eigenstate_path([pauli("z"), np.zeros((2, 2), complex)], branch=0)
 
 
 def test_eigenstate_path_branch_bounds():

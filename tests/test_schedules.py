@@ -13,7 +13,7 @@ def test_cone_loop_structure():
     sched = build_cone_loop(p, ramp_time=2.0, sweep_time=10.0)
     kinds = [s.kind for s in sched.segments]
     assert kinds == ["ramp_up", "phase_sweep", "ramp_down"]
-    assert sched.total_duration == pytest.approx(14.0)
+    assert sum(s.duration for s in sched.segments) == pytest.approx(14.0)
     # amplitude ramps 0 -> omega1 -> 0, phase sweeps one full turn
     ramp_up, sweep, ramp_down = sched.segments
     assert ramp_up.omega1 == (0.0, 1.0)
@@ -31,7 +31,7 @@ def test_cone_loop_zero_amplitude_is_idle():
     p = RabiParams(5.0, 0.0, 4.2, 0.0)
     sched = build_cone_loop(p, 2.0, 10.0)
     assert [s.kind for s in sched.segments] == ["idle"]
-    assert sched.total_duration == pytest.approx(14.0)
+    assert sum(s.duration for s in sched.segments) == pytest.approx(14.0)
 
 
 def test_cone_loop_rejects_bad_durations():

@@ -58,9 +58,8 @@ def test_engine_matches_stepwise_rk4():
     sched = build_cone_loop(p, ramp_time=4.0, sweep_time=20.0)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     dt = 0.004
-    ref = integrate_schrodinger(
-        psi0, hamiltonian_of_schedule_1q(p.omega0, sched), (0.0, sched.total_duration), dt
-    )
+    span = (0.0, sum(s.duration for s in sched.segments))
+    ref = integrate_schrodinger(psi0, hamiltonian_of_schedule_1q(p.omega0, sched), span, dt)
     # A plain matrix callable, not an engine.SectorField.
     rk4_model = _model_1q(p.omega0).__call__
     assert not isinstance(rk4_model, engine.SectorField)
