@@ -187,8 +187,13 @@ def _phi_frame_controls(seg: Segment, t0: float, times):
 
 
 def _expectation(h: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<psi|H|psi> (S, m) of states (S, d, m) under the Hamiltonians (S, d, d)."""
-    return np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
+    """<psi|H|psi> (S, m) of states (S, d, m) under the real Hamiltonians
+    (S, d, d), as x^T H x + y^T H y of the real and imaginary parts x, y, so
+    that H is never promoted to complex.  H' of `_PhiFrame` is real by
+    construction."""
+    xy = states.view(float)  # (S, d, 2m): x and y of each column side by side
+    e = np.einsum("sdm,sdm->sm", xy, h @ xy)
+    return e[:, 0::2] + e[:, 1::2]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +318,8 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
         field = shared.at_samples(lambda: model.field(times, *controls(times)))
         energies = model.expectation(field, states)
     else:
-        energies = _expectation(model(times, *controls(times)), states)
+        h = model(times, *controls(times))
+        energies = np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
     return times, states, energies
 
 
@@ -713,9 +719,6 @@ def run_spin_echo_1q(
 # Differential shift and the two-spin conditional sequence
 
 
-_hypot = np.frompyfunc(math.hypot, 2, 1)
-
-
 def delta_gamma(
     omega_a: float | np.ndarray,
     omega: float | np.ndarray,
@@ -727,23 +730,18 @@ def delta_gamma(
         pi * [ (w+ - w)/sqrt((w+ - w)^2 + w1^2) - (w- - w)/sqrt((w- - w)^2 + w1^2) ]
 
     with w+- = omega_a +- pi*J.  Floats give a float.  Numpy arrays
-    broadcast, and each element is bit for bit the scalar call's value: the
-    root is math.hypot elementwise, since np.hypot differs from it in the
-    last place at some points.
+    broadcast, and each element is bit for bit the scalar call's value: both
+    take the roots with np.hypot, which is within one ulp of the correctly
+    rounded math.hypot, and differs from it on about 0.6% of points.
     """
     pj = math.pi * J
     plus = omega_a + pj - omega
     minus = omega_a - pj - omega
-    if isinstance(plus, np.ndarray) or isinstance(omega1, np.ndarray):
-        r_plus = np.asarray(_hypot(plus, omega1), dtype=float)
-        r_minus = np.asarray(_hypot(minus, omega1), dtype=float)
-        vanishes = not (r_plus.all() and r_minus.all())
-    else:
-        r_plus, r_minus = math.hypot(plus, omega1), math.hypot(minus, omega1)
-        vanishes = r_plus == 0.0 or r_minus == 0.0
-    if vanishes:
+    r_plus, r_minus = np.hypot(plus, omega1), np.hypot(minus, omega1)
+    if not (r_plus.all() and r_minus.all()):
         raise ValueError("Rabi vector vanishes in one coupling sector")
-    return math.pi * (plus / r_plus - minus / r_minus)
+    dg = math.pi * (plus / r_plus - minus / r_minus)
+    return dg if isinstance(dg, np.ndarray) else float(dg)
 
 
 @dataclass(frozen=True)

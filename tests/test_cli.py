@@ -6,6 +6,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import berrygate
@@ -13,7 +14,12 @@ from berrygate.bloch import RabiParams
 from berrygate.checks import check_names
 from berrygate.cli import main
 from berrygate.schrodinger import TwoSpinParams
-from berrygate.sequences import default_times_2q, resolve_times
+from berrygate.sequences import (
+    default_times_2q,
+    delta_gamma,
+    fault_tolerance_surface,
+    resolve_times,
+)
 
 
 def run_cli(capsys, *args):
@@ -123,6 +129,36 @@ def test_sweep_flags_a_peak_beyond_the_grid(tmp_path, capsys):
         fields = row.split(",")
         assert fields[1] == "0.5" and fields[4] == "1"
         assert float(fields[3]) > 0.0
+
+
+@pytest.mark.parametrize("coupling", [0.7, -0.45])
+def test_sweep_csv_is_the_scalar_api_at_every_point(tmp_path, capsys, coupling):
+    omega_a, pj = 57.5, math.pi * coupling
+    det, amp = np.linspace(-2.5, 3.5, 23), np.linspace(0.05, 4.0, 37)
+    # The grid takes roots on which np.hypot and math.hypot differ.
+    plus, w1 = omega_a + pj - (omega_a - det[:, None] * pj), amp * pj
+    assert np.any(np.hypot(plus, w1) != np.frompyfunc(math.hypot, 2, 1)(plus, w1))
+    out_csv = tmp_path / "s.csv"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--omega-a", str(omega_a), "--coupling", str(coupling),
+        "--detuning-min", "-2.5", "--detuning-max", "3.5", "--detuning-count", "23",
+        "--omega1-min", "0.05", "--omega1-max", "4.0", "--omega1-count", "37",
+        "--output", str(out_csv),
+    )
+    assert code == 0
+    want = [
+        f"{d:.12g},{w:.12g},"
+        f"{delta_gamma(omega_a, omega_a - d * pj, w * pj, coupling):.12g}"
+        for d in det.tolist() for w in amp.tolist()
+    ]
+    assert out_csv.read_text().splitlines()[1:] == want
+    peaks = fault_tolerance_surface(omega_a, coupling, det, amp).peaks
+    want_peaks = [
+        f"{pk.detuning_over_piJ:.12g},{pk.omega1_over_piJ:.12g},"
+        f"{pk.delta_gamma:.12g},{pk.slope:.12g},{int(pk.boundary)}"
+        for pk in peaks
+    ]
+    assert (tmp_path / "s.csv.peaks.csv").read_text().splitlines()[1:] == want_peaks
 
 
 @pytest.mark.parametrize("flag, value", [

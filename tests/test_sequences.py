@@ -427,16 +427,43 @@ def test_delta_gamma_closed_form_values():
         delta_gamma(wa, wa + math.pi * J, 0.0, J)
 
 
+# Detunings (n, 1) against amplitudes (m,): the arrays broadcast to (n, m).
+grid_axes = dict(
+    detunings=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=4),
+    omega1s=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=5),
+)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     omega_a=st.floats(1.0, 200.0),
     detuning=st.floats(-10.0, 10.0),
     omega1=st.floats(0.01, 10.0),
     J=st.floats(-5.0, 5.0),
+    **grid_axes,
 )
-def test_delta_gamma_is_odd_in_J(omega_a, detuning, omega1, J):
+def test_delta_gamma_is_odd_in_J(omega_a, detuning, omega1, J, detunings, omega1s):
     omega = omega_a - detuning
     assert delta_gamma(omega_a, omega, omega1, -J) == -delta_gamma(omega_a, omega, omega1, J)
+    omegas, amps = omega_a - np.array(detunings)[:, None], np.array(omega1s)
+    got = delta_gamma(omega_a, omegas, amps, J)
+    assert delta_gamma(omega_a, omegas, amps, -J).tolist() == (-got).tolist()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    omega_a=st.floats(1.0, 200.0),
+    detuning=st.floats(-10.0, 10.0),
+    omega1=st.floats(0.01, 10.0),
+    J=st.floats(-5.0, 5.0),
+    **grid_axes,
+)
+def test_delta_gamma_is_even_in_omega1(omega_a, detuning, omega1, J, detunings, omega1s):
+    omega = omega_a - detuning
+    assert delta_gamma(omega_a, omega, -omega1, J) == delta_gamma(omega_a, omega, omega1, J)
+    omegas, amps = omega_a - np.array(detunings)[:, None], np.array(omega1s)
+    got = delta_gamma(omega_a, omegas, amps, J)
+    assert delta_gamma(omega_a, omegas, -amps, J).tolist() == got.tolist()
 
 
 def test_delta_gamma_of_floats_is_a_float():
@@ -670,16 +697,20 @@ def test_surface_rejects_bad_grids():
 def test_surface_is_bit_for_bit_the_pointwise_closed_form():
     # A grid on which np.hypot differs from math.hypot in the last place, and
     # enough to change the closed form, so the surface matches its pointwise
-    # oracle only if its roots are taken with math.hypot.
+    # oracle only if both take their roots with the same function.
     omega_a, J = 100.0, 1.0 / math.pi
     det, amp = np.linspace(0.2, 3.0, 30), np.linspace(0.1, 5.0, 60)
     pj = math.pi * J
     omega, w1 = omega_a - det[:, None] * pj, amp * pj
     plus, minus = omega_a + pj - omega, omega_a - pj - omega
-    assert np.any(np.hypot(plus, w1) != np.frompyfunc(math.hypot, 2, 1)(plus, w1))
+
+    def math_hypot(x, y):
+        return np.frompyfunc(math.hypot, 2, 1)(x, y).astype(float)
+
+    assert np.any(np.hypot(plus, w1) != math_hypot(plus, w1))
     want = surface_by_points(omega_a, J, det, amp)
-    with_np_hypot = math.pi * (plus / np.hypot(plus, w1) - minus / np.hypot(minus, w1))
-    assert np.any(with_np_hypot != want)
+    with_math_hypot = math.pi * (plus / math_hypot(plus, w1) - minus / math_hypot(minus, w1))
+    assert np.any(with_math_hypot != want)
 
     got = fault_tolerance_surface(omega_a, J, det, amp).delta_gamma
     assert got.tolist() == want.tolist()
