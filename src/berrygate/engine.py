@@ -1,9 +1,9 @@
 """Fixed-step fourth-order Magnus propagation of long pulse-schedule runs,
-sampled after every block of a power-of-two number of steps for phase and
-energy bookkeeping.
+sampled at power-of-two strides of equal step blocks for phase and energy
+bookkeeping, and refinable by midpoints at no step's cost.
 
-One entry point, `propagate_sampled`, runs the same Magnus-4 scheme in one
-of two forms.  Which one follows from the structure of the Hamiltonian it is
+`propagate_sampled` runs the same Magnus-4 scheme in one of two forms, and
+`midpoint_samples` refines its samples.  Which one follows from the structure of the Hamiltonian it is
 given.  Both take the Hamiltonian at the two Gauss nodes
 t + (1/2 -+ sqrt(3)/6) h of each step (Blanes, Casas, Oteo & Ros, Phys. Rep.
 470, 151 (2009)):
@@ -32,21 +32,30 @@ second-order (midpoint) Magnus step, so (sqrt(3)/12) h^2 |v2 x v1|, or
 error estimate (Kormann, Holmgren & Karlsson, J. Chem. Phys. 128, 184101
 (2008)); a step whose gap exceeds `MAGNUS_GAP_LIMIT` raises `StepSizeError`.
 It comes from the Hamiltonian at the Gauss nodes, so the guard costs no
-extra evaluation.  A run is a whole number of sample blocks: the steps of
-each block are folded by pairwise products, and the samples of a chunk
-come from a prefix scan over the block products.  At most `_CHUNK_STEPS`
-steps (or one sample block, if longer) are held at a time.
+extra evaluation.
 
-The work splits at the start state.  The maps from a chunk's start to each
+Sampling.  A run is a whole number of sample blocks, the finest spacing it
+can be sampled at.  The steps are taken once, at most `_CHUNK_STEPS` (or
+one block, if longer) at a time, and the steps of each block folded by
+pairwise products; the products over 2, 4, ... blocks are the next levels
+of the same tree.  The samples every s blocks come from a prefix scan over
+the products of level log2(s), and halving the stride costs one product per
+new sample: the product over the half interval times the map at the sample
+before.  A run starts at the coarsest stride that keeps its fastest step
+frequency (the largest step angle |w|, or eigenvalue spread of K, over dt)
+times the spacing within MAX_SAMPLE_ANGLE, so that no oscillation aliases;
+whether to halve it is the caller's choice (`sequences._run_segment`).
+
+The work splits at the start state.  The maps from the run's start to each
 of its samples (the controls at the Gauss nodes, the steps with their gap
-guard, the block products, the prefix scan, the renormalized pairs) do not
-depend on the state; only applying them does.  Where the Hamiltonian is a
-function of the time since the run's start t0 alone, they do not depend on
-t0 either, so a later run of the same segment can take them as they are
-(`propagate_sampled`'s maps).  `sequences._run_plan` relies on this for its
-two production models, whose Hamiltonians (`sequences._cone_field`,
-`sequences._h2q_stack`) read their times only for their length and take the
-controls at local time.  A Hamiltonian given as a plain callable may depend
+guard, the block products and their levels, the prefix scan and the
+midpoints, the renormalized pairs) do not depend on the state; only
+applying them does.  Where the Hamiltonian is a function of the time since
+the run's start t0 alone, they do not depend on t0 either, so a later run
+of the same segment can take them as they are (`SampleMaps`).
+`sequences._run_plan` relies on this for its two production models, whose
+Hamiltonians (`sequences._cone_field`, `sequences._h2q_stack`) read their
+times only for their length and take the controls at local time.  A Hamiltonian given as a plain callable may depend
 on absolute time, and is propagated afresh on every use.
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
@@ -71,6 +80,10 @@ from .schrodinger import StepSizeError, check_step_spread, rk4_transition_matric
 # Largest accepted gap between the Magnus-4 and the midpoint step, in rad.
 # At the default step a cone loop stays below 7e-5 sin(theta).
 MAGNUS_GAP_LIMIT = 1e-3
+# Largest angle, in rad, that the fastest step frequency of a run turns
+# through between two samples at its start stride (`SampleMaps`): half the
+# Nyquist limit, so that no oscillation of the samples can alias.
+MAX_SAMPLE_ANGLE = 0.5 * math.pi
 _CHUNK_STEPS = 16384
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
@@ -129,11 +142,11 @@ def _check_gap(gap: float, norm: str) -> None:
         )
 
 
-def magnus4_steps(v1: np.ndarray, v2: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+def magnus4_steps(v1: np.ndarray, v2: np.ndarray, h: float) -> tuple[np.ndarray, float, float]:
     """Cayley-Klein pairs (n, S, 2) of the fourth-order Magnus steps from
     the fields (3, n, S) at the first and second Gauss node of each step,
-    and the largest gap (sqrt(3)/12) h^2 |v2 x v1| between one of them and
-    its midpoint step."""
+    the largest gap (sqrt(3)/12) h^2 |v2 x v1| between one of them and its
+    midpoint step, and the largest step angle |w|."""
     w = 0.5 * h * (v1 + v2)
     c = _MAGNUS_COMMUTATOR * h * h
     cross = np.empty_like(w)
@@ -152,21 +165,23 @@ def magnus4_steps(v1: np.ndarray, v2: np.ndarray, h: float) -> tuple[np.ndarray,
     parts[..., 1] = -w[2]
     parts[..., 2] = w[1]
     parts[..., 3] = -w[0]
-    return parts.view(complex), gap
+    return parts.view(complex), gap, float(angle.max())
 
 
-def magnus4_dense_steps(h1: np.ndarray, h2: np.ndarray, h: float) -> tuple[np.ndarray, float]:
+def magnus4_dense_steps(h1: np.ndarray, h2: np.ndarray, h: float) -> tuple[np.ndarray, float, float]:
     """Unitaries (n, d, d) of the fourth-order Magnus steps exp(-i K) from
     the Hamiltonians (n, d, d) at the first and second Gauss node of each
-    step, and the largest gap (sqrt(3)/12) h^2 ||[H2, H1]|| (Frobenius
-    norm) between one of them and its midpoint step."""
+    step, the largest gap (sqrt(3)/12) h^2 ||[H2, H1]|| (Frobenius norm)
+    between one of them and its midpoint step, and the largest eigenvalue
+    spread of K."""
     c = _MAGNUS_COMMUTATOR * h * h
     comm = h2 @ h1
     comm -= h1 @ h2
     gap = c * math.sqrt(float(np.max(np.sum(np.abs(comm) ** 2, axis=(-2, -1)))))
     k = (0.5 * h) * (h1 + h2) - (1j * c) * comm
     evals, evecs = np.linalg.eigh(k)
-    return (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(-1, -2), gap
+    steps = (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
+    return steps, gap, float(np.max(evals[:, -1] - evals[:, 0]))
 
 
 def _su2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,31 +210,106 @@ def _block_products(steps: np.ndarray, mul, block: int) -> np.ndarray:
     return x[:, 0]
 
 
-def _chunk_maps(model, controls, t_chunk: float, nc: int, dt: float, block: int) -> np.ndarray:
-    """State-independent maps from the start of a chunk of nc steps at
-    t_chunk to each of its nc/block samples: Cayley-Klein pairs
-    (nc/block, S, 2) per sector of a `SectorField`, else unitaries
-    (nc/block, d, d)."""
+def _chunk_products(model, controls, t_chunk: float, nc: int, dt: float, block: int):
+    """Products over the consecutive blocks of `block` steps of a chunk of
+    nc steps at t_chunk (Cayley-Klein pairs (nc/block, S, 2) per sector of
+    a `SectorField`, else unitaries (nc/block, d, d)), and the largest angle
+    of its steps: |w|, or the eigenvalue spread of K."""
     nodes = (t_chunk + dt * (_GAUSS_NODES[:, None] + np.arange(nc))).ravel()
     if not isinstance(model, SectorField):
         h = model(nodes, *controls(nodes))
-        steps, gap = magnus4_dense_steps(h[:nc], h[nc:], dt)
+        steps, gap, angle = magnus4_dense_steps(h[:nc], h[nc:], dt)
         _check_gap(gap, "||[H2, H1]||")
-        return prefix_products(_block_products(steps, np.matmul, block), np.matmul)
+        return _block_products(steps, np.matmul, block), angle
     v = model.field(nodes, *controls(nodes))
-    steps, gap = magnus4_steps(v[:, :nc], v[:, nc:], dt)
+    steps, gap, angle = magnus4_steps(v[:, :nc], v[:, nc:], dt)
     _check_gap(gap, "|v2 x v1|")
-    pairs = prefix_products(_block_products(steps, _su2_mul, block), _su2_mul)
-    # Rounding shrinks the norm of the steps and of their products by about
-    # 1e-17 each on average; since the norm is multiplicative, renormalizing
-    # the products keeps that bias from adding up over 10^6 steps.
-    pairs /= np.sqrt(np.sum(np.abs(pairs) ** 2, axis=-1, keepdims=True))
-    return pairs
+    return _block_products(steps, _su2_mul, block), angle
+
+
+class SampleMaps:
+    """The state-independent maps of one run from its start to its samples,
+    at each stride (in sample blocks) asked so far.
+
+    The first `propagate_sampled` call folds the run's steps, once, into the
+    products over its sample blocks, levels[0].  levels[k] holds the
+    products over 2^k blocks, each the product of two of levels[k-1].
+    maps[s] holds the maps to the samples every s blocks after the start:
+    the coarsest by the prefix scan over its level, and each finer one from
+    the maps at twice its stride, with one product per new map: the map to
+    a midpoint is the block product of the half interval before it times
+    the map at the sample before that (the last stage of the prefix scan).
+    So refining never takes a step or computes a map twice.
+
+    stride is the stride that `propagate_sampled` samples at.  The fold
+    sets it, unless given, to the coarsest power of two that divides the
+    run's blocks and keeps the fastest step frequency (the largest step
+    angle over dt) times the spacing within MAX_SAMPLE_ANGLE; a caller may
+    lower it for later runs.
+    """
+
+    def __init__(self, stride: int | None = None):
+        self.stride = stride
+        self.levels: list[np.ndarray] = []
+        self.maps: dict[int, np.ndarray] = {}
+
+    def fold(self, model, controls, t0: float, n_steps: int, dt: float, block: int) -> None:
+        """Take the run's steps, at most `_CHUNK_STEPS` (or one block, if
+        longer) at a time, and fold them into levels[0]."""
+        self.block, self.dt = block, dt
+        self._mul = np.matmul if not isinstance(model, SectorField) else _su2_mul
+        chunk = max(1, _CHUNK_STEPS // block) * block
+        products, angle = [], 0.0
+        for done in range(0, n_steps, chunk):
+            part, part_angle = _chunk_products(
+                model, controls, t0 + done * dt, min(chunk, n_steps - done), dt, block
+            )
+            products.append(part)
+            angle = max(angle, part_angle)
+        self.levels = [np.concatenate(products)]
+        if self.stride is None:
+            # the angle turned per sample block at the fastest step frequency
+            n, block_angle = len(self.levels[0]), angle * block
+            stride = 1
+            while n % (2 * stride) == 0 and 2 * stride * block_angle <= MAX_SAMPLE_ANGLE:
+                stride *= 2
+            self.stride = stride
+
+    def at(self, stride: int) -> np.ndarray:
+        """The maps to the samples every stride blocks, a power of two that
+        divides the run's blocks."""
+        if stride not in self.maps:
+            k = stride.bit_length() - 1
+            coarse = self.maps.get(2 * stride)
+            if coarse is None:
+                while len(self.levels) <= k:
+                    level = self.levels[-1]
+                    self.levels.append(self._mul(level[1::2], level[0::2]))
+                maps = self._unit(prefix_products(self.levels[k], self._mul))
+            else:
+                halves = self.levels[k][0::2]
+                mids = np.empty_like(coarse)
+                mids[0] = halves[0]
+                mids[1:] = self._mul(halves[1:], coarse[:-1])
+                maps = np.empty((2 * len(coarse),) + coarse.shape[1:], dtype=coarse.dtype)
+                maps[0::2] = self._unit(mids)
+                maps[1::2] = coarse
+            self.maps[stride] = maps
+        return self.maps[stride]
+
+    def _unit(self, maps: np.ndarray) -> np.ndarray:
+        # Rounding shrinks the norm of the steps and of their products by
+        # about 1e-17 each on average; since the norm is multiplicative,
+        # renormalizing the pairs keeps that bias from adding up over 10^6
+        # steps.
+        if self._mul is _su2_mul:
+            maps /= np.sqrt(np.sum(np.abs(maps) ** 2, axis=-1, keepdims=True))
+        return maps
 
 
 def _apply_maps(model, maps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States (len(maps),) + u.shape of the maps of `_chunk_maps` applied
-    to the chunk's start state u."""
+    """States (len(maps),) + u.shape of the maps of `SampleMaps` applied to
+    the run's start state u."""
     if not isinstance(model, SectorField):
         return maps @ u
     states = np.empty(maps.shape[:1] + u.shape, dtype=complex)
@@ -239,7 +329,7 @@ def propagate_sampled(
     u0: np.ndarray,
     controls,
     steps_per_sample: int,
-    maps: list | None = None,
+    maps: SampleMaps | None = None,
 ):
     """Propagate the columns u0 (d, m) over n_steps Magnus-4 steps of size
     dt.
@@ -254,33 +344,35 @@ def propagate_sampled(
     Sample k sits at t0 + (k * steps_per_sample) * dt, so halving dt and
     doubling steps_per_sample gives the same sample times.
 
-    maps, if given, holds the state-independent sample maps of the run, one
-    entry per chunk: an empty list is filled, and a filled one is applied
-    to u0 as it is, with no Hamiltonian evaluated and no step taken.  A
-    filled list is only valid for a run of the same n_steps, dt and
-    steps_per_sample whose Hamiltonian is the same function of the time
-    since t0 (see the module docstring).
+    maps, if given, is the run's `SampleMaps`, and the samples come every
+    maps.stride blocks.  An empty one is filled by the fold, and sets its
+    stride; a filled one is applied to u0 as it is, with no Hamiltonian
+    evaluated and no step taken, and so are the samples between (see
+    `midpoint_samples`).  A filled one is only valid for a run of the same
+    n_steps, dt and steps_per_sample whose Hamiltonian is the same function
+    of the time since t0 (see the module docstring).
     """
     if n_steps % steps_per_sample:
         raise ValueError(
             f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"
         )
-    u = np.asarray(u0, dtype=complex).copy()
-    samples = [u[None]]
-    times = [np.array([t0])]
-    chunk = max(1, _CHUNK_STEPS // steps_per_sample) * steps_per_sample
-    reuse = bool(maps)
-    for k, done in enumerate(range(0, n_steps, chunk)):
-        if reuse:
-            chunk_maps = maps[k]
-        else:
-            nc = min(chunk, n_steps - done)
-            chunk_maps = _chunk_maps(model, controls, t0 + done * dt, nc, dt, steps_per_sample)
-            if maps is not None:
-                maps.append(chunk_maps)
-        states = _apply_maps(model, chunk_maps, u)
-        ends = np.arange(1, len(states) + 1) * steps_per_sample
-        samples.append(states)
-        times.append(t0 + (done + ends) * dt)
-        u = states[-1]
-    return np.concatenate(times), np.concatenate(samples)
+    if maps is None:
+        maps = SampleMaps(stride=1)
+    if not maps.levels:
+        maps.fold(model, controls, t0, n_steps, dt, steps_per_sample)
+    u = np.asarray(u0, dtype=complex)
+    states = np.concatenate([u[None], _apply_maps(model, maps.at(maps.stride), u)])
+    times = t0 + (np.arange(len(states)) * (maps.stride * steps_per_sample)) * dt
+    return times, states
+
+
+def midpoint_samples(model, t0: float, u0: np.ndarray, maps: SampleMaps, stride: int):
+    """Times and states (n, d, m) of the n samples halfway between those
+    every stride blocks (an even number) of the run of maps that starts
+    from u0 at t0: only the maps to the midpoints are applied, and each is
+    computed once for all runs of maps."""
+    half = stride // 2
+    mids = maps.at(half)[0::2]
+    steps = half * maps.block
+    times = t0 + (np.arange(1, 2 * len(mids), 2) * steps) * maps.dt
+    return times, _apply_maps(model, mids, np.asarray(u0, dtype=complex))

@@ -19,10 +19,19 @@ that never vanishes along the cone paths, unlike the overlap with the start
 state), taken against the running trapezoid of the dynamic phase so that
 only the slow remainder has to be unwrapped.  The dynamic part comes from
 Simpson quadrature of -<psi|H|psi> over each segment's equally spaced
-samples, and the geometric part is the difference.  Samples sit on a fixed
-time grid set by the fastest Rabi vector of the system (`_sample_spacing`),
-whatever the step.  Ideal pi pulses permute amplitudes without touching
-phases, so per-loop phases add up across a compound sequence.
+samples, and the geometric part is the difference.  Ideal pi pulses permute
+amplitudes without touching phases, so per-loop phases add up across a
+compound sequence.
+
+Sampling: each segment is sampled as coarsely as its own error estimates
+allow, not once per step.  Its samples start at the coarsest power-of-two
+multiple of the floor spacing (`_sample_spacing`, set by the fastest Rabi
+vector of the system, whatever the step) that its fastest step frequency
+allows without aliasing, and are halved by midpoints until the
+Simpson-against-trapezoid difference of its dynamic phase and the largest
+jump of its unwrapped phase both pass, or down to the floor
+(`_run_segment`).  The gate is the product of the steps, whatever the
+samples.
 """
 
 from __future__ import annotations
@@ -51,10 +60,15 @@ from .schrodinger import TwoSpinParams
 
 ADIABATIC_SWEEP_FACTOR = 500.0
 RAMP_FRACTION = 0.2
-# The sample spacing in units of 1/|Omega'|max, which is also the default
-# Magnus-4 step; a run without a field is sampled every SAMPLE_BLOCK steps.
+# The default Magnus-4 step in units of 1/|Omega'|max, which is also the
+# floor spacing of the samples; a run without a field has a floor spacing of
+# SAMPLE_BLOCK steps.
 SAMPLE_RESOLUTION = 0.32
 SAMPLE_BLOCK = 64
+# Each segment is a whole number of this many floor intervals, so that it
+# can start at the stride (`engine.SampleMaps`) that a field no faster than
+# the |Omega'|max setting the floor spacing allows.
+_STRIDE_UNIT = 2 ** int(math.log2(engine.MAX_SAMPLE_ANGLE / SAMPLE_RESOLUTION))
 MIN_CLOSURE_FIDELITY = 0.999
 
 
@@ -147,24 +161,6 @@ class _PhiFrame:
 
     p: TwoSpinParams
 
-    def run(self, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
-            shared: _SegmentMaps):
-        """Sample times, states and energies of one segment, in the report
-        frame, from the state u at its start t0.  The frame's angles depend
-        on absolute time and are taken on every use; H' and dPhi/dt at the
-        samples come from shared."""
-        model = partial(_h2q_stack, self.p)
-        controls = partial(_phi_frame_controls, seg, t0)
-        u = np.exp(1j * self._angles(seg, t0, np.array([t0])))[0, :, None] * u
-        times, states = engine.propagate_sampled(
-            model, t0, n_steps, dt, u, controls, block, shared.maps
-        )
-        h, rates = shared.at_samples(lambda: self._energy_terms(times, *controls(times)))
-        energies = _expectation(h, states)
-        energies += np.einsum("sd,sdm->sm", rates, np.abs(states) ** 2)
-        states *= np.exp(-1j * self._angles(seg, t0, times))[:, :, None]
-        return times, states, energies
-
     def _energy_terms(self, times, w1, om, ph_rate):
         """H' (S, 4, 4) and the diagonal of dPhi/dt (S, 4) at the samples."""
         rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
@@ -199,22 +195,46 @@ def _expectation(h: np.ndarray, states: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Plan execution
 
+# A segment's samples are accepted at a stride when both estimates pass:
+# the Simpson-against-trapezoid difference of its dynamic phase, in rad
+# (about the default step's own dynamic-phase error), and the largest jump
+# of the unwrapped phase between samples, far inside the ledger's limit.
+DYNAMIC_PHASE_TOLERANCE = 1e-9
+MAX_SAMPLE_JUMP = math.pi / 16
+
 
 class _SegmentMaps:
     """The state-independent work of one segment run: the engine's sample
-    maps (`engine.propagate_sampled`) and the model's terms of the energies
-    at the sample times.  Both are filled by the first use, and a segment
-    that recurs in a plan shares one instance among its uses."""
+    maps (`engine.SampleMaps`) and the model's terms of the energies at the
+    samples of each stride.  Both are filled by the uses that first need
+    them, and a segment that recurs in a plan shares one instance among its
+    uses."""
 
     def __init__(self):
-        self.maps: list = []
-        self._at_samples = None
+        self.maps = engine.SampleMaps()
+        self._terms: dict[int, tuple] = {}
 
-    def at_samples(self, compute):
-        """compute() on the first call, the same value after."""
-        if self._at_samples is None:
-            self._at_samples = compute()
-        return self._at_samples
+    def terms(self, stride: int, times, compute) -> tuple:
+        """compute(times), a tuple of arrays along the samples, at the
+        samples every stride blocks (at the given times) on the first call,
+        the same value after.  At half a stride already held, only the new
+        midpoints are computed."""
+        if stride not in self._terms:
+            coarse = self._terms.get(2 * stride)
+            if coarse is None:
+                self._terms[stride] = compute(times)
+            else:
+                self._terms[stride] = tuple(map(_interleave, coarse, compute(times[1::2])))
+        return self._terms[stride]
+
+
+def _interleave(coarse: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """(2n+1, ...) values with coarse (n+1, ...) at the even places and the
+    midpoints mid (n, ...) at the odd ones."""
+    out = np.empty((len(coarse) + len(mid),) + coarse.shape[1:], np.result_type(coarse, mid))
+    out[0::2] = coarse
+    out[1::2] = mid
+    return out
 
 
 @dataclass
@@ -233,10 +253,18 @@ class _PhaseLedger:
     tracker of the accumulated total phase.  The reference component is
     re-picked whenever its weight drops, with the running offset patched so
     the total stays continuous.
+
+    Its margins over the samples tracked so far: max_jump, the largest jump
+    of the unwrapped phase between samples (limit 0.95 pi); min_magnitude,
+    the smallest magnitude of a reference component (floor 0.1); and
+    rebases, the number of reference components re-picked.
     """
 
     def __init__(self, u0: np.ndarray):
         self.total = np.zeros(u0.shape[1])
+        self.max_jump = 0.0
+        self.min_magnitude = math.inf
+        self.rebases = 0
         self.after_pulse(u0)
 
     def _rebase(self, u: np.ndarray) -> None:
@@ -244,40 +272,49 @@ class _PhaseLedger:
         cols = np.arange(u.shape[1])
         weak = mags[self.ref, cols] < 0.35 * np.max(mags, axis=0)
         if np.any(weak):
+            self.rebases += int(np.count_nonzero(weak))
             self.ref[weak] = np.argmax(mags[:, weak], axis=0)
             new_arg = np.angle(u[self.ref[weak], cols[weak]])
             self.offset[weak] = new_arg - self.total[weak]
             self.prev_arg[weak] = new_arg
 
-    def update(self, states: np.ndarray, reference: np.ndarray) -> None:
+    def update(self, states: np.ndarray, reference: np.ndarray,
+               max_jump: float = math.inf) -> bool:
         """Track the phase over a segment's samples (S, d, m), the first of
         which is the last state seen.  reference (S, m) is any running
         estimate of the phase gained since the first sample, such as the
         trapezoid dynamic phase: the ledger unwraps the argument minus the
         reference and adds the reference back, so the reference only has to
         follow the phase to well within pi per sample, and its own error
-        does not enter the total."""
+        does not enter the total.  If a jump of the unwrapped phase exceeds
+        max_jump, nothing is tracked and the result is False (so the caller
+        can sample more finely); else True."""
         cols = np.arange(states.shape[2])
         comp = states[:, self.ref, cols]
-        mags = np.abs(comp)
-        if float(mags.min()) < 0.1:
+        magnitude = float(np.abs(comp).min())
+        if magnitude < 0.1:
             raise AdiabaticityError(
                 "phase bookkeeping unreliable: reference component magnitude "
-                f"dropped to {mags.min():.3g}, below the floor 0.1"
+                f"dropped to {magnitude:.3g}, below the floor 0.1"
             )
         rest = np.unwrap(
             np.concatenate([self.prev_arg[None, :], np.angle(comp) - reference], axis=0),
             axis=0,
         )
-        jumps = np.abs(np.diff(rest, axis=0))
-        if float(jumps.max()) > 0.95 * math.pi:
+        jump = float(np.abs(np.diff(rest, axis=0)).max())
+        if jump > max_jump:
+            return False
+        if jump > 0.95 * math.pi:
             raise AdiabaticityError(
                 "phase sampling too coarse to unwrap reliably: a jump of "
-                f"{jumps.max():.3g} rad exceeds the limit 0.95*pi"
+                f"{jump:.3g} rad exceeds the limit 0.95*pi"
             )
+        self.max_jump = max(self.max_jump, jump)
+        self.min_magnitude = min(self.min_magnitude, magnitude)
         self.prev_arg = rest[-1] + reference[-1]
         self.total = self.prev_arg - self.offset
         self._rebase(states[-1])
+        return True
 
     def after_pulse(self, u: np.ndarray) -> None:
         """Anchor on u, at the start or after an instantaneous pulse (which
@@ -296,6 +333,9 @@ class _PlanResult:
     dynamic: np.ndarray  # (m,) accumulated dynamic phase per column
     seg_dynamics: list  # per-segment (m,) dynamic contributions
     books: list
+    ledger: _PhaseLedger
+    block: int  # steps per sample at the floor spacing
+    strides: list  # per segment use, the accepted stride in floor spacings
 
 
 def _segment_controls(seg: Segment, t0: float, times):
@@ -303,24 +343,81 @@ def _segment_controls(seg: Segment, t0: float, times):
     return seg.controls_at(np.asarray(times) - t0)
 
 
-def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
-                 shared: _SegmentMaps):
-    """Sample times, states (S, d, m) and energies <psi|H|psi> (S, m) of one
-    segment that starts from u at t0, with its state-independent work in
-    shared."""
+def _segment_frame(model, seg: Segment, t0: float, u):
+    """How one segment that starts from u at t0 is propagated and read:
+    (propagator, controls, start state, energy_terms, observe).  The
+    propagator(times, *controls(times)) goes to the engine from the start
+    state; energy_terms(times) is the tuple of the model's terms of the
+    energies at sample times, which depend on the time since t0 alone; and
+    observe(terms, times, states) gives the states in the report frame and
+    their energies <psi|H|psi> (S, m)."""
     if isinstance(model, _PhiFrame):
-        return model.run(seg, t0, n_steps, dt, u, block, shared)
+        controls = partial(_phi_frame_controls, seg, t0)
+        u = np.exp(1j * model._angles(seg, t0, np.array([t0])))[0, :, None] * u
+
+        def observe(terms, times, states):
+            h, rates = terms
+            energies = _expectation(h, states)
+            energies += np.einsum("sd,sdm->sm", rates, np.abs(states) ** 2)
+            states *= np.exp(-1j * model._angles(seg, t0, times))[:, :, None]
+            return states, energies
+
+        return (partial(_h2q_stack, model.p), controls, u,
+                lambda times: model._energy_terms(times, *controls(times)), observe)
     controls = partial(_segment_controls, seg, t0)
-    times, states = engine.propagate_sampled(
-        model, t0, n_steps, dt, u, controls, block, shared.maps
-    )
     if isinstance(model, engine.SectorField):
-        field = shared.at_samples(lambda: model.field(times, *controls(times)))
-        energies = model.expectation(field, states)
-    else:
-        h = model(times, *controls(times))
-        energies = np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
-    return times, states, energies
+        def observe(terms, times, states):
+            return states, model.expectation(np.moveaxis(terms[0], 0, 1), states)
+
+        # the fields (3, n, S) with the samples on the first axis
+        return (model, controls, u,
+                lambda times: (np.moveaxis(model.field(times, *controls(times)), 1, 0),),
+                observe)
+
+    def observe(terms, times, states):
+        return states, np.einsum("sdm,sdm->sm", states.conj(), terms[0] @ states).real
+
+    return model, controls, u, lambda times: (model(times, *controls(times)),), observe
+
+
+def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
+                 shared: _SegmentMaps, ledger: _PhaseLedger):
+    """Sample times, states (S, d, m) and dynamic phase (m,) of one segment
+    that starts from u at t0, and its accepted stride, in floor spacings of
+    `block` steps; the samples enter the ledger.
+
+    The samples start at the stride of shared.maps (see `_run_plan`) and
+    are refined by midpoints until both estimates of the accepted samples
+    pass, the Simpson-against-trapezoid difference of the dynamic phase
+    (DYNAMIC_PHASE_TOLERANCE, over at least two intervals) and the ledger's
+    largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing."""
+    propagator, controls, u, energy_terms, observe = _segment_frame(model, seg, t0, u)
+    first = not shared.maps.levels
+    times, states = engine.propagate_sampled(
+        propagator, t0, n_steps, dt, u, controls, block, shared.maps
+    )
+    stride = n_steps // block // (len(times) - 1)  # as the samples came
+    states, energies = observe(shared.terms(stride, times, energy_terms), times, states)
+    while True:
+        reference = -_cumulative_trapezoid(energies, times)
+        dynamic = -_simpson(energies, stride * block * dt)
+        if stride == 1:
+            ledger.update(states, reference)
+            break
+        quadrature = float(np.max(np.abs(dynamic - reference[-1])))
+        if (len(times) > 2 and quadrature <= DYNAMIC_PHASE_TOLERANCE
+                and ledger.update(states, reference, MAX_SAMPLE_JUMP)):
+            break
+        mid_times, mid_states = engine.midpoint_samples(propagator, t0, u, shared.maps, stride)
+        stride //= 2
+        times = _interleave(times, mid_times)
+        mid_terms = tuple(x[1::2] for x in shared.terms(stride, times, energy_terms))
+        mid_states, mid_energies = observe(mid_terms, mid_times, mid_states)
+        states = _interleave(states, mid_states)
+        energies = _interleave(energies, mid_energies)
+    if first:
+        shared.maps.stride = stride
+    return times, states, dynamic, stride
 
 
 def _run_plan(plan, model, u0, dt, spacing):
@@ -331,31 +428,38 @@ def _run_plan(plan, model, u0, dt, spacing):
     returning the (n, d, d) Hamiltonian stack.  Each segment supplies the
     controls.
 
-    Each segment is sampled on round(duration / spacing) equal intervals
-    (at least one), each of the same power-of-two number of steps: the
-    fewest that keep the step within dt.  A dt above the spacing samples
-    every step instead.  So at any dt up to the spacing the sample times
-    are the same, and only the steps change.
+    The floor spacing of the samples is the spacing, or dt if that is
+    longer: each segment is cut into equal floor intervals of the same
+    power-of-two number of steps, the fewest that keep the step within dt,
+    and the number of intervals is a whole multiple of _STRIDE_UNIT.  So at
+    any dt up to the spacing the floor intervals are the same, and only the
+    steps change.  A segment is sampled every stride floor intervals, a
+    power of two: its first use starts at the coarsest stride the engine
+    allows for its fastest step frequency (`engine.SampleMaps`) and
+    `_run_segment` refines it by midpoints, down to the floor, until its
+    error estimates pass.
 
     A segment's Hamiltonian in the rotating frame (`engine.SectorField`)
     and in the phi frame (`_PhiFrame`) is a function of its controls at
     local time alone, so its sample maps do not depend on its start time or
     state (see `engine`).  A segment that occurs more than once in the plan,
     with the same step count and dt, is propagated once: its
-    `_SegmentMaps` are kept for its later uses, which only apply the maps
-    to their own start states and take their own energies, phase ledger,
-    quadratures and book.  A segment that occurs once keeps nothing, and a
-    plain callable model, which may depend on absolute time, is propagated
-    afresh on every use.  Nothing outlives the call.
+    `_SegmentMaps` are kept for its later uses, which start at the stride
+    the first use accepted, only apply the maps to their own start states,
+    refine further if their own estimates ask, and take their own energies,
+    phase ledger, quadratures and book.  A segment that occurs once keeps
+    nothing, and a plain callable model, which may depend on absolute time,
+    is propagated afresh on every use.  Nothing outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
     interval = max(spacing, dt)
     block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
+    unit = _STRIDE_UNIT * interval
     runs = []
     for kind, seg in plan:
         if kind == "seg":
-            n_steps = block * max(1, round(seg.duration / interval))
+            n_steps = block * _STRIDE_UNIT * max(1, round(seg.duration / unit))
             runs.append((seg, n_steps, seg.duration / n_steps))
     shareable = isinstance(model, (engine.SectorField, _PhiFrame))
     shared = {run: _SegmentMaps() for run, uses in Counter(runs).items() if shareable and uses > 1}
@@ -367,6 +471,7 @@ def _run_plan(plan, model, u0, dt, spacing):
     dynamic = np.zeros(m)
     seg_dynamics: list[np.ndarray] = []
     books: list[_SegmentBook] = []
+    strides: list[int] = []
     t_abs = 0.0
     for kind, payload in plan:
         if kind == "pulse":
@@ -375,21 +480,20 @@ def _run_plan(plan, model, u0, dt, spacing):
             continue
         run = runs[len(books)]
         seg, n_steps, dt_seg = run
-        t0 = t_abs
-        times, states, energies = _run_segment(
-            model, seg, t0, n_steps, dt_seg, u, block, shared.get(run) or _SegmentMaps()
-        )
         try:
-            ledger.update(states, -_cumulative_trapezoid(energies, times))
+            times, states, dyn, stride = _run_segment(
+                model, seg, t_abs, n_steps, dt_seg, u, block,
+                shared.get(run) or _SegmentMaps(), ledger,
+            )
         except AdiabaticityError as exc:
             raise AdiabaticityError(f"{exc} in segment {len(books)} ({seg.kind})") from None
-        dyn = -_simpson(energies, block * dt_seg)
         dynamic += dyn
         seg_dynamics.append(np.atleast_1d(dyn))
         books.append(_SegmentBook(times, states, seg.kind))
+        strides.append(stride)
         u = states[-1]
         t_abs += seg.duration
-    return _PlanResult(u, ledger.total, dynamic, seg_dynamics, books)
+    return _PlanResult(u, ledger.total, dynamic, seg_dynamics, books, ledger, block, strides)
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -462,16 +566,17 @@ def _rabi_2q(p: TwoSpinParams) -> list[float]:
 
 
 def _sample_spacing(rabi_max: float, dt: float) -> float:
-    """Sample spacing SAMPLE_RESOLUTION/|Omega'|max of a run, the default
-    Magnus-4 step; a run without any field has no timescale and is sampled
-    every SAMPLE_BLOCK steps."""
+    """Floor spacing SAMPLE_RESOLUTION/|Omega'|max of a run's samples, the
+    default Magnus-4 step: the finest its segments are sampled at, where
+    their error estimates ask (`_run_segment`).  A run without any field has
+    no timescale, and its floor spacing is SAMPLE_BLOCK steps."""
     return SAMPLE_RESOLUTION / rabi_max if rabi_max > 0.0 else SAMPLE_BLOCK * dt
 
 
 def default_times_1q(p: RabiParams) -> tuple[float, float, float]:
     """(ramp_time, sweep_time, dt) from the adiabaticity and resolution rules
     sweep = 500/|Omega'|, ramp = sweep/5, and dt = 64 * 0.005/|Omega'|, the
-    sample spacing: one Magnus-4 step per sample."""
+    floor spacing of the samples: one Magnus-4 step per floor interval."""
     om_prime = _rabi_1q(p)
     if om_prime == 0.0:
         raise ValueError("Rabi vector vanishes; no timescale to set")
@@ -489,10 +594,11 @@ def resolve_times(
     """(ramp_time, sweep_time, dt) of a run: the given values as they are,
     the missing ones from default_times(), which returns the (ramp, sweep,
     dt) of the adiabaticity and resolution rules (`default_times_1q`,
-    `default_times_2q`: one Magnus-4 step per sample).  A missing sweep is the
-    default one times sweep_factor; a missing ramp keeps the default ratio
-    of ramp to sweep.  This is the only place a run's dt is set.  A given
-    time or sweep_factor that is not finite and positive raises ValueError."""
+    `default_times_2q`: one Magnus-4 step per floor interval of the
+    samples).  A missing sweep is the default one times sweep_factor; a
+    missing ramp keeps the default ratio of ramp to sweep.  This is the only
+    place a run's dt is set.  A given time or sweep_factor that is not
+    finite and positive raises ValueError."""
     for name, val in (("ramp-time", ramp_time), ("sweep-time", sweep_time), ("dt", dt),
                       ("sweep-factor", sweep_factor)):
         if val is not None and not math.isfinite(val):
@@ -770,7 +876,7 @@ def conditional_target_gate(dg: float) -> np.ndarray:
 def default_times_2q(p: TwoSpinParams):
     """(ramp_time, sweep_time, dt): sweep from the slower sector's Rabi
     vector, dt from the faster one: 64 * 0.005/|Omega'|max, one Magnus-4
-    step per sample, also with the drive on spin b.
+    step per floor interval of the samples, also with the drive on spin b.
 
     The ramps start where the transverse drive vanishes, so their adiabatic
     bottleneck is the bare sector gap |w+- - w| rather than the plateau Rabi
@@ -914,10 +1020,7 @@ def fault_tolerance_surface(
     surface = np.empty((det.size, amp.size))
     for i, d in enumerate(det):
         surface[i] = f(d, amp)
-    sign = math.copysign(1.0, J)
-    peaks = tuple(
-        _locate_row_peak(partial(f, d), amp, row, d, sign) for d, row in zip(det, surface)
-    )
+    peaks = _locate_row_peak(f, amp, surface, det, math.copysign(1.0, J))
     return FaultToleranceSurface(det, amp, surface, peaks)
 
 
@@ -944,27 +1047,42 @@ def _delta_gamma_slope(d: float, w: float) -> float:
     return math.pi * w * (b / (b * b + w * w) ** 1.5 - a / (a * a + w * w) ** 1.5)
 
 
-def _locate_row_peak(f, grid, vals, detuning, sign) -> RowPeak:
-    """Peak of f over the amplitude axis, from its values vals on grid, at
-    detuning (units of pi*J); sign is the sign of J.  A row still rising at
-    its last grid point peaks beyond the grid: that grid point is reported
-    as it is, flagged as a boundary.  Otherwise the peak is the ridge
-    amplitude, even below the first grid point, where the ridge is a
-    maximum (J > 0 and |detuning| > 1), and else the zero-amplitude
-    boundary."""
-    d = float(detuning)
+def _locate_row_peak(f, grid, surface, det, sign) -> tuple[RowPeak, ...]:
+    """Peak of f over the amplitude axis in each row of surface, its values
+    on grid at the detunings det (units of pi*J); sign is the sign of J.  A
+    row still rising at its last grid point peaks beyond the grid: that grid
+    point is reported as it is, flagged as a boundary.  Otherwise the peak
+    is the ridge amplitude, even below the first grid point, where the ridge
+    is a maximum (J > 0 and |detuning| > 1), and else the zero-amplitude
+    boundary.  All heights come from one array call of f, each element bit
+    for bit the scalar call's value."""
     w_edge = float(grid[-1])
-    edge_slope = sign * _delta_gamma_slope(d, w_edge)
-    if int(np.argmax(vals)) == len(grid) - 1 and edge_slope > 0.0:
-        return RowPeak(d, w_edge, float(vals[-1]), edge_slope, True)
-    w_star = _ridge_amplitude(d) if sign > 0.0 else None
-    if w_star is not None:
-        return RowPeak(d, w_star, float(f(w_star)), _delta_gamma_slope(d, w_star), False)
+    rising = np.argmax(surface, axis=1) == len(grid) - 1
+    rows = []  # (detuning, amplitude, slope, boundary)
+    for d, edge in zip(det.tolist(), rising.tolist()):
+        edge_slope = sign * _delta_gamma_slope(d, w_edge)
+        w_star = _ridge_amplitude(d) if sign > 0.0 else None
+        if edge and edge_slope > 0.0:
+            rows.append((d, w_edge, edge_slope, True))
+        elif w_star is not None:
+            rows.append((d, w_star, _delta_gamma_slope(d, w_star), False))
+        else:
+            rows.append((d, 0.0, 0.0, True))
+    amplitudes = np.array([w for _, w, _, _ in rows])
     try:
-        height = f(0.0)
+        heights = f(det, amplitudes)
+    except ValueError:  # a root vanishes at zero amplitude where |detuning| = 1
+        heights = [_zero_safe(f, d, w) for d, w in zip(det, amplitudes.tolist())]
+    return tuple(RowPeak(d, w, float(h), slope, boundary)
+                 for (d, w, slope, boundary), h in zip(rows, heights))
+
+
+def _zero_safe(f, d, w):
+    """f(d, w), or f(d, 1e-12) where a root of f vanishes at w = 0."""
+    try:
+        return f(d, w)
     except ValueError:
-        height = f(1e-12)
-    return RowPeak(d, 0.0, float(height), 0.0, True)
+        return f(d, 1e-12)
 
 
 def write_surface_csv(surface: FaultToleranceSurface, path) -> None:

@@ -193,7 +193,9 @@ def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample
     batched RK4 maps (`engine.rk4_transition_matrices`, under the step guard
     `engine._check_spread`) of the dense stack model(times, *controls(times))
     on the half-step grid, applied to the state one step at a time.  It
-    ignores maps and propagates afresh on every call."""
+    ignores maps and propagates afresh on every call, sampling every
+    steps_per_sample steps, so a plan run on it is sampled at the floor
+    spacing and never refined by `engine.midpoint_samples`."""
     if n_steps % steps_per_sample:
         raise ValueError(
             f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"

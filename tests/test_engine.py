@@ -3,7 +3,10 @@
 
 The oracle runs below are the production sequences with the propagator
 swapped for `oracles.rk4_propagate_sampled`, and the model for the matrix
-stack of the same Hamiltonian in the frame of the reports.
+stack of the same Hamiltonian in the frame of the reports.  The oracle
+ignores the engine's sample maps, so it stands in for the refinement too:
+its runs are sampled at the floor spacing, where the plan never asks for
+midpoints.
 """
 
 import math
@@ -242,40 +245,127 @@ def test_a_plain_callable_is_propagated_on_every_use():
     assert spy.call_count == 12
 
 
-def _plan_afresh(plan, model, dt, spacing):
-    """(final, total, dynamic) of the plan as `_run_plan` runs it, with every
-    segment use propagated afresh."""
-    interval = max(spacing, dt)
-    block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
+def _planned(p, **kwargs):
+    """The conditional gate at p and the `_PlanResult` of its plan."""
+    results = []
+
+    def spy(*args):
+        results.append(run_plan(*args))
+        return results[-1]
+
+    run_plan = sequences._run_plan
+    with mock.patch.object(sequences, "_run_plan", spy):
+        res = sequences.run_conditional_sequence(p, **kwargs)
+    return res, results[0]
+
+
+def _plan_afresh(plan, model, planned):
+    """(final, total, dynamic) of the plan as `_run_plan` ran it to planned,
+    with every segment use propagated afresh at the stride it accepted."""
     u, t0 = np.eye(4, dtype=complex), 0.0
     ledger, dynamic = sequences._PhaseLedger(u), np.zeros(4)
+    uses = iter(zip(planned.books, planned.strides))
     for kind, item in plan:
         if kind == "pulse":
             u = item @ u
             ledger.after_pulse(u)
             continue
-        n = block * max(1, round(item.duration / interval))
-        times, states, energies = sequences._run_segment(
-            model, item, t0, n, item.duration / n, u, block, sequences._SegmentMaps()
-        )
+        book, stride = next(uses)
+        steps = planned.block * stride
+        n = steps * (len(book.times) - 1)
+        controls = partial(sequences._segment_controls, item, t0)
+        times, states = engine.propagate_sampled(model, t0, n, item.duration / n, u, controls, steps)
+        energies = model.expectation(model.field(times, *controls(times)), states)
         ledger.update(states, -sequences._cumulative_trapezoid(energies, times))
-        dynamic -= sequences._simpson(energies, block * item.duration / n)
+        dynamic -= sequences._simpson(energies, steps * item.duration / n)
         u, t0 = states[-1], t0 + item.duration
     return u, ledger.total, dynamic
 
 
 def test_shared_segments_give_the_gate_of_fresh_ones():
-    # measured: 9e-15 (gate), 4.5e-13 (total phases) and 2.8e-13 (dynamic
+    # measured: 7e-15 (gate), 2.3e-13 (total phases) and 4.8e-13 (dynamic
     # phases, the net of segment terms of up to 517 rad)
     p = two_spin_params(2.0, 1.2)
-    ramp, sweep, dt = sequences.default_times_2q(p)
+    ramp, sweep, _ = sequences.default_times_2q(p)
     plan = sequences._conditional_plan(p, ramp, sweep, 0.0)
-    spacing = sequences._sample_spacing(max(sequences._rabi_2q(p)), dt)
-    gate, total, dynamic = _plan_afresh(plan, sequences._model_2q(p, False), dt, spacing)
-    res = sequences.run_conditional_sequence(p)
+    res, planned = _planned(p)
+    gate, total, dynamic = _plan_afresh(plan, sequences._model_2q(p, False), planned)
     assert np.max(np.abs(res.gate - gate)) < 1e-12
     assert np.max(np.abs(res.total_phases - total)) < 1e-12
     assert np.max(np.abs(res.dynamic_phases - dynamic)) < 1e-12
+
+
+# Each segment is sampled at the coarsest stride whose error estimates pass,
+# from a start within the Nyquist cap of its fastest step frequency.
+
+
+def test_the_default_spot_gate_accepts_stride_4_on_every_use():
+    # |Omega'|max times the floor spacing is SAMPLE_RESOLUTION = 0.32, so the
+    # cap is 4 floor intervals; the ledger's margins there
+    _, planned = _planned(two_spin_params(2.0, 1.2))
+    assert planned.strides == [4] * 12
+    ledger = planned.ledger
+    assert ledger.max_jump < math.pi / 16
+    assert ledger.min_magnitude >= 0.9
+    assert ledger.rebases == 0
+
+
+def test_drive_on_b_is_sampled_at_the_floor():
+    # spin b turns at |omega - omega_b| = 18 rad/s in the phi frame, 2.5 rad
+    # per floor interval: over the cap at any stride above 1
+    _, planned = _planned(two_spin_params(2.0, 1.2), drive_on_b=True)
+    assert planned.strides == [1] * 12
+
+
+def test_a_near_equator_cone_refines_its_ramps_to_the_floor():
+    p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(1.45), 0.0)
+    ramp, sweep, dt = sequences.default_times_1q(p)
+    plan = sequences._schedule_plan(sequences.build_cone_loop(p, ramp, sweep))
+    spacing = sequences._sample_spacing(sequences._rabi_1q(p), dt)
+    planned = sequences._run_plan(plan, sequences._model_1q(p.omega0),
+                                  sequences._aligned_start(p), dt, spacing)
+    assert planned.strides[0] == planned.strides[2] == 1
+
+
+@pytest.mark.parametrize("detuning, amplitude", [(2.0, 1.2), (1.5, 1.7), (2.7, 0.9)])
+def test_the_sampled_gate_is_the_floor_sampled_gate(detuning, amplitude):
+    # with the Nyquist cap at zero every segment is sampled at the floor
+    # spacing; the steps are the same, so only the quadrature of the
+    # dynamic phases moves (measured: 0 (gate), up to 1.7e-13 (total
+    # phases) and 3.1e-10 (dynamic phases))
+    p = two_spin_params(detuning, amplitude)
+    sampled = sequences.run_conditional_sequence(p)
+    with mock.patch.object(engine, "MAX_SAMPLE_ANGLE", 0.0):
+        floor = sequences.run_conditional_sequence(p)
+    assert np.max(np.abs(sampled.gate - floor.gate)) < 1e-10
+    assert np.max(np.abs(sampled.total_phases - floor.total_phases)) < 1e-10
+    assert np.max(np.abs(sampled.dynamic_phases - floor.dynamic_phases)) < 1e-8
+
+
+def test_a_later_use_refines_the_shared_maps_further():
+    # the echo's two loops share their ramp-up: its first use accepts
+    # stride 2, and its second, on the flipped columns, refines to 1 from
+    # the shared maps; the 6 segment uses still take the steps of 5
+    p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0)
+    ramp, sweep, dt = sequences.default_times_1q(p)
+    model = sequences._model_1q(p.omega0)
+    pulse = [("pulse", sequences._pi_pulse(model, p.omega, "single", 0.0))]
+    plan = [item for orientation in ("forward", "reversed")
+            for item in sequences._schedule_plan(
+                sequences.build_cone_loop(p, ramp, sweep, orientation)) + pulse]
+    spacing = sequences._sample_spacing(sequences._rabi_1q(p), dt)
+    steps = mock.Mock(wraps=engine.magnus4_steps)
+    with mock.patch.object(engine, "magnus4_steps", steps):
+        planned = sequences._run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
+    assert steps.call_count == 5
+    assert planned.strides == [2, 4, 2, 1, 2, 1]
+    with mock.patch.object(engine, "MAX_SAMPLE_ANGLE", 0.0):
+        floor = sequences._run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
+    assert floor.strides == [1] * 6
+    # measured: 0 (final state and total phases) and 5.4e-10 (dynamic)
+    assert np.max(np.abs(planned.final - floor.final)) < 1e-12
+    assert np.max(np.abs(planned.total - floor.total)) < 1e-10
+    assert np.max(np.abs(planned.dynamic - floor.dynamic)) < 1e-8
 
 
 @pytest.mark.parametrize("drive_on_b", [False, True])

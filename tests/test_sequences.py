@@ -244,8 +244,8 @@ def _resolved_dt(*args, **kwargs) -> float:
 
 
 def test_default_times_respect_step_bound():
-    # one Magnus-4 step per sample, dt |Omega'|max = 64 * 0.005, with or
-    # without the drive on spin b
+    # one Magnus-4 step per floor interval of the samples,
+    # dt |Omega'|max = 64 * 0.005, with or without the drive on spin b
     p2 = two_spin_params(2.0, 1.2)
     rt, st, dt = default_times_2q(p2)
     max_omega = max(
@@ -308,14 +308,16 @@ def test_sample_times_do_not_depend_on_the_step():
     coarse = run_cone_loop(p)
     fine = run_cone_loop(p, dt=dt / 4)
     assert np.array_equal(coarse.times, fine.times)
-    # one Magnus-4 step per sample: 1.4e-6 from the finer run's trajectory
+    # one Magnus-4 step per floor interval: 1.4e-6 from the finer run's
+    # trajectory
     assert np.max(np.abs(coarse.states - fine.states)) < 1e-5
 
 
 def test_ledger_follows_a_coarse_sample_grid():
-    # 64 default steps per sample: the raw argument of a component turns by
-    # far more than pi between samples (unwrapping it alone lost 120*pi
-    # here); the ledger must still get the total phase right, or refuse
+    # 64 default steps per floor interval: the raw argument of a component
+    # turns by far more than pi between samples (unwrapping it alone lost
+    # 120*pi here); the ledger must still get the total phase right, or
+    # refuse
     p = cone_params(math.pi / 3)
     ramp, sweep, dt = default_times_1q(p)
     plan = _schedule_plan(build_cone_loop(p, ramp, sweep))
