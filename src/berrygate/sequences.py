@@ -203,31 +203,6 @@ DYNAMIC_PHASE_TOLERANCE = 1e-9
 MAX_SAMPLE_JUMP = math.pi / 16
 
 
-class _SegmentMaps:
-    """The state-independent work of one segment run: the engine's sample
-    maps (`engine.SampleMaps`) and the model's terms of the energies at the
-    samples of each stride.  Both are filled by the uses that first need
-    them, and a segment that recurs in a plan shares one instance among its
-    uses."""
-
-    def __init__(self):
-        self.maps = engine.SampleMaps()
-        self._terms: dict[int, tuple] = {}
-
-    def terms(self, stride: int, times, compute) -> tuple:
-        """compute(times), a tuple of arrays along the samples, at the
-        samples every stride blocks (at the given times) on the first call,
-        the same value after.  At half a stride already held, only the new
-        midpoints are computed."""
-        if stride not in self._terms:
-            coarse = self._terms.get(2 * stride)
-            if coarse is None:
-                self._terms[stride] = compute(times)
-            else:
-                self._terms[stride] = tuple(map(_interleave, coarse, compute(times[1::2])))
-        return self._terms[stride]
-
-
 def _interleave(coarse: np.ndarray, mid: np.ndarray) -> np.ndarray:
     """(2n+1, ...) values with coarse (n+1, ...) at the even places and the
     midpoints mid (n, ...) at the odd ones."""
@@ -345,59 +320,49 @@ def _segment_controls(seg: Segment, t0: float, times):
 
 def _segment_frame(model, seg: Segment, t0: float, u):
     """How one segment that starts from u at t0 is propagated and read:
-    (propagator, controls, start state, energy_terms, observe).  The
-    propagator(times, *controls(times)) goes to the engine from the start
-    state; energy_terms(times) is the tuple of the model's terms of the
-    energies at sample times, which depend on the time since t0 alone; and
-    observe(terms, times, states) gives the states in the report frame and
-    their energies <psi|H|psi> (S, m)."""
+    (propagator, controls, start state, observe).  The propagator(times,
+    *controls(times)) goes to the engine from the start state, and
+    observe(times, states) gives the states at those sample times in the
+    report frame and their energies <psi|H|psi> (S, m)."""
     if isinstance(model, _PhiFrame):
         controls = partial(_phi_frame_controls, seg, t0)
         u = np.exp(1j * model._angles(seg, t0, np.array([t0])))[0, :, None] * u
 
-        def observe(terms, times, states):
-            h, rates = terms
+        def observe(times, states):
+            h, rates = model._energy_terms(times, *controls(times))
             energies = _expectation(h, states)
             energies += np.einsum("sd,sdm->sm", rates, np.abs(states) ** 2)
             states *= np.exp(-1j * model._angles(seg, t0, times))[:, :, None]
             return states, energies
 
-        return (partial(_h2q_stack, model.p), controls, u,
-                lambda times: model._energy_terms(times, *controls(times)), observe)
+        return partial(_h2q_stack, model.p), controls, u, observe
     controls = partial(_segment_controls, seg, t0)
     if isinstance(model, engine.SectorField):
-        def observe(terms, times, states):
-            return states, model.expectation(np.moveaxis(terms[0], 0, 1), states)
-
-        # the fields (3, n, S) with the samples on the first axis
-        return (model, controls, u,
-                lambda times: (np.moveaxis(model.field(times, *controls(times)), 1, 0),),
-                observe)
-
-    def observe(terms, times, states):
-        return states, np.einsum("sdm,sdm->sm", states.conj(), terms[0] @ states).real
-
-    return model, controls, u, lambda times: (model(times, *controls(times)),), observe
+        def observe(times, states):
+            return states, model.expectation(model.field(times, *controls(times)), states)
+    else:
+        def observe(times, states):
+            h = model(times, *controls(times))
+            return states, np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
+    return model, controls, u, observe
 
 
 def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
-                 shared: _SegmentMaps, ledger: _PhaseLedger):
+                 maps: engine.SampleMaps, ledger: _PhaseLedger):
     """Sample times, states (S, d, m) and dynamic phase (m,) of one segment
     that starts from u at t0, and its accepted stride, in floor spacings of
     `block` steps; the samples enter the ledger.
 
-    The samples start at the stride of shared.maps (see `_run_plan`) and
-    are refined by midpoints until both estimates of the accepted samples
-    pass, the Simpson-against-trapezoid difference of the dynamic phase
+    The samples start at the stride of maps (see `_run_plan`) and are
+    refined by midpoints until both estimates of the accepted samples pass,
+    the Simpson-against-trapezoid difference of the dynamic phase
     (DYNAMIC_PHASE_TOLERANCE, over at least two intervals) and the ledger's
     largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing."""
-    propagator, controls, u, energy_terms, observe = _segment_frame(model, seg, t0, u)
-    first = not shared.maps.levels
-    times, states = engine.propagate_sampled(
-        propagator, t0, n_steps, dt, u, controls, block, shared.maps
-    )
+    propagator, controls, u, observe = _segment_frame(model, seg, t0, u)
+    first = not maps.levels
+    times, states = engine.propagate_sampled(propagator, t0, n_steps, dt, u, controls, block, maps)
     stride = n_steps // block // (len(times) - 1)  # as the samples came
-    states, energies = observe(shared.terms(stride, times, energy_terms), times, states)
+    states, energies = observe(times, states)
     while True:
         reference = -_cumulative_trapezoid(energies, times)
         dynamic = -_simpson(energies, stride * block * dt)
@@ -408,15 +373,14 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
         if (len(times) > 2 and quadrature <= DYNAMIC_PHASE_TOLERANCE
                 and ledger.update(states, reference, MAX_SAMPLE_JUMP)):
             break
-        mid_times, mid_states = engine.midpoint_samples(propagator, t0, u, shared.maps, stride)
+        mid_times, mid_states = engine.midpoint_samples(propagator, t0, u, maps, stride)
         stride //= 2
+        mid_states, mid_energies = observe(mid_times, mid_states)
         times = _interleave(times, mid_times)
-        mid_terms = tuple(x[1::2] for x in shared.terms(stride, times, energy_terms))
-        mid_states, mid_energies = observe(mid_terms, mid_times, mid_states)
         states = _interleave(states, mid_states)
         energies = _interleave(energies, mid_energies)
     if first:
-        shared.maps.stride = stride
+        maps.stride = stride
     return times, states, dynamic, stride
 
 
@@ -444,10 +408,10 @@ def _run_plan(plan, model, u0, dt, spacing):
     local time alone, so its sample maps do not depend on its start time or
     state (see `engine`).  A segment that occurs more than once in the plan,
     with the same step count and dt, is propagated once: its
-    `_SegmentMaps` are kept for its later uses, which start at the stride
-    the first use accepted, only apply the maps to their own start states,
-    refine further if their own estimates ask, and take their own energies,
-    phase ledger, quadratures and book.  A segment that occurs once keeps
+    `engine.SampleMaps` are kept for its later uses, which start at the
+    stride the first use accepted, only apply the maps to their own start
+    states, refine further if their own estimates ask, and take their own
+    energies, phase ledger, quadratures and book.  A segment that occurs once keeps
     nothing, and a plain callable model, which may depend on absolute time,
     is propagated afresh on every use.  Nothing outlives the call.
 
@@ -462,7 +426,9 @@ def _run_plan(plan, model, u0, dt, spacing):
             n_steps = block * _STRIDE_UNIT * max(1, round(seg.duration / unit))
             runs.append((seg, n_steps, seg.duration / n_steps))
     shareable = isinstance(model, (engine.SectorField, _PhiFrame))
-    shared = {run: _SegmentMaps() for run, uses in Counter(runs).items() if shareable and uses > 1}
+    shared = {
+        run: engine.SampleMaps() for run, uses in Counter(runs).items() if shareable and uses > 1
+    }
     u = np.asarray(u0, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
@@ -483,7 +449,7 @@ def _run_plan(plan, model, u0, dt, spacing):
         try:
             times, states, dyn, stride = _run_segment(
                 model, seg, t_abs, n_steps, dt_seg, u, block,
-                shared.get(run) or _SegmentMaps(), ledger,
+                shared.get(run) or engine.SampleMaps(), ledger,
             )
         except AdiabaticityError as exc:
             raise AdiabaticityError(f"{exc} in segment {len(books)} ({seg.kind})") from None
