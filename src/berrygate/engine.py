@@ -185,10 +185,14 @@ def magnus4_dense_steps(h1: np.ndarray, h2: np.ndarray, h: float) -> tuple[np.nd
 
 
 def _su2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cayley-Klein pair of the product U_a U_b (pairs on the last axis)."""
+    """Cayley-Klein pairs of the products U_a U_b of two stacks of one shape
+    (pairs on the last axis)."""
     a0, a1 = a[..., 0], a[..., 1]
     b0, b1 = b[..., 0], b[..., 1]
-    return np.stack([a0 * b0 - a1.conj() * b1, a1 * b0 + a0.conj() * b1], axis=-1)
+    out = np.empty(a.shape, dtype=complex)
+    out[..., 0] = a0 * b0 - a1.conj() * b1
+    out[..., 1] = a1 * b0 + a0.conj() * b1
+    return out
 
 
 def _check_spread(model, controls, t_chunk: float, nc: int, dt: float) -> None:
@@ -255,7 +259,8 @@ class SampleMaps:
 
     def fold(self, model, controls, t0: float, n_steps: int, dt: float, block: int) -> None:
         """Take the run's steps, at most `_CHUNK_STEPS` (or one block, if
-        longer) at a time, and fold them into levels[0]."""
+        longer) at a time, fold them into levels[0], and set the stride if
+        none was given."""
         self.block, self.dt = block, dt
         self._mul = np.matmul if not isinstance(model, SectorField) else _su2_mul
         chunk = max(1, _CHUNK_STEPS // block) * block
@@ -266,7 +271,7 @@ class SampleMaps:
             )
             products.append(part)
             angle = max(angle, part_angle)
-        self.levels = [np.concatenate(products)]
+        self.levels = [products[0] if len(products) == 1 else np.concatenate(products)]
         if self.stride is None:
             # the angle turned per sample block at the fastest step frequency
             n, block_angle = len(self.levels[0]), angle * block
