@@ -3,10 +3,10 @@ sampled at power-of-two strides of equal step blocks for phase and energy
 bookkeeping, and refinable by midpoints at no step's cost.
 
 `propagate_sampled` runs the same Magnus-4 scheme in one of two forms, and
-`midpoint_samples` refines its samples.  Which one follows from the structure of the Hamiltonian it is
-given.  Both take the Hamiltonian at the two Gauss nodes
-t + (1/2 -+ sqrt(3)/6) h of each step (Blanes, Casas, Oteo & Ros, Phys. Rep.
-470, 151 (2009)):
+`midpoint_samples` refines its samples.  Which form follows from the
+structure of the Hamiltonian it is given.  Both take the Hamiltonian at the
+two Gauss nodes t + (1/2 -+ sqrt(3)/6) h of each step (Blanes, Casas, Oteo &
+Ros, Phys. Rep. 470, 151 (2009)):
 
 * `SectorField`: H(t) is a direct sum of uncoupled two-level sectors, equal
   to (1/2) v_s(t) . sigma on the row pair rows[s].  Each step of each sector
@@ -55,8 +55,9 @@ the run's start t0 alone, they do not depend on t0 either, so a later run
 of the same segment can take them as they are (`SampleMaps`).
 `sequences._run_plan` relies on this for its two production models, whose
 Hamiltonians (`sequences._cone_field`, `sequences._h2q_stack`) read their
-times only for their length and take the controls at local time.  A Hamiltonian given as a plain callable may depend
-on absolute time, and is propagated afresh on every use.
+times only for their length and take the controls at local time.  A
+Hamiltonian given as a plain callable may depend on absolute time, and is
+propagated afresh on every use.
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -168,7 +169,9 @@ def magnus4_steps(v1: np.ndarray, v2: np.ndarray, h: float) -> tuple[np.ndarray,
     return parts.view(complex), gap, float(angle.max())
 
 
-def magnus4_dense_steps(h1: np.ndarray, h2: np.ndarray, h: float) -> tuple[np.ndarray, float, float]:
+def magnus4_dense_steps(
+    h1: np.ndarray, h2: np.ndarray, h: float
+) -> tuple[np.ndarray, float, float]:
     """Unitaries (n, d, d) of the fourth-order Magnus steps exp(-i K) from
     the Hamiltonians (n, d, d) at the first and second Gauss node of each
     step, the largest gap (sqrt(3)/12) h^2 ||[H2, H1]|| (Frobenius norm)

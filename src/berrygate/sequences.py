@@ -203,6 +203,24 @@ DYNAMIC_PHASE_TOLERANCE = 1e-9
 MAX_SAMPLE_JUMP = math.pi / 16
 
 
+class _SharedSegment:
+    """The state-independent work of a segment that recurs in a plan: the
+    engine's sample maps (`engine.SampleMaps`), and the model's terms of the
+    energies at the samples a use starts with, per start stride.  Each is
+    computed by the first use that needs it and taken as it is by the
+    later ones."""
+
+    def __init__(self):
+        self.maps = engine.SampleMaps()
+        self._terms: dict[int, tuple] = {}
+
+    def terms(self, stride: int, compute):
+        """compute() on the first call at this stride, the same value after."""
+        if stride not in self._terms:
+            self._terms[stride] = compute()
+        return self._terms[stride]
+
+
 def _interleave(coarse: np.ndarray, mid: np.ndarray) -> np.ndarray:
     """(2n+1, ...) values with coarse (n+1, ...) at the even places and the
     midpoints mid (n, ...) at the odd ones."""
@@ -320,49 +338,56 @@ def _segment_controls(seg: Segment, t0: float, times):
 
 def _segment_frame(model, seg: Segment, t0: float, u):
     """How one segment that starts from u at t0 is propagated and read:
-    (propagator, controls, start state, observe).  The propagator(times,
-    *controls(times)) goes to the engine from the start state, and
-    observe(times, states) gives the states at those sample times in the
+    (propagator, controls, start state, energy_terms, observe).  The
+    propagator(times, *controls(times)) goes to the engine from the start
+    state; energy_terms(times) gives the model's terms of the energies at
+    sample times, which depend on the time since t0 alone; and
+    observe(terms, times, states) gives the states at those times in the
     report frame and their energies <psi|H|psi> (S, m)."""
     if isinstance(model, _PhiFrame):
         controls = partial(_phi_frame_controls, seg, t0)
         u = np.exp(1j * model._angles(seg, t0, np.array([t0])))[0, :, None] * u
 
-        def observe(times, states):
-            h, rates = model._energy_terms(times, *controls(times))
+        def observe(terms, times, states):
+            h, rates = terms
             energies = _expectation(h, states)
             energies += np.einsum("sd,sdm->sm", rates, np.abs(states) ** 2)
             states *= np.exp(-1j * model._angles(seg, t0, times))[:, :, None]
             return states, energies
 
-        return partial(_h2q_stack, model.p), controls, u, observe
+        return (partial(_h2q_stack, model.p), controls, u,
+                lambda times: model._energy_terms(times, *controls(times)), observe)
     controls = partial(_segment_controls, seg, t0)
     if isinstance(model, engine.SectorField):
-        def observe(times, states):
-            return states, model.expectation(model.field(times, *controls(times)), states)
-    else:
-        def observe(times, states):
-            h = model(times, *controls(times))
-            return states, np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
-    return model, controls, u, observe
+        def observe(field, times, states):
+            return states, model.expectation(field, states)
+
+        return model, controls, u, lambda times: model.field(times, *controls(times)), observe
+
+    def observe(h, times, states):
+        return states, np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
+
+    return model, controls, u, lambda times: model(times, *controls(times)), observe
 
 
 def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
-                 maps: engine.SampleMaps, ledger: _PhaseLedger):
+                 shared: _SharedSegment, ledger: _PhaseLedger):
     """Sample times, states (S, d, m) and dynamic phase (m,) of one segment
     that starts from u at t0, and its accepted stride, in floor spacings of
     `block` steps; the samples enter the ledger.
 
-    The samples start at the stride of maps (see `_run_plan`) and are
+    The samples start at the stride of shared.maps (see `_run_plan`) and are
     refined by midpoints until both estimates of the accepted samples pass,
     the Simpson-against-trapezoid difference of the dynamic phase
     (DYNAMIC_PHASE_TOLERANCE, over at least two intervals) and the ledger's
     largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing."""
-    propagator, controls, u, observe = _segment_frame(model, seg, t0, u)
+    propagator, controls, u, energy_terms, observe = _segment_frame(model, seg, t0, u)
+    maps = shared.maps
     first = not maps.levels
     times, states = engine.propagate_sampled(propagator, t0, n_steps, dt, u, controls, block, maps)
     stride = n_steps // block // (len(times) - 1)  # as the samples came
-    states, energies = observe(times, states)
+    terms = shared.terms(stride, lambda: energy_terms(times))
+    states, energies = observe(terms, times, states)
     while True:
         reference = -_cumulative_trapezoid(energies, times)
         dynamic = -_simpson(energies, stride * block * dt)
@@ -375,7 +400,7 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
             break
         mid_times, mid_states = engine.midpoint_samples(propagator, t0, u, maps, stride)
         stride //= 2
-        mid_states, mid_energies = observe(mid_times, mid_states)
+        mid_states, mid_energies = observe(energy_terms(mid_times), mid_times, mid_states)
         times = _interleave(times, mid_times)
         states = _interleave(states, mid_states)
         energies = _interleave(energies, mid_energies)
@@ -408,10 +433,10 @@ def _run_plan(plan, model, u0, dt, spacing):
     local time alone, so its sample maps do not depend on its start time or
     state (see `engine`).  A segment that occurs more than once in the plan,
     with the same step count and dt, is propagated once: its
-    `engine.SampleMaps` are kept for its later uses, which start at the
-    stride the first use accepted, only apply the maps to their own start
-    states, refine further if their own estimates ask, and take their own
-    energies, phase ledger, quadratures and book.  A segment that occurs once keeps
+    `_SharedSegment` is kept for its later uses, which start at the stride
+    the first use accepted, only apply the maps to their own start states,
+    refine further if their own estimates ask, and take their own energies,
+    phase ledger, quadratures and book.  A segment that occurs once keeps
     nothing, and a plain callable model, which may depend on absolute time,
     is propagated afresh on every use.  Nothing outlives the call.
 
@@ -427,7 +452,7 @@ def _run_plan(plan, model, u0, dt, spacing):
             runs.append((seg, n_steps, seg.duration / n_steps))
     shareable = isinstance(model, (engine.SectorField, _PhiFrame))
     shared = {
-        run: engine.SampleMaps() for run, uses in Counter(runs).items() if shareable and uses > 1
+        run: _SharedSegment() for run, uses in Counter(runs).items() if shareable and uses > 1
     }
     u = np.asarray(u0, dtype=complex)
     if u.ndim == 1:
@@ -449,7 +474,7 @@ def _run_plan(plan, model, u0, dt, spacing):
         try:
             times, states, dyn, stride = _run_segment(
                 model, seg, t_abs, n_steps, dt_seg, u, block,
-                shared.get(run) or engine.SampleMaps(), ledger,
+                shared.get(run) or _SharedSegment(), ledger,
             )
         except AdiabaticityError as exc:
             raise AdiabaticityError(f"{exc} in segment {len(books)} ({seg.kind})") from None

@@ -274,7 +274,9 @@ def _plan_afresh(plan, model, planned):
         steps = planned.block * stride
         n = steps * (len(book.times) - 1)
         controls = partial(sequences._segment_controls, item, t0)
-        times, states = engine.propagate_sampled(model, t0, n, item.duration / n, u, controls, steps)
+        times, states = engine.propagate_sampled(
+            model, t0, n, item.duration / n, u, controls, steps
+        )
         energies = model.expectation(model.field(times, *controls(times)), states)
         ledger.update(states, -sequences._cumulative_trapezoid(energies, times))
         dynamic -= sequences._simpson(energies, steps * item.duration / n)
