@@ -240,7 +240,8 @@ class SampleMaps:
 
     The first `propagate_sampled` call folds the run's steps, once, into the
     products over its sample blocks, levels[0].  levels[k] holds the
-    products over 2^k blocks, each the product of two of levels[k-1].
+    products over 2^k blocks, each the product of two of levels[k-1], while
+    a finer stride may still need them.
     maps[s] holds the maps to the samples every s blocks after the start:
     the coarsest by the prefix scan over its level, and each finer one from
     the maps at twice its stride, with one product per new map: the map to
@@ -294,6 +295,8 @@ class SampleMaps:
                     level = self.levels[-1]
                     self.levels.append(self._mul(level[1::2], level[0::2]))
                 maps = self._unit(prefix_products(self.levels[k], self._mul))
+                # midpoints take only the levels below: free the rest
+                self.levels[k:] = [None] * (len(self.levels) - k)
             else:
                 halves = self.levels[k][0::2]
                 mids = np.empty_like(coarse)
