@@ -204,11 +204,11 @@ MAX_SAMPLE_JUMP = math.pi / 16
 
 
 class _SharedSegment:
-    """The state-independent work of a segment that recurs in a plan: the
-    engine's sample maps (`engine.SampleMaps`), and the model's terms of the
-    energies at the samples a use starts with, per start stride.  Each is
-    computed by the first use that needs it and taken as it is by the
-    later ones."""
+    """The state-independent work of a segment run: the engine's sample maps
+    (`engine.SampleMaps`), and the model's terms of the energies at the
+    samples a use starts with, per start stride.  Each is computed by the
+    first use that needs it; a segment that recurs in a plan shares one
+    instance among its uses, which take it as it is."""
 
     def __init__(self):
         self.maps = engine.SampleMaps()
