@@ -52,6 +52,10 @@ class VerifyConfig:
     seed: int = 20260809
     diabatic: bool = False
 
+    def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+
 
 @dataclass(frozen=True)
 class CheckResult:

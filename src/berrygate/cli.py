@@ -22,6 +22,7 @@ from .gates import compose_local_phase_gate, gate_fidelity, local_phase_equivale
 from .phase import circle_distance, wrap_to_pi
 from .schrodinger import TwoSpinParams
 from .sequences import (
+    SAMPLE_RESOLUTION,
     AdiabaticityError,
     default_times_1q,
     default_times_2q,
@@ -254,7 +255,7 @@ def _add_schedule_args(sp, defaults):
                     help="scale the default sweep and ramp times together "
                          "(adiabaticity knob)")
     sp.add_argument("--dt", type=float, default=defaults.get("dt"),
-                    help="integrator step (s); default 0.005/|Omega'|")
+                    help=f"integrator step (s); default {SAMPLE_RESOLUTION:g}/|Omega'|max")
 
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,

@@ -53,11 +53,9 @@ midpoints, the renormalized pairs) do not depend on the state; only
 applying them does.  Where the Hamiltonian is a function of the time since
 the run's start t0 alone, they do not depend on t0 either, so a later run
 of the same segment can take them as they are (`SampleMaps`).
-`sequences._run_plan` relies on this for its two production models, whose
+`sequences._run_plan` relies on this for both of its models, whose
 Hamiltonians (`sequences._cone_field`, `sequences._h2q_stack`) read their
-times only for their length and take the controls at local time.  A
-Hamiltonian given as a plain callable may depend on absolute time, and is
-propagated afresh on every use.
+times only for their length and take the controls at local time.
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched

@@ -358,16 +358,11 @@ def _segment_frame(model, seg: Segment, t0: float, u):
         return (partial(_h2q_stack, model.p), controls, u,
                 lambda times: model._energy_terms(times, *controls(times)), observe)
     controls = partial(_segment_controls, seg, t0)
-    if isinstance(model, engine.SectorField):
-        def observe(field, times, states):
-            return states, model.expectation(field, states)
 
-        return model, controls, u, lambda times: model.field(times, *controls(times)), observe
+    def observe(field, times, states):
+        return states, model.expectation(field, states)
 
-    def observe(h, times, states):
-        return states, np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
-
-    return model, controls, u, lambda times: model(times, *controls(times)), observe
+    return model, controls, u, lambda times: model.field(times, *controls(times)), observe
 
 
 def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
@@ -413,8 +408,7 @@ def _run_plan(plan, model, u0, dt, spacing):
     """Run a list of ('seg', Segment) / ('pulse', matrix) items.
 
     model is the Hamiltonian: an `engine.SectorField` over a field function
-    of (times, w1, om, ph), a `_PhiFrame`, or a callable (times, w1, om, ph)
-    returning the (n, d, d) Hamiltonian stack.  Each segment supplies the
+    of (times, w1, om, ph), or a `_PhiFrame`.  Each segment supplies the
     controls.
 
     The floor spacing of the samples is the spacing, or dt if that is
@@ -437,8 +431,7 @@ def _run_plan(plan, model, u0, dt, spacing):
     the first use accepted, only apply the maps to their own start states,
     refine further if their own estimates ask, and take their own energies,
     phase ledger, quadratures and book.  A segment that occurs once keeps
-    nothing, and a plain callable model, which may depend on absolute time,
-    is propagated afresh on every use.  Nothing outlives the call.
+    nothing.  Nothing outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
@@ -450,10 +443,7 @@ def _run_plan(plan, model, u0, dt, spacing):
         if kind == "seg":
             n_steps = block * _STRIDE_UNIT * max(1, round(seg.duration / unit))
             runs.append((seg, n_steps, seg.duration / n_steps))
-    shareable = isinstance(model, (engine.SectorField, _PhiFrame))
-    shared = {
-        run: _SharedSegment() for run, uses in Counter(runs).items() if shareable and uses > 1
-    }
+    shared = {run: _SharedSegment() for run, uses in Counter(runs).items() if uses > 1}
     u = np.asarray(u0, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
@@ -566,8 +556,9 @@ def _sample_spacing(rabi_max: float, dt: float) -> float:
 
 def default_times_1q(p: RabiParams) -> tuple[float, float, float]:
     """(ramp_time, sweep_time, dt) from the adiabaticity and resolution rules
-    sweep = 500/|Omega'|, ramp = sweep/5, and dt = 64 * 0.005/|Omega'|, the
-    floor spacing of the samples: one Magnus-4 step per floor interval."""
+    sweep = 500/|Omega'|, ramp = sweep/5, and dt = SAMPLE_RESOLUTION/|Omega'|max
+    (0.32/|Omega'|max), the floor spacing of the samples: one Magnus-4 step
+    per floor interval."""
     om_prime = _rabi_1q(p)
     if om_prime == 0.0:
         raise ValueError("Rabi vector vanishes; no timescale to set")
@@ -866,8 +857,9 @@ def conditional_target_gate(dg: float) -> np.ndarray:
 
 def default_times_2q(p: TwoSpinParams):
     """(ramp_time, sweep_time, dt): sweep from the slower sector's Rabi
-    vector, dt from the faster one: 64 * 0.005/|Omega'|max, one Magnus-4
-    step per floor interval of the samples, also with the drive on spin b.
+    vector, dt from the faster one: SAMPLE_RESOLUTION/|Omega'|max
+    (0.32/|Omega'|max), one Magnus-4 step per floor interval of the samples,
+    also with the drive on spin b.
 
     The ramps start where the transverse drive vanishes, so their adiabatic
     bottleneck is the bare sector gap |w+- - w| rather than the plateau Rabi

@@ -5,10 +5,11 @@ builders, so that an agreement means something.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
-from berrygate import engine
+from berrygate import engine, sequences
 from berrygate.bloch import RabiParams
 from berrygate.schrodinger import (
     SchrodingerTrajectory,
@@ -211,6 +212,35 @@ def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample
             samples.append(u)
             ends.append(k)
     return t0 + np.array(ends) * dt, np.array(samples)
+
+
+def plan_afresh(plan, propagate, model, planned):
+    """Oracle for `sequences._run_plan`: (final, total, dynamic) of the plan
+    run from the identity as `_run_plan` ran it to planned (its
+    `_PlanResult`), with every segment use propagated afresh by propagate
+    (`engine.propagate_sampled` or `rk4_propagate_sampled`) at the step
+    count and stride that use took.  model is the dense stack
+    (times, w1, om, ph) -> (n, d, d) at absolute times, in the frame of the
+    reports; the energies are <psi|H|psi> of that stack."""
+    u, t0 = np.eye(len(planned.final), dtype=complex), 0.0
+    ledger, dynamic = sequences._PhaseLedger(u), np.zeros(len(u))
+    uses = iter(zip(planned.books, planned.strides))
+    for kind, item in plan:
+        if kind == "pulse":
+            u = item @ u
+            ledger.after_pulse(u)
+            continue
+        book, stride = next(uses)
+        steps = planned.block * stride
+        n = steps * (len(book.times) - 1)
+        controls = partial(sequences._segment_controls, item, t0)
+        times, states = propagate(model, t0, n, item.duration / n, u, controls, steps)
+        h = model(times, *controls(times))
+        energies = np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
+        ledger.update(states, -sequences._cumulative_trapezoid(energies, times))
+        dynamic -= sequences._simpson(energies, steps * item.duration / n)
+        u, t0 = states[-1], t0 + item.duration
+    return u, ledger.total, dynamic
 
 
 _SIGMA = {

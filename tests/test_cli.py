@@ -11,10 +11,11 @@ import pytest
 
 import berrygate
 from berrygate.bloch import RabiParams
-from berrygate.checks import check_names
+from berrygate.checks import VerifyConfig, check_names
 from berrygate.cli import main
 from berrygate.schrodinger import TwoSpinParams
 from berrygate.sequences import (
+    SAMPLE_RESOLUTION,
     default_times_2q,
     delta_gamma,
     fault_tolerance_surface,
@@ -218,6 +219,23 @@ def test_out_of_range_time_exits_2(tmp_path, capsys, command, key, value, messag
     assert out == ""
     assert err == f"error: {message}\n"
     assert not out_csv.exists()
+
+
+def test_a_negative_seed_exits_2(tmp_path, capsys):
+    # the API's own check (`VerifyConfig`), by flag and by config file
+    (tmp_path / "run.cfg").write_text("seed = -5\n")
+    for argv in (["verify", "--seed", "-1"], ["--config", str(tmp_path / "run.cfg"), "verify"]):
+        assert run_cli(capsys, *argv) == (2, "", "error: seed must be a non-negative integer\n")
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        VerifyConfig(seed=-1)
+
+
+@pytest.mark.parametrize("command", ["simulate", "conditional"])
+def test_dt_help_gives_the_default_step(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"default {SAMPLE_RESOLUTION:g}/|Omega'|max" in help_text
 
 
 def test_verify_list(capsys):

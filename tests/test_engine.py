@@ -2,15 +2,15 @@
 4x4 in the phi frame, against the batched RK4 oracle and each other.
 
 The oracle runs below are the production sequences with the propagator
-swapped for `oracles.rk4_propagate_sampled`, and the model for the matrix
-stack of the same Hamiltonian in the frame of the reports.  The oracle
-ignores the engine's sample maps, so it stands in for the refinement too:
-its runs are sampled at the floor spacing, where the plan never asks for
-midpoints.
+swapped for `oracles.rk4_propagate_sampled`, which takes a
+`engine.SectorField` as its dense Hamiltonian stack.  The oracle ignores
+the engine's sample maps, so it stands in for the refinement too: its runs
+are sampled at the floor spacing, where the plan never asks for midpoints.
+The `drive_on_b` run is checked against `oracles.plan_afresh` on RK4 of its
+Hamiltonian in the frame of the reports, independent of the phi frame.
 """
 
 import math
-from contextlib import contextmanager
 from functools import partial
 from unittest import mock
 
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import drive_on_b_hamiltonian, rk4_propagate_sampled
+from oracles import drive_on_b_hamiltonian, plan_afresh, rk4_propagate_sampled
 
 from berrygate import engine, sequences
 from berrygate.bloch import RabiParams
@@ -33,36 +33,18 @@ def two_spin_params(detuning, amplitude):
     )
 
 
-@contextmanager
 def rk4_oracle():
-    """Run the sequences on the RK4 oracle, with each Hamiltonian handed
-    over as a plain matrix stack in the frame of the reports.  Yields the
-    list of the oracle's calls, so a test can check that every segment use
-    went through it."""
-    model_1q, model_2q = sequences._model_1q, sequences._model_2q
-    calls = []
-
-    def oracle_2q(p, on_b):
-        return drive_on_b_hamiltonian(p) if on_b else model_2q(p, False).__call__
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])  # t0
-        return rk4_propagate_sampled(*args, **kwargs)
-
-    with mock.patch.object(
-        sequences, "_model_1q", lambda w0: model_1q(w0).__call__
-    ), mock.patch.object(sequences, "_model_2q", oracle_2q), mock.patch.object(
-        sequences.engine, "propagate_sampled", counted
-    ):
-        yield calls
+    """Run the sequences on the RK4 oracle, through a mock whose calls a
+    test can count, to check that every segment use went through it."""
+    return mock.patch.object(engine, "propagate_sampled", side_effect=rk4_propagate_sampled)
 
 
 def test_cone_loop_matches_rk4_oracle():
     p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0)
     su2 = sequences.run_cone_loop(p, **SHORT)
-    with rk4_oracle() as calls:
+    with rk4_oracle() as oracle:
         rk4 = sequences.run_cone_loop(p, **SHORT)
-    assert len(calls) == 3  # one per segment
+    assert oracle.call_count == 3  # one per segment
     assert np.max(np.abs(su2.states - rk4.states)) < 1e-9
     assert abs(su2.decomposition.total - rk4.decomposition.total) < 1e-9
     assert abs(su2.decomposition.dynamic - rk4.decomposition.dynamic) < 1e-9
@@ -77,22 +59,39 @@ def _assert_gates_agree(su2, rk4, tol):
 def test_conditional_run_matches_rk4_oracle():
     p = two_spin_params(2.0, 1.2)
     su2 = sequences.run_conditional_sequence(p, **SHORT)
-    with rk4_oracle() as calls:
+    with rk4_oracle() as oracle:
         rk4 = sequences.run_conditional_sequence(p, **SHORT)
-    assert len(calls) == 12  # one per segment use: 4 loops of 3
+    assert oracle.call_count == 12  # one per segment use: 4 loops of 3
     _assert_gates_agree(su2, rk4, 1e-9)
+
+
+def _planned(p, **kwargs):
+    """The conditional gate at p and the `_PlanResult` of its plan."""
+    results = []
+
+    def spy(*args):
+        results.append(run_plan(*args))
+        return results[-1]
+
+    run_plan = sequences._run_plan
+    with mock.patch.object(sequences, "_run_plan", spy):
+        res = sequences.run_conditional_sequence(p, **kwargs)
+    return res, results[0]
 
 
 def test_drive_on_b_run_matches_rk4_oracle():
     # dense Magnus-4 in the phi frame against RK4 in the frame of the
-    # reports: the gaps measure 2.5e-11 (gate), 2.2e-11 (total phases) and
+    # reports: the gaps measure 2.4e-11 (gate), 2.3e-11 (total phases) and
     # 2.1e-10 (dynamic phases), so the bound leaves a margin of about 5
     p = two_spin_params(2.0, 1.2)
-    magnus = sequences.run_conditional_sequence(p, drive_on_b=True, **SHORT)
-    with rk4_oracle() as calls:
-        rk4 = sequences.run_conditional_sequence(p, drive_on_b=True, **SHORT)
-    assert len(calls) == 12
-    _assert_gates_agree(magnus, rk4, 1e-9)
+    plan = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], 0.0)
+    magnus, planned = _planned(p, drive_on_b=True, **SHORT)
+    gate, total, dynamic = plan_afresh(
+        plan, rk4_propagate_sampled, drive_on_b_hamiltonian(p), planned
+    )
+    assert np.max(np.abs(magnus.gate - gate)) < 1e-9
+    assert np.max(np.abs(magnus.total_phases - total)) < 1e-9
+    assert np.max(np.abs(magnus.dynamic_phases - dynamic)) < 1e-9
 
 
 def _plan_map(plan, model, dt):
@@ -234,64 +233,16 @@ def test_the_gate_propagates_each_distinct_segment_once(drive_on_b, steps):
             assert spy.call_count == 5
 
 
-def test_a_plain_callable_is_propagated_on_every_use():
-    # a plain callable may depend on absolute time, so it shares nothing
-    p = two_spin_params(2.0, 1.2)
-    plan = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], 0.0)
-    full = sequences._model_2q(p, False).__call__
-    spy = mock.Mock(wraps=engine.magnus4_dense_steps)
-    with mock.patch.object(engine, "magnus4_dense_steps", spy):
-        sequences._run_plan(plan, full, np.eye(4, dtype=complex), SHORT["dt"], SHORT["dt"])
-    assert spy.call_count == 12
-
-
-def _planned(p, **kwargs):
-    """The conditional gate at p and the `_PlanResult` of its plan."""
-    results = []
-
-    def spy(*args):
-        results.append(run_plan(*args))
-        return results[-1]
-
-    run_plan = sequences._run_plan
-    with mock.patch.object(sequences, "_run_plan", spy):
-        res = sequences.run_conditional_sequence(p, **kwargs)
-    return res, results[0]
-
-
-def _plan_afresh(plan, model, planned):
-    """(final, total, dynamic) of the plan as `_run_plan` ran it to planned,
-    with every segment use propagated afresh at the stride it accepted."""
-    u, t0 = np.eye(4, dtype=complex), 0.0
-    ledger, dynamic = sequences._PhaseLedger(u), np.zeros(4)
-    uses = iter(zip(planned.books, planned.strides))
-    for kind, item in plan:
-        if kind == "pulse":
-            u = item @ u
-            ledger.after_pulse(u)
-            continue
-        book, stride = next(uses)
-        steps = planned.block * stride
-        n = steps * (len(book.times) - 1)
-        controls = partial(sequences._segment_controls, item, t0)
-        times, states = engine.propagate_sampled(
-            model, t0, n, item.duration / n, u, controls, steps
-        )
-        energies = model.expectation(model.field(times, *controls(times)), states)
-        ledger.update(states, -sequences._cumulative_trapezoid(energies, times))
-        dynamic -= sequences._simpson(energies, steps * item.duration / n)
-        u, t0 = states[-1], t0 + item.duration
-    return u, ledger.total, dynamic
-
-
 def test_shared_segments_give_the_gate_of_fresh_ones():
-    # measured: 7e-15 (gate), 2.3e-13 (total phases) and 4.8e-13 (dynamic
+    # measured: 6.6e-15 (gate), 2.3e-13 (total phases) and 5.0e-13 (dynamic
     # phases, the net of segment terms of up to 517 rad)
     p = two_spin_params(2.0, 1.2)
     ramp, sweep, _ = sequences.default_times_2q(p)
     plan = sequences._conditional_plan(p, ramp, sweep, 0.0)
     res, planned = _planned(p)
-    gate, total, dynamic = _plan_afresh(plan, sequences._model_2q(p, False), planned)
+    gate, total, dynamic = plan_afresh(
+        plan, engine.propagate_sampled, sequences._model_2q(p, False), planned
+    )
     assert np.max(np.abs(res.gate - gate)) < 1e-12
     assert np.max(np.abs(res.total_phases - total)) < 1e-12
     assert np.max(np.abs(res.dynamic_phases - dynamic)) < 1e-12

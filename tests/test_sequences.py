@@ -60,12 +60,10 @@ def test_engine_matches_stepwise_rk4():
     dt = 0.004
     span = (0.0, sum(s.duration for s in sched.segments))
     ref = integrate_schrodinger(psi0, hamiltonian_of_schedule_1q(p.omega0, sched), span, dt)
-    # A plain matrix callable, not an engine.SectorField.
-    rk4_model = _model_1q(p.omega0).__call__
-    assert not isinstance(rk4_model, engine.SectorField)
-    # spacing dt: one step per sample, so the steps are the oracle's own
+    # spacing dt: one step per sample, so the steps are the oracle's own;
+    # the oracle takes the SectorField as its dense Hamiltonian stack
     with mock.patch.object(engine, "propagate_sampled", rk4_propagate_sampled):
-        res = _run_plan(_schedule_plan(sched), rk4_model, psi0, dt, dt)
+        res = _run_plan(_schedule_plan(sched), _model_1q(p.omega0), psi0, dt, dt)
     assert np.max(np.abs(res.final[:, 0] - ref.final_psi)) < 1e-12
 
 
@@ -245,7 +243,7 @@ def _resolved_dt(*args, **kwargs) -> float:
 
 def test_default_times_respect_step_bound():
     # one Magnus-4 step per floor interval of the samples,
-    # dt |Omega'|max = 64 * 0.005, with or without the drive on spin b
+    # dt |Omega'|max = SAMPLE_RESOLUTION = 0.32, with or without the drive on spin b
     p2 = two_spin_params(2.0, 1.2)
     rt, st, dt = default_times_2q(p2)
     max_omega = max(
