@@ -60,8 +60,9 @@ times only for their length and take the controls at local time.
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
 one-step RK4 maps that `schrodinger.integrate_schrodinger` folds, is
-re-exported from there.  No production path calls either; the tests
-propagate with them to check the Magnus paths.
+re-exported from there.  It returns each complex d x d map in its real
+2d x 2d form, whose complex map is m[:d, :d] + 1j m[d:, :d].  No production
+path calls either; the tests propagate with them to check the Magnus paths.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import prefix_products
-# rk4_transition_matrices is re-exported: the RK4 maps of the stepwise oracle.
+# rk4_transition_matrices is re-exported: the stepwise oracle's RK4 maps, in real form.
 from .schrodinger import StepSizeError, check_step_spread, rk4_transition_matrices  # noqa: F401
 
 # Largest accepted gap between the Magnus-4 and the midpoint step, in rad.

@@ -1,4 +1,4 @@
-"""Fixed-dimension complex linear algebra for one- and two-spin problems.
+"""Fixed-dimension linear algebra for one- and two-spin problems.
 
 Everything lives in dimension 2 or 4, with the four-dimensional basis ordered
 {up-up, up-down, down-up, down-down}.  States and operators are plain numpy
@@ -7,8 +7,12 @@ and the exact propagator of a constant Hermitian generator, with the
 dimension and Hermiticity checks that go with them.
 
 It also holds what the RK4 oracles of du/dt = G(t) u in `bloch` (real 3x3
-G) and `schrodinger` (G = -i H) share: the half-step grid, the one-step maps,
-and their chunked fold by the prefix scan that the engine's Magnus fold uses.
+G) and `schrodinger` (G = -i H) share, all of it in real arithmetic: the
+half-step grid, the real form of a complex matrix, the one-step maps, and
+their chunked fold by the prefix scan that the engine's Magnus fold uses.
+The Schrodinger oracle runs on the real 2d x 2d form of its complex d x d
+generators, because numpy multiplies stacks of small real matrices several
+times faster than complex ones.
 """
 
 from __future__ import annotations
@@ -86,22 +90,46 @@ def half_step_grid(t_span, dt: float) -> tuple[np.ndarray, np.ndarray, float]:
     return nodes[0::2], nodes, h
 
 
+def real_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The real form [[X, -Y], [Y, X]] (..., 2d, 2d) of the complex matrices
+    X + iY, from their real parts x and imaginary parts y (..., d, d).  It
+    maps sums and products of complex matrices to those of their real forms,
+    and X + iY acting on x + iy to it acting on the column (x, y)."""
+    d = x.shape[-1]
+    out = np.empty(x.shape[:-2] + (2 * d, 2 * d))
+    out[..., :d, :d] = out[..., d:, d:] = x
+    out[..., :d, d:] = -y
+    out[..., d:, :d] = y
+    return out
+
+
 def rk4_step_maps(a: np.ndarray) -> np.ndarray:
-    """One-step RK4 maps of du/dt = G(t) u from the scaled generators
-    a = h G on the half-step grid (shape (2n+1, d, d) in, (n, d, d) out,
-    real or complex).  Because the ODE is linear, one RK4 step is the matrix
+    """One-step RK4 maps of du/dt = G(t) u from the real scaled generators
+    a = h G on the half-step grid (shape (2n+1, d, d) in, (n, d, d) out).
+    Because the ODE is linear, one RK4 step is the matrix
 
         M = 1 + (K1 + 2 K2 + 2 K3 + K4) / 6
         K1 = A1,  K2 = A2 (1 + K1/2),  K3 = A2 (1 + K2/2),  K4 = A4 (1 + K3)
 
     with A_i = a at stage i (Blanes, Casas, Oteo & Ros, Phys. Rep. 470,
-    151 (2009))."""
+    151 (2009)).  The sum is taken as 2 ((K2 + A1/2) + K3) + K4, which
+    rounds as the sum written above, because scaling by 2 is exact."""
     a1, a2, a4 = a[0:-1:2], a[1::2], a[2::2]
-    k2 = a2 + 0.5 * (a2 @ a1)
-    k3 = a2 + 0.5 * (a2 @ k2)
-    k4 = a4 + a4 @ k3
-    m = (a1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    m += np.eye(a.shape[-1], dtype=a.dtype)
+    k = a2 @ a1
+    k *= 0.5
+    k += a2  # K2
+    m = 0.5 * a1
+    m += k
+    k = a2 @ k
+    k *= 0.5
+    k += a2  # K3
+    m += k
+    m *= 2.0
+    k = a4 @ k
+    k += a4  # K4
+    m += k
+    m /= 6.0
+    m.reshape(len(m), -1)[:, :: a.shape[-1] + 1] += 1.0
     return m
 
 
@@ -120,13 +148,14 @@ def prefix_products(x: np.ndarray, mul) -> np.ndarray:
 
 
 def rk4_fold(stack: np.ndarray, u0: np.ndarray, step_maps) -> np.ndarray:
-    """States (n+1, B, d, 1) of n RK4 steps from the B columns u0 (B, d, 1),
-    given the generator stacked at the 2n+1 nodes of the half-step grid and
-    step_maps, which turns 2m+1 consecutive entries into m one-step maps.
-    The maps of `RK4_CHUNK` steps at a time are folded by `prefix_products`
-    onto the chunk's start state, one matrix-vector product per column."""
+    """Real states (n+1, B, d, 1) of n RK4 steps from the real B columns u0
+    (B, d, 1), given the generator stacked at the 2n+1 nodes of the
+    half-step grid and step_maps, which turns 2m+1 consecutive entries into
+    m real one-step maps (d, d).  The maps of `RK4_CHUNK` steps at a time
+    are folded by `prefix_products` onto the chunk's start state, one
+    matrix-vector product per column."""
     n_steps = (len(stack) - 1) // 2
-    out = np.empty((n_steps + 1,) + u0.shape, dtype=np.result_type(stack, u0))
+    out = np.empty((n_steps + 1,) + u0.shape)
     out[0] = u0
     for start in range(0, n_steps, RK4_CHUNK):
         stop = min(start + RK4_CHUNK, n_steps)

@@ -11,15 +11,23 @@ norm check and phase unwrap are its own.  The Hamiltonians take a scalar
 time or an array of times.
 
 The ODE is linear, so one RK4 step is one matrix (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 151 (2009)).  The integrator runs in batched stages:
-one h_of_t call on all nodes of the half-step grid, giving the (2n+1, d, d)
-stack, checked finite and Hermitian; the spread guard on that stack; the
-one-step maps `rk4_transition_matrices` (which `engine` re-exports; it
-calls `linalg.rk4_step_maps`, the only copy of the formula), folded by a
-prefix scan `linalg.RK4_CHUNK` steps at a time onto the chunk's start
-state (`linalg.rk4_fold`); and, after the fold, the overlaps with psi(0)
-and their unwrap.  The tests check it
-against a stage-form RK4 loop.
+Ros, Phys. Rep. 470, 151 (2009)).  The formula holds in any real algebra,
+so the steps run in real arithmetic on the real form [[X, -Y], [Y, X]] of
+X + iY (`linalg.real_form`), with each column carried as (Re psi, Im psi).
+The integrator runs in batched stages:
+
+1. one h_of_t call on all nodes of the half-step grid, giving the
+   (2n+1, d, d) complex stack, checked finite and Hermitian;
+2. the spread guard on that stack;
+3. the one-step maps `rk4_transition_matrices` (which `engine`
+   re-exports), the real (2d, 2d) forms that `linalg.rk4_step_maps`, the
+   only copy of the formula, makes of the real form of -i H dt;
+4. their fold by a prefix scan, `linalg.RK4_CHUNK` steps at a time, onto
+   the chunk's real start columns (`linalg.rk4_fold`);
+5. psi = Re psi + i Im psi, rebuilt once after the fold, and the overlaps
+   with psi(0) and their unwrap.
+
+The tests check it against a stage-form RK4 loop in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import RabiParams
-from .linalg import half_step_grid, pauli, rk4_fold, rk4_step_maps
+from .linalg import half_step_grid, pauli, real_form, rk4_fold, rk4_step_maps
 
 # The drive's Paulis embedded on spin a of the two-spin basis.
 _SX_A, _SY_A = np.kron(pauli("x"), np.eye(2)), np.kron(pauli("y"), np.eye(2))
@@ -130,8 +138,11 @@ class SchrodingerTrajectory:
 def rk4_transition_matrices(h_half: np.ndarray, dt: float) -> np.ndarray:
     """One-step RK4 transition matrices of i d|psi>/dt = H(t)|psi> from
     Hamiltonians on the half-step grid t0, t0+dt/2, t0+dt, ... (shape
-    (2n+1, d, d) in, (n, d, d) out): `linalg.rk4_step_maps` of -i H dt."""
-    return rk4_step_maps((-1j * dt) * h_half)
+    (2n+1, d, d) in), as their real forms (n, 2d, 2d) out: the
+    `linalg.rk4_step_maps` of the real form of -i H dt = dt Im H - i dt Re H,
+    [[dt Im H, dt Re H], [-dt Re H, dt Im H]].  The complex map of a step m
+    is m[:d, :d] + 1j * m[d:, :d]."""
+    return rk4_step_maps(real_form(dt * h_half.imag, -dt * h_half.real))
 
 
 def check_step_spread(hams: np.ndarray, dt: float) -> None:
@@ -203,29 +214,36 @@ def integrate_schrodinger(
     matrix (so `lambda t: h` works).  The one-step maps are built in batch
     and folded by a prefix scan onto each chunk's start state, and every
     column takes the same matrix-vector product per step, so a block
-    reproduces the B single-column runs.  Requires a finite psi0 whose
-    every column has |psi0| = 1, a finite, increasing t_span, a finite
-    dt > 0 and a finite stack of that shape, Hermitian within
-    HERMITIAN_TOL (ValueError otherwise), and dt * (max eigenvalue spread
-    of H) <= 0.01; a violating step size raises StepSizeError instead of
-    silently degrading.  The state is never renormalized.  Each column's
+    reproduces the B single-column runs.  Requires a finite psi0 of shape
+    (dim,) or (dim, B) with B >= 1 whose every column has |psi0| = 1, a
+    finite, increasing t_span, a finite dt > 0 and a finite stack of that
+    shape, Hermitian within HERMITIAN_TOL (ValueError otherwise), and
+    dt * (max eigenvalue spread of H) <= 0.01; a violating step size raises
+    StepSizeError instead of silently degrading.  The state is never renormalized.  Each column's
     global phase arg<psi(0)|psi(t)> is unwrapped step to step; a jump >= pi
     between healthy samples (overlap magnitude above 1e-6) aborts, since it
     means the sampling cannot resolve the phase winding.
     """
     psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.ndim not in (1, 2) or 0 in psi0.shape:
+        raise ValueError(
+            f"initial state must have shape (dim,) or (dim, B) with B >= 1, got {psi0.shape}"
+        )
     if not np.all(np.isfinite(psi0)):
         raise ValueError("initial state must be finite")
     if np.any(np.abs(np.linalg.norm(psi0, axis=0) - 1.0) > 1e-10):
         raise ValueError("initial state must be normalized")
+    dim = psi0.shape[0]
     times, nodes, h = half_step_grid(t_span, dt)
     n_steps = len(times) - 1
-    hams = _hamiltonian_stack(h_of_t, nodes, psi0.shape[0])
+    hams = _hamiltonian_stack(h_of_t, nodes, dim)
     check_step_spread(hams[0::2][:: max(1, n_steps // 32)], h)
 
-    # The columns run as a (B, dim, 1) stack of column vectors.
-    cols = psi0.reshape(psi0.shape[0], -1).T[:, :, None]
-    states = rk4_fold(hams, cols, lambda x: rk4_transition_matrices(x, h))[..., 0]  # (n+1, B, dim)
+    # The columns run as a (B, 2 dim, 1) stack of real columns (Re psi, Im psi).
+    cols = psi0.reshape(dim, -1).T
+    cols = np.concatenate([cols.real, cols.imag], axis=1)[:, :, None]
+    xy = rk4_fold(hams, cols, lambda x: rk4_transition_matrices(x, h))[..., 0]
+    states = xy[..., :dim] + 1j * xy[..., dim:]  # (n+1, B, dim)
     phase = np.stack(
         [_unwrapped_phase(states[:, j] @ states[0, j].conj()) for j in range(states.shape[1])],
         axis=-1,

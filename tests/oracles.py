@@ -193,7 +193,8 @@ def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample
     """Oracle for `engine.propagate_sampled`, same arguments and samples:
     batched RK4 maps (`engine.rk4_transition_matrices`, under the step guard
     `engine._check_spread`) of the dense stack model(times, *controls(times))
-    on the half-step grid, applied to the state one step at a time.  It
+    on the half-step grid, read as complex maps off their real forms and
+    applied to the state one step at a time.  It
     ignores maps and propagates afresh on every call, sampling every
     steps_per_sample steps, so a plan run on it is sampled at the floor
     spacing and never refined by `engine.midpoint_samples`."""
@@ -203,7 +204,9 @@ def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample
         )
     engine._check_spread(model, controls, t0, n_steps, dt)
     nodes = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
-    steps = engine.rk4_transition_matrices(model(nodes, *controls(nodes)), dt)
+    real_steps = engine.rk4_transition_matrices(model(nodes, *controls(nodes)), dt)
+    d = real_steps.shape[-1] // 2
+    steps = real_steps[:, :d, :d] + 1j * real_steps[:, d:, :d]
     u = np.asarray(u0, dtype=complex)
     samples, ends = [u], [0]
     for k, step in enumerate(steps, 1):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berrygate.engine import _su2_mul
 from berrygate.linalg import (
@@ -8,6 +10,8 @@ from berrygate.linalg import (
     pauli,
     pauli_dot,
     prefix_products,
+    real_form,
+    rk4_step_maps,
     tensor,
 )
 
@@ -145,3 +149,41 @@ def test_prefix_products_match_a_sequential_left_fold(kind, n):
     out = prefix_products(x, mul)
     assert out.shape == x.shape and out.dtype == x.dtype
     assert np.max(np.abs(out - ref)) < 1e-13
+
+
+def _textbook_rk4_maps(a):
+    """Oracle: the one-step RK4 maps as the formula is written."""
+    a1, a2, a4 = a[0:-1:2], a[1::2], a[2::2]
+    k2 = a2 + 0.5 * (a2 @ a1)
+    k3 = a2 + 0.5 * (a2 @ k2)
+    k4 = a4 + a4 @ k3
+    return (a1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0 + np.eye(a.shape[-1])
+
+
+@pytest.mark.parametrize("d", [3, 4, 8])
+@pytest.mark.parametrize("n", [1, 2, 1024])
+def test_rk4_step_maps_round_as_the_textbook_formula(d, n):
+    # the sum 2 ((K2 + A1/2) + K3) + K4 rounds as A1 + 2 K2 + 2 K3 + K4,
+    # because scaling by 2 is exact
+    a = 0.05 * np.random.default_rng(100 * d + n).normal(size=(2 * n + 1, d, d))
+    maps = rk4_step_maps(a)
+    assert maps.shape == (n, d, d)
+    assert np.array_equal(maps, _textbook_rk4_maps(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    d=st.sampled_from([2, 4]),
+    scale=st.integers(-40, 40).map(lambda k: 2.0**k),
+)
+def test_real_form_of_a_product_is_the_product_of_real_forms(seed, n, d, scale):
+    rng = np.random.default_rng(seed)
+    p, q = scale * (rng.normal(size=(2, n, d, d)) + 1j * rng.normal(size=(2, n, d, d)))
+    pq = p @ q
+    lhs = real_form(pq.real, pq.imag)
+    rhs = real_form(p.real, p.imag) @ real_form(q.real, q.imag)
+    assert lhs.shape == rhs.shape == (n, 2 * d, 2 * d)
+    size = np.max(np.abs(p)) * np.max(np.abs(q))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-15 * size

@@ -9,7 +9,7 @@ from oracles import hamiltonian_2q_full, rk4_schrodinger_by_stages, rotating_ham
 
 from berrygate import schrodinger
 from berrygate.bloch import RabiParams, integrate_bloch
-from berrygate.linalg import RK4_CHUNK, half_step_grid, tensor
+from berrygate.linalg import RK4_CHUNK, half_step_grid, real_form, rk4_step_maps, tensor
 from berrygate.schrodinger import (
     StepSizeError,
     TwoSpinParams,
@@ -18,6 +18,7 @@ from berrygate.schrodinger import (
     hamiltonian_1q,
     hamiltonian_2q,
     integrate_schrodinger,
+    rk4_transition_matrices,
 )
 
 UP = np.array([1.0, 0.0], dtype=complex)
@@ -255,6 +256,33 @@ def test_bad_hamiltonian_rejected(case):
     h_of_t, message = BAD_HAMILTONIANS[case]
     with pytest.raises(ValueError, match=message):
         integrate_schrodinger(UP, h_of_t, (0.0, 1.0), 0.01)
+
+
+BAD_INITIAL_STATES = {
+    # normalized columns, but a (2, 2, 2) block is neither a state nor a block
+    "three-axes": np.stack([np.eye(2), np.eye(2)], axis=-1).astype(complex),
+    "no-columns": np.zeros((2, 0), dtype=complex),
+    "scalar": np.array(1.0 + 0.0j),
+    "empty-state": np.zeros(0, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INITIAL_STATES)
+def test_bad_initial_state_shape_rejected(case):
+    with pytest.raises(ValueError, match=r"shape \(dim,\) or \(dim, B\) with B >= 1"):
+        integrate_schrodinger(BAD_INITIAL_STATES[case], lambda t: np.zeros((2, 2), complex),
+                              (0.0, 1.0), 0.01)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_transition_matrices_are_the_real_forms_of_the_complex_maps(dim):
+    rng = np.random.default_rng(dim)
+    m = rng.normal(size=(65, dim, dim)) + 1j * rng.normal(size=(65, dim, dim))
+    hams, dt = m + m.conj().swapaxes(-1, -2), 0.02
+    complex_maps = rk4_step_maps((-1j * dt) * hams)
+    maps = rk4_transition_matrices(hams, dt)
+    assert maps.shape == (32, 2 * dim, 2 * dim) and maps.dtype == float
+    assert np.max(np.abs(maps - real_form(complex_maps.real, complex_maps.imag))) <= 1e-15
 
 
 def test_hermitian_within_the_bound_accepted():
