@@ -121,9 +121,9 @@ def test_transition_matrix_is_one_rk4_step():
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     h = 0.5 * (m + m.conj().T)
     dt = 0.003
-    m = rk4_transition_matrices(np.stack([h, h, h]), dt)[0]
-    assert m.shape == (4, 4) and m.dtype == float
-    mat = m[:2, :2] + 1j * m[2:, :2]
+    real = rk4_transition_matrices(np.stack([h, h, h]), dt)[0]
+    assert real.shape == (4, 4) and real.dtype == float
+    mat = real[:2, :2] + 1j * real[2:, :2]
     psi = rng.normal(size=2) + 1j * rng.normal(size=2)
     k1 = -1j * h @ psi
     k2 = -1j * h @ (psi + 0.5 * dt * k1)
