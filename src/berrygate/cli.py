@@ -351,9 +351,11 @@ def _validate(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # Pre-scan for --config so file values become parser defaults; explicit
-    # flags still override them.
+    # flags still override them.  Like the parser, it reads --config only
+    # before the subcommand: the subcommand and all after it go to `command`.
     pre = argparse.ArgumentParser(prog="berrygate", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
+    pre.add_argument("command", nargs=argparse.REMAINDER)
     config = pre.parse_known_args(argv)[0].config
     try:
         parser = build_parser(_read_config_file(config) if config else None)

@@ -40,7 +40,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 
 import numpy as np
 
@@ -1071,16 +1070,14 @@ def _zero_safe(f, d, w):
 def write_surface_csv(surface: FaultToleranceSurface, path) -> None:
     """Row-major (detuning outer, omega1 inner) CSV with 12 significant
     digits: detuning_over_piJ,omega1_over_piJ,delta_gamma_rad."""
-    # One `%` per row: '%.12g' % x and f'{x:.12g}' format alike, byte for byte.
-    omega1 = surface.omega1_over_piJ.tolist()
-    template = "".join([f"%s,{w:.12g},%.12g\n" for w in omega1])
-    args = [None] * (2 * len(omega1))
-    with open(path, "w") as fh:
-        fh.write("detuning_over_piJ,omega1_over_piJ,delta_gamma_rad\n")
+    # One bytes `%` per row, over that row's values only: b'%.12g' % x and
+    # f'{x:.12g}' format alike, byte for byte.  The row's detuning joins the
+    # pieces, so it leads every line; the leading empty piece puts it first.
+    pieces = [b""] + [b",%.12g,%%.12g\n" % w for w in surface.omega1_over_piJ.tolist()]
+    with open(path, "wb") as fh:
+        fh.write(b"detuning_over_piJ,omega1_over_piJ,delta_gamma_rad\n")
         for det, row in zip(surface.detuning_over_piJ.tolist(), surface.delta_gamma):
-            args[0::2] = repeat(f"{det:.12g}", len(omega1))
-            args[1::2] = row.tolist()
-            fh.write(template % tuple(args))
+            fh.write((b"%.12g" % det).join(pieces) % tuple(row.tolist()))
 
 
 def write_peaks_csv(surface: FaultToleranceSurface, path) -> None:

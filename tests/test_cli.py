@@ -411,6 +411,20 @@ def test_bare_config_exits_2(capsys, argv):
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["detuning_count = abc\n", None], ids=["bad", "missing"])
+def test_config_after_the_subcommand_is_unrecognized_and_never_read(tmp_path, capsys, content):
+    # The parser takes --config only before the subcommand, so a misplaced
+    # one is rejected as it stands, whatever its file holds or if it is missing.
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_config_orientation_outside_choices_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("orientation = sideways\n")

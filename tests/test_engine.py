@@ -97,16 +97,19 @@ def test_drive_on_b_run_matches_rk4_oracle():
 def _plan_map(plan, model, dt):
     """The plan's propagator, without the phase ledger: at the short
     schedule some spots of the region leave the adiabatic branch far enough
-    for the ledger to refuse them, and the gates still compare."""
-    u, t0 = np.eye(4, dtype=complex), 0.0
+    for the ledger to refuse them, and the gates still compare.  A segment's
+    Hamiltonian is a function of its controls at local time alone, so each
+    distinct segment is propagated once, from the identity at time 0, and
+    the maps are composed with the pulses in plan order."""
+    maps, u = {}, np.eye(4, dtype=complex)
     for kind, item in plan:
-        if kind == "pulse":
-            u = item @ u
-            continue
-        n = max(1, int(round(item.duration / dt)))
-        controls = partial(sequences._segment_controls, item, t0)
-        u = engine.propagate_sampled(model, t0, n, item.duration / n, u, controls, 1)[1][-1]
-        t0 += item.duration
+        if kind == "seg" and item not in maps:
+            n = max(1, int(round(item.duration / dt)))
+            controls = partial(sequences._segment_controls, item, 0.0)
+            maps[item] = engine.propagate_sampled(
+                model, 0.0, n, item.duration / n, np.eye(4, dtype=complex), controls, 1
+            )[1][-1]
+        u = (maps[item] if kind == "seg" else item) @ u
     return u
 
 

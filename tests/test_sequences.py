@@ -723,6 +723,8 @@ def test_surface_is_bit_for_bit_the_pointwise_closed_form():
     (0.31, 2.93, 7, 0.06, 5.4, 13),
     # The benchmark's dense sweep: 400 x 1000 at the bounds of its seed 201.
     (0.20072444636345144, 2.960405550054047, 400, 0.13533374072506477, 5.33727767591763, 1000),
+    # Detunings in exponent notation and an exact 0 lead their rows.
+    (-1e-5, 1e-5, 5, 0.1, 5.0, 20),
 ])
 def test_surface_csv_matches_the_pointwise_writer(tmp_path, grid):
     d0, d1, nd, w0, w1, nw = grid
