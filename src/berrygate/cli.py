@@ -279,6 +279,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="berrygate",
         description="Adiabatic geometric-phase gate simulator and verifier",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="key = value file supplying defaults")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -50,12 +50,8 @@ The work splits at the start state.  The maps from the run's start to each
 of its samples (the controls at the Gauss nodes, the steps with their gap
 guard, the block products and their levels, the prefix scan and the
 midpoints, the renormalized pairs) do not depend on the state; only
-applying them does.  Where the Hamiltonian is a function of the time since
-the run's start t0 alone, they do not depend on t0 either, so a later run
-of the same segment can take them as they are (`SampleMaps`).
-`sequences._run_plan` relies on this for both of its models, whose
-Hamiltonians (`sequences._cone_field`, `sequences._h2q_stack`) read their
-times only for their length and take the controls at local time.
+applying them does.  Every run starts at local time 0, so a later run of
+the same Hamiltonian can take them as they are (`SampleMaps`).
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -260,7 +256,7 @@ class SampleMaps:
         self.levels: list[np.ndarray] = []
         self.maps: dict[int, np.ndarray] = {}
 
-    def fold(self, model, controls, t0: float, n_steps: int, dt: float, block: int) -> None:
+    def fold(self, model, controls, n_steps: int, dt: float, block: int) -> None:
         """Take the run's steps, at most `_CHUNK_STEPS` (or one block, if
         longer) at a time, fold them into levels[0], and set the stride if
         none was given."""
@@ -270,7 +266,7 @@ class SampleMaps:
         products, angle = [], 0.0
         for done in range(0, n_steps, chunk):
             part, part_angle = _chunk_products(
-                model, controls, t0 + done * dt, min(chunk, n_steps - done), dt, block
+                model, controls, done * dt, min(chunk, n_steps - done), dt, block
             )
             products.append(part)
             angle = max(angle, part_angle)
@@ -333,25 +329,24 @@ def _apply_maps(model, maps: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def propagate_sampled(
     model,
-    t0: float,
+    controls,
     n_steps: int,
     dt: float,
     u0: np.ndarray,
-    controls,
     steps_per_sample: int,
     maps: SampleMaps | None = None,
 ):
     """Propagate the columns u0 (d, m) over n_steps Magnus-4 steps of size
-    dt.
+    dt, in local time from 0.
 
-    The Hamiltonian at a 1-d array of absolute times is
+    The Hamiltonian at a 1-d array of local times is
     model(times, *controls(times)).  model is a `SectorField` (closed-form
     SU(2) steps per sector) or any callable that returns the matching
     (len, d, d) Hermitian stack (dense steps).  Returns (times, states)
-    with states sampled at t0 and then after every block of
+    with states sampled at 0 and then after every block of
     steps_per_sample steps, a power of two that divides n_steps (a
     ValueError otherwise); states has shape (n_samples, d, m).
-    Sample k sits at t0 + (k * steps_per_sample) * dt, so halving dt and
+    Sample k sits at (k * steps_per_sample) * dt, so halving dt and
     doubling steps_per_sample gives the same sample times.
 
     maps, if given, is the run's `SampleMaps`, and the samples come every
@@ -359,8 +354,7 @@ def propagate_sampled(
     stride; a filled one is applied to u0 as it is, with no Hamiltonian
     evaluated and no step taken, and so are the samples between (see
     `midpoint_samples`).  A filled one is only valid for a run of the same
-    n_steps, dt and steps_per_sample whose Hamiltonian is the same function
-    of the time since t0 (see the module docstring).
+    model, controls, n_steps, dt and steps_per_sample.
     """
     if n_steps % steps_per_sample:
         raise ValueError(
@@ -369,20 +363,20 @@ def propagate_sampled(
     if maps is None:
         maps = SampleMaps(stride=1)
     if not maps.levels:
-        maps.fold(model, controls, t0, n_steps, dt, steps_per_sample)
+        maps.fold(model, controls, n_steps, dt, steps_per_sample)
     u = np.asarray(u0, dtype=complex)
     states = np.concatenate([u[None], _apply_maps(model, maps.at(maps.stride), u)])
-    times = t0 + (np.arange(len(states)) * (maps.stride * steps_per_sample)) * dt
+    times = (np.arange(len(states)) * (maps.stride * steps_per_sample)) * dt
     return times, states
 
 
-def midpoint_samples(model, t0: float, u0: np.ndarray, maps: SampleMaps, stride: int):
-    """Times and states (n, d, m) of the n samples halfway between those
-    every stride blocks (an even number) of the run of maps that starts
-    from u0 at t0: only the maps to the midpoints are applied, and each is
+def midpoint_samples(model, u0: np.ndarray, maps: SampleMaps, stride: int):
+    """Local times and states (n, d, m) of the n samples halfway between
+    those every stride blocks (an even number) of the run of maps that
+    starts from u0: only the maps to the midpoints are applied, and each is
     computed once for all runs of maps."""
     half = stride // 2
     mids = maps.at(half)[0::2]
     steps = half * maps.block
-    times = t0 + (np.arange(1, 2 * len(mids), 2) * steps) * maps.dt
+    times = (np.arange(1, 2 * len(mids), 2) * steps) * maps.dt
     return times, _apply_maps(model, mids, np.asarray(u0, dtype=complex))

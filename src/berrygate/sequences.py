@@ -37,7 +37,6 @@ samples.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -90,9 +89,7 @@ ROWS_2Q = ((0, 2), (1, 3))
 
 def _cone_field(times, w1, om, ph, *, sector_freqs) -> np.ndarray:
     """(3, n, S) Bloch fields of cone sectors that share one drive and
-    differ in their transition frequency.  times is read only for its
-    length, so the fields depend on the controls alone (`_run_plan` shares
-    a segment's maps among its uses on that ground)."""
+    differ in their transition frequency."""
     n = len(times)
     v = np.empty((3, n, len(sector_freqs)))
     v[0] = np.broadcast_to(w1 * np.cos(ph), (n,))[:, None]
@@ -124,8 +121,7 @@ def _h2q_stack(p: TwoSpinParams, times, w1, om, ph_rate):
              + w1 (S_ax + S_bx) - phi' S_z^tot.
 
     On the diagonal, rows 0, 2 hold the b-up cone sector at w+ and rows 1, 3
-    the b-down one at w-, as in `_cone_field`.  As there, times is read only
-    for its length."""
+    the b-down one at w-, as in `_cone_field`."""
     zp, zm, zb = (0.5 * (w - om) for w in (p.omega_plus, p.omega_minus, p.omega_b))
     h = np.zeros((len(times), 4, 4))
     h[:, 0, 0] = zp + zb - ph_rate
@@ -166,17 +162,17 @@ class _PhiFrame:
         rates += np.multiply.outer(om - self.p.omega_b, _SZ_B)
         return _h2q_stack(self.p, times, w1, om, ph_rate), rates
 
-    def _angles(self, seg: Segment, t0: float, times) -> np.ndarray:
-        """(n, 4) diagonal of Phi at absolute times of a segment."""
-        _, om, ph = seg.controls_at(times - t0)
-        b_angle = (om - self.p.omega_b) * times
+    def _angles(self, seg: Segment, t0: float, tau) -> np.ndarray:
+        """(n, 4) diagonal of Phi at local times tau of a segment that
+        starts at t0: the one term that reads absolute time."""
+        _, om, ph = seg.controls_at(tau)
+        b_angle = (om - self.p.omega_b) * (t0 + tau)
         return np.multiply.outer(ph, _SZ_TOTAL) + np.multiply.outer(b_angle, _SZ_B)
 
 
-def _phi_frame_controls(seg: Segment, t0: float, times):
-    """Controls (w1, om, phi') of `_h2q_stack` at absolute times of a
-    segment that starts at t0."""
-    tau = np.asarray(times) - t0
+def _phi_frame_controls(seg: Segment, tau):
+    """Controls (w1, om, phi') of `_h2q_stack` at local times tau of a
+    segment."""
     w1, om, _ = seg.controls_at(tau)
     return w1, om, seg.phase_rate_at(tau)
 
@@ -200,24 +196,6 @@ def _expectation(h: np.ndarray, states: np.ndarray) -> np.ndarray:
 # of the unwrapped phase between samples, far inside the ledger's limit.
 DYNAMIC_PHASE_TOLERANCE = 1e-9
 MAX_SAMPLE_JUMP = math.pi / 16
-
-
-class _SharedSegment:
-    """The state-independent work of a segment run: the engine's sample maps
-    (`engine.SampleMaps`), and the model's terms of the energies at the
-    samples a use starts with, per start stride.  Each is computed by the
-    first use that needs it; a segment that recurs in a plan shares one
-    instance among its uses, which take it as it is."""
-
-    def __init__(self):
-        self.maps = engine.SampleMaps()
-        self._terms: dict[int, tuple] = {}
-
-    def terms(self, stride: int, compute):
-        """compute() on the first call at this stride, the same value after."""
-        if stride not in self._terms:
-            self._terms[stride] = compute()
-        return self._terms[stride]
 
 
 def _interleave(coarse: np.ndarray, mid: np.ndarray) -> np.ndarray:
@@ -330,58 +308,57 @@ class _PlanResult:
     strides: list  # per segment use, the accepted stride in floor spacings
 
 
-def _segment_controls(seg: Segment, t0: float, times):
-    """Controls (w1, om, ph) at absolute times of a segment that starts at t0."""
-    return seg.controls_at(np.asarray(times) - t0)
-
-
 def _segment_frame(model, seg: Segment, t0: float, u):
     """How one segment that starts from u at t0 is propagated and read:
     (propagator, controls, start state, energy_terms, observe).  The
-    propagator(times, *controls(times)) goes to the engine from the start
-    state; energy_terms(times) gives the model's terms of the energies at
-    sample times, which depend on the time since t0 alone; and
-    observe(terms, times, states) gives the states at those times in the
-    report frame and their energies <psi|H|psi> (S, m)."""
+    propagator(tau, *controls(tau)) goes to the engine from the start
+    state, at local times tau; energy_terms(tau) gives the model's terms of
+    the energies at local sample times; and observe(terms, tau, states)
+    gives the states there in the report frame and their energies
+    <psi|H|psi> (S, m)."""
     if isinstance(model, _PhiFrame):
-        controls = partial(_phi_frame_controls, seg, t0)
-        u = np.exp(1j * model._angles(seg, t0, np.array([t0])))[0, :, None] * u
+        controls = partial(_phi_frame_controls, seg)
+        u = np.exp(1j * model._angles(seg, t0, np.zeros(1)))[0, :, None] * u
 
-        def observe(terms, times, states):
+        def observe(terms, tau, states):
             h, rates = terms
             energies = _expectation(h, states)
             energies += np.einsum("sd,sdm->sm", rates, np.abs(states) ** 2)
-            states *= np.exp(-1j * model._angles(seg, t0, times))[:, :, None]
+            states *= np.exp(-1j * model._angles(seg, t0, tau))[:, :, None]
             return states, energies
 
         return (partial(_h2q_stack, model.p), controls, u,
-                lambda times: model._energy_terms(times, *controls(times)), observe)
-    controls = partial(_segment_controls, seg, t0)
+                lambda tau: model._energy_terms(tau, *controls(tau)), observe)
 
-    def observe(field, times, states):
+    def observe(field, tau, states):
         return states, model.expectation(field, states)
 
-    return model, controls, u, lambda times: model.field(times, *controls(times)), observe
+    return (model, seg.controls_at, u,
+            lambda tau: model.field(tau, *seg.controls_at(tau)), observe)
 
 
 def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
-                 shared: _SharedSegment, ledger: _PhaseLedger):
-    """Sample times, states (S, d, m) and dynamic phase (m,) of one segment
-    that starts from u at t0, and its accepted stride, in floor spacings of
-    `block` steps; the samples enter the ledger.
+                 shared: tuple[engine.SampleMaps, dict], ledger: _PhaseLedger):
+    """Sample times t0 + tau, states (S, d, m) and dynamic phase (m,) of one
+    segment that starts from u at t0, and its accepted stride, in floor
+    spacings of `block` steps; the samples enter the ledger.
 
-    The samples start at the stride of shared.maps (see `_run_plan`) and are
-    refined by midpoints until both estimates of the accepted samples pass,
-    the Simpson-against-trapezoid difference of the dynamic phase
+    shared holds the segment's sample maps and the model's terms of the
+    energies at the local times each start stride samples (see `_run_plan`).
+    The samples start at the stride of the maps and are refined by
+    midpoints until both estimates of the accepted samples pass, the
+    Simpson-against-trapezoid difference of the dynamic phase
     (DYNAMIC_PHASE_TOLERANCE, over at least two intervals) and the ledger's
     largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing."""
     propagator, controls, u, energy_terms, observe = _segment_frame(model, seg, t0, u)
-    maps = shared.maps
+    maps, terms = shared
     first = not maps.levels
-    times, states = engine.propagate_sampled(propagator, t0, n_steps, dt, u, controls, block, maps)
-    stride = n_steps // block // (len(times) - 1)  # as the samples came
-    terms = shared.terms(stride, lambda: energy_terms(times))
-    states, energies = observe(terms, times, states)
+    tau, states = engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
+    times = t0 + tau
+    stride = n_steps // block // (len(tau) - 1)  # as the samples came
+    if stride not in terms:
+        terms[stride] = energy_terms(tau)
+    states, energies = observe(terms[stride], tau, states)
     while True:
         reference = -_cumulative_trapezoid(energies, times)
         dynamic = -_simpson(energies, stride * block * dt)
@@ -392,10 +369,10 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
         if (len(times) > 2 and quadrature <= DYNAMIC_PHASE_TOLERANCE
                 and ledger.update(states, reference, MAX_SAMPLE_JUMP)):
             break
-        mid_times, mid_states = engine.midpoint_samples(propagator, t0, u, maps, stride)
+        mid_tau, mid_states = engine.midpoint_samples(propagator, u, maps, stride)
         stride //= 2
-        mid_states, mid_energies = observe(energy_terms(mid_times), mid_times, mid_states)
-        times = _interleave(times, mid_times)
+        mid_states, mid_energies = observe(energy_terms(mid_tau), mid_tau, mid_states)
+        times = _interleave(times, t0 + mid_tau)
         states = _interleave(states, mid_states)
         energies = _interleave(energies, mid_energies)
     if first:
@@ -421,28 +398,21 @@ def _run_plan(plan, model, u0, dt, spacing):
     `_run_segment` refines it by midpoints, down to the floor, until its
     error estimates pass.
 
-    A segment's Hamiltonian in the rotating frame (`engine.SectorField`)
-    and in the phi frame (`_PhiFrame`) is a function of its controls at
-    local time alone, so its sample maps do not depend on its start time or
-    state (see `engine`).  A segment that occurs more than once in the plan,
-    with the same step count and dt, is propagated once: its
-    `_SharedSegment` is kept for its later uses, which start at the stride
-    the first use accepted, only apply the maps to their own start states,
-    refine further if their own estimates ask, and take their own energies,
-    phase ledger, quadratures and book.  A segment that occurs once keeps
-    nothing.  Nothing outlives the call.
+    Each segment is propagated in its own local time from 0, and its
+    samples enter the books at its start time t0, the sum of the durations
+    before it.  So a segment's sample maps and energy terms depend on the
+    segment alone, and a segment that recurs in the plan is propagated
+    once: its later uses start at the stride the first use accepted, only
+    apply the maps to their own start states, refine further if their own
+    estimates ask, and take their own energies, phase ledger, quadratures
+    and book.  Nothing outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
     interval = max(spacing, dt)
     block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
     unit = _STRIDE_UNIT * interval
-    runs = []
-    for kind, seg in plan:
-        if kind == "seg":
-            n_steps = block * _STRIDE_UNIT * max(1, round(seg.duration / unit))
-            runs.append((seg, n_steps, seg.duration / n_steps))
-    shared = {run: _SharedSegment() for run, uses in Counter(runs).items() if uses > 1}
+    shared: dict[Segment, tuple[engine.SampleMaps, dict]] = {}
     u = np.asarray(u0, dtype=complex)
     if u.ndim == 1:
         u = u[:, None]
@@ -452,27 +422,26 @@ def _run_plan(plan, model, u0, dt, spacing):
     seg_dynamics: list[np.ndarray] = []
     books: list[_SegmentBook] = []
     strides: list[int] = []
-    t_abs = 0.0
-    for kind, payload in plan:
+    t0 = 0.0
+    for kind, item in plan:
         if kind == "pulse":
-            u = payload @ u
+            u = item @ u
             ledger.after_pulse(u)
             continue
-        run = runs[len(books)]
-        seg, n_steps, dt_seg = run
+        n_steps = block * _STRIDE_UNIT * max(1, round(item.duration / unit))
         try:
             times, states, dyn, stride = _run_segment(
-                model, seg, t_abs, n_steps, dt_seg, u, block,
-                shared.get(run) or _SharedSegment(), ledger,
+                model, item, t0, n_steps, item.duration / n_steps, u, block,
+                shared.setdefault(item, (engine.SampleMaps(), {})), ledger,
             )
         except AdiabaticityError as exc:
-            raise AdiabaticityError(f"{exc} in segment {len(books)} ({seg.kind})") from None
+            raise AdiabaticityError(f"{exc} in segment {len(books)} ({item.kind})") from None
         dynamic += dyn
         seg_dynamics.append(np.atleast_1d(dyn))
-        books.append(_SegmentBook(times, states, seg.kind))
+        books.append(_SegmentBook(times, states, item.kind))
         strides.append(stride)
         u = states[-1]
-        t_abs += seg.duration
+        t0 += item.duration
     return _PlanResult(u, ledger.total, dynamic, seg_dynamics, books, ledger, block, strides)
 
 

@@ -5,7 +5,6 @@ builders, so that an agreement means something.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -189,12 +188,12 @@ def write_surface_csv_by_points(surface, path) -> None:
                 fh.write(f"{d:.12g},{w:.12g},{surface.delta_gamma[i, j]:.12g}\n")
 
 
-def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample, maps=None):
+def rk4_propagate_sampled(model, controls, n_steps, dt, u0, steps_per_sample, maps=None):
     """Oracle for `engine.propagate_sampled`, same arguments and samples:
     batched RK4 maps (`engine.rk4_transition_matrices`, under the step guard
-    `engine._check_spread`) of the dense stack model(times, *controls(times))
-    on the half-step grid, read as complex maps off their real forms and
-    applied to the state one step at a time.  It ignores maps and
+    `engine._check_spread`) of the dense stack model(tau, *controls(tau))
+    on the half-step grid of local times tau, read as complex maps off their
+    real forms and applied to the state one step at a time.  It ignores maps and
     propagates afresh on every call, sampling every steps_per_sample steps,
     so a plan run on it is sampled at the floor spacing and never refined
     by `engine.midpoint_samples`."""
@@ -202,8 +201,8 @@ def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample
         raise ValueError(
             f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"
         )
-    engine._check_spread(model, controls, t0, n_steps, dt)
-    nodes = t0 + 0.5 * dt * np.arange(2 * n_steps + 1)
+    engine._check_spread(model, controls, 0.0, n_steps, dt)
+    nodes = 0.5 * dt * np.arange(2 * n_steps + 1)
     real_steps = engine.rk4_transition_matrices(model(nodes, *controls(nodes)), dt)
     d = real_steps.shape[-1] // 2
     steps = real_steps[:, :d, :d] + 1j * real_steps[:, d:, :d]
@@ -214,7 +213,7 @@ def rk4_propagate_sampled(model, t0, n_steps, dt, u0, controls, steps_per_sample
         if k % steps_per_sample == 0:
             samples.append(u)
             ends.append(k)
-    return t0 + np.array(ends) * dt, np.array(samples)
+    return np.array(ends) * dt, np.array(samples)
 
 
 def plan_afresh(plan, propagate, model, planned):
@@ -224,7 +223,9 @@ def plan_afresh(plan, propagate, model, planned):
     (`engine.propagate_sampled` or `rk4_propagate_sampled`) at the step
     count and stride that use took.  model is the dense stack
     (times, w1, om, ph) -> (n, d, d) at absolute times, in the frame of the
-    reports; the energies are <psi|H|psi> of that stack."""
+    reports, or an `engine.SectorField` of it; each use propagates it at
+    its own start time t0, as model(t0 + tau, ...).  The energies are
+    <psi|H|psi> of that stack."""
     u, t0 = np.eye(len(planned.final), dtype=complex), 0.0
     ledger, dynamic = sequences._PhaseLedger(u), np.zeros(len(u))
     uses = iter(zip(planned.books, planned.strides))
@@ -236,14 +237,23 @@ def plan_afresh(plan, propagate, model, planned):
         book, stride = next(uses)
         steps = planned.block * stride
         n = steps * (len(book.times) - 1)
-        controls = partial(sequences._segment_controls, item, t0)
-        times, states = propagate(model, t0, n, item.duration / n, u, controls, steps)
-        h = model(times, *controls(times))
+        tau, states = propagate(_started_at(model, t0), item.controls_at, n,
+                                item.duration / n, u, steps)
+        times = t0 + tau
+        h = model(times, *item.controls_at(tau))
         energies = np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
         ledger.update(states, -sequences._cumulative_trapezoid(energies, times))
         dynamic -= sequences._simpson(energies, steps * item.duration / n)
         u, t0 = states[-1], t0 + item.duration
     return u, ledger.total, dynamic
+
+
+def _started_at(model, t0):
+    """model, which reads absolute times, as a function of the local time
+    tau of a run that starts at t0."""
+    if isinstance(model, engine.SectorField):
+        return engine.SectorField(_started_at(model.field, t0), model.rows, model.dim)
+    return lambda tau, *controls: model(t0 + tau, *controls)
 
 
 _SIGMA = {

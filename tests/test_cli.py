@@ -425,6 +425,19 @@ def test_config_after_the_subcommand_is_unrecognized_and_never_read(tmp_path, ca
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--conf", "--con"])
+def test_an_abbreviated_config_flag_exits_2_and_writes_nothing(tmp_path, capsys, flag):
+    # The parser, like the --config pre-scan, takes no abbreviation, so a
+    # shortened --config is rejected (its file is then taken for the
+    # subcommand), not run with the built-in defaults.
+    with pytest.raises(SystemExit) as exc:
+        main([flag, str(tmp_path / "missing.cfg"), "sweep", "--detuning-count", "2",
+              "--omega1-count", "2", "--output", str(tmp_path / "s.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_orientation_outside_choices_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("orientation = sideways\n")

@@ -11,7 +11,6 @@ Hamiltonian in the frame of the reports, independent of the phi frame.
 """
 
 import math
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -65,18 +64,25 @@ def test_conditional_run_matches_rk4_oracle():
     _assert_gates_agree(su2, rk4, 1e-9)
 
 
-def _planned(p, **kwargs):
-    """The conditional gate at p and the `_PlanResult` of its plan."""
-    results = []
+def _plan_runs(run, *args, **kwargs):
+    """The result of run(*args, **kwargs) and the (plan, `_PlanResult`) of
+    each `sequences._run_plan` call it made."""
+    calls = []
 
-    def spy(*args):
-        results.append(run_plan(*args))
-        return results[-1]
+    def spy(plan, *rest):
+        calls.append((plan, run_plan(plan, *rest)))
+        return calls[-1][1]
 
     run_plan = sequences._run_plan
     with mock.patch.object(sequences, "_run_plan", spy):
-        res = sequences.run_conditional_sequence(p, **kwargs)
-    return res, results[0]
+        res = run(*args, **kwargs)
+    return res, calls
+
+
+def _planned(p, **kwargs):
+    """The conditional gate at p and the `_PlanResult` of its plan."""
+    res, calls = _plan_runs(sequences.run_conditional_sequence, p, **kwargs)
+    return res, calls[0][1]
 
 
 def test_drive_on_b_run_matches_rk4_oracle():
@@ -97,17 +103,16 @@ def test_drive_on_b_run_matches_rk4_oracle():
 def _plan_map(plan, model, dt):
     """The plan's propagator, without the phase ledger: at the short
     schedule some spots of the region leave the adiabatic branch far enough
-    for the ledger to refuse them, and the gates still compare.  A segment's
-    Hamiltonian is a function of its controls at local time alone, so each
-    distinct segment is propagated once, from the identity at time 0, and
-    the maps are composed with the pulses in plan order."""
+    for the ledger to refuse them, and the gates still compare.  The engine
+    runs each segment in its own local time, so each distinct segment is
+    propagated once, from the identity, and the maps are composed with the
+    pulses in plan order."""
     maps, u = {}, np.eye(4, dtype=complex)
     for kind, item in plan:
         if kind == "seg" and item not in maps:
             n = max(1, int(round(item.duration / dt)))
-            controls = partial(sequences._segment_controls, item, 0.0)
             maps[item] = engine.propagate_sampled(
-                model, 0.0, n, item.duration / n, np.eye(4, dtype=complex), controls, 1
+                model, item.controls_at, n, item.duration / n, np.eye(4, dtype=complex), 1
             )[1][-1]
         u = (maps[item] if kind == "seg" else item) @ u
     return u
@@ -144,7 +149,7 @@ def _wobbling_field(times):
 def _final_map(dt, model, span=4.0):
     n = int(round(span / dt))
     _, states = engine.propagate_sampled(
-        model, 0.0, n, span / n, np.eye(4, dtype=complex), lambda times: (), 1
+        model, lambda times: (), n, span / n, np.eye(4, dtype=complex), 1
     )
     return states[-1]
 
@@ -190,7 +195,7 @@ def test_a_partial_sample_block_raises(propagate, n_steps, steps_per_sample):
     model = engine.SectorField(_wobbling_field, sequences.ROWS_2Q, 4)
     with pytest.raises(ValueError, match=r"^steps_per_sample \d+ does not divide n_steps \d+$"):
         propagate(
-            model, 0.0, n_steps, 0.01, np.eye(4, dtype=complex), lambda times: (), steps_per_sample
+            model, lambda times: (), n_steps, 0.01, np.eye(4, dtype=complex), steps_per_sample
         )
 
 
@@ -324,25 +329,21 @@ def test_a_later_use_refines_the_shared_maps_further():
     assert np.max(np.abs(planned.dynamic - floor.dynamic)) < 1e-8
 
 
-@pytest.mark.parametrize("drive_on_b", [False, True])
-def test_segment_maps_do_not_depend_on_the_start_time(drive_on_b):
-    # the invariant the reuse rests on: both production models read the
-    # controls at local time only (measured: 6e-16 and 1.8e-14)
-    p = two_spin_params(2.0, 1.2)
-    loop = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], 0.0)
-    seg = loop[1][1]
-    assert seg.kind == "phase_sweep"
-    if drive_on_b:
-        model = partial(sequences._h2q_stack, p)
-        controls = partial(sequences._phi_frame_controls, seg)
-    else:
-        model = sequences._model_2q(p, False)
-        controls = partial(sequences._segment_controls, seg)
-    n = 2048
-    u0 = np.eye(4, dtype=complex)
-    runs = [
-        engine.propagate_sampled(model, t0, n, seg.duration / n, u0, partial(controls, t0), 4)
-        for t0 in (0.0, 1234.5)
-    ]
-    assert np.max(np.abs(runs[1][0] - runs[0][0] - 1234.5)) < 1e-9
-    assert np.max(np.abs(runs[1][1] - runs[0][1])) < 1e-12
+@pytest.mark.parametrize("run", [sequences.measure_cone_phase, sequences.run_spin_echo_1q],
+                         ids=["cone", "echo"])
+def test_book_times_are_the_start_time_plus_the_local_grid(run):
+    # each segment runs in local time from 0, and its samples enter the
+    # books at its start time t0, the sum of the durations before it, on
+    # the grid of its accepted stride, bit for bit; refined segments included
+    _, plans = _plan_runs(run, RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0))
+    strides = [stride for _, planned in plans for stride in planned.strides]
+    assert min(strides) < max(strides)
+    for plan, planned in plans:
+        segments = [item for kind, item in plan if kind == "seg"]
+        assert len(planned.books) == len(segments)
+        t0 = 0.0
+        for seg, book, stride in zip(segments, planned.books, planned.strides):
+            n = len(book.times)
+            dt_seg = seg.duration / (planned.block * stride * (n - 1))
+            assert np.array_equal(book.times, t0 + np.arange(n) * (stride * planned.block) * dt_seg)
+            t0 += seg.duration
