@@ -1,12 +1,12 @@
 """Fixed-step fourth-order Magnus propagation of long pulse-schedule runs,
 sampled at power-of-two strides of equal step blocks for phase and energy
-bookkeeping, and refinable by midpoints at no step's cost.
+bookkeeping, and resampled at a finer stride at no step's cost.
 
 `propagate_sampled` runs the same Magnus-4 scheme in one of two forms, and
-`midpoint_samples` refines its samples.  Which form follows from the
-structure of the Hamiltonian it is given.  Both take the Hamiltonian at the
-two Gauss nodes t + (1/2 -+ sqrt(3)/6) h of each step (Blanes, Casas, Oteo &
-Ros, Phys. Rep. 470, 151 (2009)):
+`samples_at` samples the folded run at any stride.  Which form follows from
+the structure of the Hamiltonian it is given.  Both take the Hamiltonian at
+the two Gauss nodes t + (1/2 -+ sqrt(3)/6) h of each step (Blanes, Casas,
+Oteo & Ros, Phys. Rep. 470, 151 (2009)):
 
 * `SectorField`: H(t) is a direct sum of uncoupled two-level sectors, equal
   to (1/2) v_s(t) . sigma on the row pair rows[s].  Each step of each sector
@@ -48,10 +48,10 @@ whether to halve it is the caller's choice (`sequences._run_segment`).
 
 The work splits at the start state.  The maps from the run's start to each
 of its samples (the controls at the Gauss nodes, the steps with their gap
-guard, the block products and their levels, the prefix scan and the
-midpoints, the renormalized pairs) do not depend on the state; only
-applying them does.  Every run starts at local time 0, so a later run of
-the same Hamiltonian can take them as they are (`SampleMaps`).
+guard, the block products and their levels, the maps at each stride, the
+renormalized pairs) do not depend on the state; only applying them does.
+Every run starts at local time 0, so a later run of the same Hamiltonian
+can take them as they are (`SampleMaps`).
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -313,20 +313,6 @@ class SampleMaps:
         return maps
 
 
-def _apply_maps(model, maps: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States (len(maps),) + u.shape of the maps of `SampleMaps` applied to
-    the run's start state u."""
-    if not isinstance(model, SectorField):
-        return maps @ u
-    states = np.empty(maps.shape[:1] + u.shape, dtype=complex)
-    states[:] = u
-    for s, (i, j) in enumerate(model.rows):
-        a, b = maps[:, s, 0, None], maps[:, s, 1, None]
-        states[:, i] = a * u[i] - b.conj() * u[j]
-        states[:, j] = b * u[i] + a.conj() * u[j]
-    return states
-
-
 def propagate_sampled(
     model,
     controls,
@@ -352,9 +338,9 @@ def propagate_sampled(
     maps, if given, is the run's `SampleMaps`, and the samples come every
     maps.stride blocks.  An empty one is filled by the fold, and sets its
     stride; a filled one is applied to u0 as it is, with no Hamiltonian
-    evaluated and no step taken, and so are the samples between (see
-    `midpoint_samples`).  A filled one is only valid for a run of the same
-    model, controls, n_steps, dt and steps_per_sample.
+    evaluated and no step taken, as `samples_at` applies it at any stride.
+    A filled one is only valid for a run of the same model, controls,
+    n_steps, dt and steps_per_sample.
     """
     if n_steps % steps_per_sample:
         raise ValueError(
@@ -364,19 +350,24 @@ def propagate_sampled(
         maps = SampleMaps(stride=1)
     if not maps.levels:
         maps.fold(model, controls, n_steps, dt, steps_per_sample)
+    return samples_at(model, maps, u0, maps.stride)
+
+
+def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
+    """Local times and states (n_samples, d, m) of the run of the folded
+    maps that starts from u0, sampled at 0 and then every stride blocks (a
+    power of two that divides the run's blocks).  The maps at each stride
+    are computed once for all runs of maps; only applying them reads u0."""
+    at = maps.at(stride)
     u = np.asarray(u0, dtype=complex)
-    states = np.concatenate([u[None], _apply_maps(model, maps.at(maps.stride), u)])
-    times = (np.arange(len(states)) * (maps.stride * steps_per_sample)) * dt
+    states = np.empty((len(at) + 1,) + u.shape, dtype=complex)
+    states[:] = u
+    if not isinstance(model, SectorField):
+        states[1:] = at @ u
+    else:
+        for s, (i, j) in enumerate(model.rows):
+            a, b = at[:, s, 0, None], at[:, s, 1, None]
+            states[1:, i] = a * u[i] - b.conj() * u[j]
+            states[1:, j] = b * u[i] + a.conj() * u[j]
+    times = (np.arange(len(states)) * (stride * maps.block)) * maps.dt
     return times, states
-
-
-def midpoint_samples(model, u0: np.ndarray, maps: SampleMaps, stride: int):
-    """Local times and states (n, d, m) of the n samples halfway between
-    those every stride blocks (an even number) of the run of maps that
-    starts from u0: only the maps to the midpoints are applied, and each is
-    computed once for all runs of maps."""
-    half = stride // 2
-    mids = maps.at(half)[0::2]
-    steps = half * maps.block
-    times = (np.arange(1, 2 * len(mids), 2) * steps) * maps.dt
-    return times, _apply_maps(model, mids, np.asarray(u0, dtype=complex))

@@ -34,8 +34,13 @@ class Segment:
     def __post_init__(self):
         if self.kind not in SEGMENT_KINDS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
+        if not math.isfinite(self.duration):
+            raise ValueError("segment duration must be finite")
         if self.duration <= 0.0:
             raise ValueError("segment duration must be positive")
+        controls = (*self.omega1, *self.omega, *self.phi)
+        if not all(math.isfinite(v) for v in controls):
+            raise ValueError(f"non-finite segment control in {controls}")
 
     def controls_at(self, tau):
         """Controls (omega1, omega, phi) at local time tau in [0, duration].
@@ -101,8 +106,11 @@ def build_cone_loop(
     to zero.  With omega1 = 0 the schedule degenerates to a single idle
     segment of the same total length.
     """
-    if ramp_time <= 0.0 or sweep_time <= 0.0:
-        raise ValueError("ramp_time and sweep_time must be positive")
+    for name, val in (("ramp_time", ramp_time), ("sweep_time", sweep_time)):
+        if not math.isfinite(val):
+            raise ValueError(f"{name} must be finite")
+        if val <= 0.0:
+            raise ValueError(f"{name} must be positive")
     if orientation not in ("forward", "reversed"):
         raise ValueError("orientation must be 'forward' or 'reversed'")
     if p.omega1 == 0.0:

@@ -27,11 +27,11 @@ Sampling: each segment is sampled as coarsely as its own error estimates
 allow, not once per step.  Its samples start at the coarsest power-of-two
 multiple of the floor spacing (`_sample_spacing`, set by the fastest Rabi
 vector of the system, whatever the step) that its fastest step frequency
-allows without aliasing, and are halved by midpoints until the
-Simpson-against-trapezoid difference of its dynamic phase and the largest
-jump of its unwrapped phase both pass, or down to the floor
-(`_run_segment`).  The gate is the product of the steps, whatever the
-samples.
+allows without aliasing.  The stride is then halved, and the segment's
+maps sampled again, until the Simpson-against-trapezoid difference of its
+dynamic phase and the largest jump of its unwrapped phase both pass, or
+down to the floor (`_run_segment`).  The gate is the product of the
+steps, whatever the samples.
 """
 
 from __future__ import annotations
@@ -156,12 +156,6 @@ class _PhiFrame:
 
     p: TwoSpinParams
 
-    def _energy_terms(self, times, w1, om, ph_rate):
-        """H' (S, 4, 4) and the diagonal of dPhi/dt (S, 4) at the samples."""
-        rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
-        rates += np.multiply.outer(om - self.p.omega_b, _SZ_B)
-        return _h2q_stack(self.p, times, w1, om, ph_rate), rates
-
     def _angles(self, seg: Segment, t0: float, tau) -> np.ndarray:
         """(n, 4) diagonal of Phi at local times tau of a segment that
         starts at t0: the one term that reads absolute time."""
@@ -196,15 +190,6 @@ def _expectation(h: np.ndarray, states: np.ndarray) -> np.ndarray:
 # of the unwrapped phase between samples, far inside the ledger's limit.
 DYNAMIC_PHASE_TOLERANCE = 1e-9
 MAX_SAMPLE_JUMP = math.pi / 16
-
-
-def _interleave(coarse: np.ndarray, mid: np.ndarray) -> np.ndarray:
-    """(2n+1, ...) values with coarse (n+1, ...) at the even places and the
-    midpoints mid (n, ...) at the odd ones."""
-    out = np.empty((len(coarse) + len(mid),) + coarse.shape[1:], np.result_type(coarse, mid))
-    out[0::2] = coarse
-    out[1::2] = mid
-    return out
 
 
 @dataclass
@@ -313,12 +298,18 @@ def _segment_frame(model, seg: Segment, t0: float, u):
     (propagator, controls, start state, energy_terms, observe).  The
     propagator(tau, *controls(tau)) goes to the engine from the start
     state, at local times tau; energy_terms(tau) gives the model's terms of
-    the energies at local sample times; and observe(terms, tau, states)
-    gives the states there in the report frame and their energies
-    <psi|H|psi> (S, m)."""
+    the energies there, and observe(terms, tau, states) the states there in
+    the report frame and their energies <psi|H|psi> (S, m)."""
     if isinstance(model, _PhiFrame):
         controls = partial(_phi_frame_controls, seg)
         u = np.exp(1j * model._angles(seg, t0, np.zeros(1)))[0, :, None] * u
+
+        def energy_terms(tau):
+            # H' and the diagonal of dPhi/dt; the energy is <psi'|H' + dPhi/dt|psi'>
+            w1, om, ph_rate = controls(tau)
+            rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
+            rates += np.multiply.outer(om - model.p.omega_b, _SZ_B)
+            return _h2q_stack(model.p, tau, w1, om, ph_rate), rates
 
         def observe(terms, tau, states):
             h, rates = terms
@@ -327,8 +318,7 @@ def _segment_frame(model, seg: Segment, t0: float, u):
             states *= np.exp(-1j * model._angles(seg, t0, tau))[:, :, None]
             return states, energies
 
-        return (partial(_h2q_stack, model.p), controls, u,
-                lambda tau: model._energy_terms(tau, *controls(tau)), observe)
+        return partial(_h2q_stack, model.p), controls, u, energy_terms, observe
 
     def observe(field, tau, states):
         return states, model.expectation(field, states)
@@ -344,22 +334,23 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
     spacings of `block` steps; the samples enter the ledger.
 
     shared holds the segment's sample maps and the model's terms of the
-    energies at the local times each start stride samples (see `_run_plan`).
-    The samples start at the stride of the maps and are refined by
-    midpoints until both estimates of the accepted samples pass, the
-    Simpson-against-trapezoid difference of the dynamic phase
-    (DYNAMIC_PHASE_TOLERANCE, over at least two intervals) and the ledger's
-    largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing."""
+    energies at each stride sampled so far, for all its uses (see
+    `_run_plan`).  The samples start at the stride of the maps, and each
+    refinement halves the stride and samples the maps again, until both
+    estimates of the accepted samples pass, the Simpson-against-trapezoid
+    difference of the dynamic phase (DYNAMIC_PHASE_TOLERANCE, over at least
+    two intervals) and the ledger's largest jump (MAX_SAMPLE_JUMP), or down
+    to the floor spacing."""
     propagator, controls, u, energy_terms, observe = _segment_frame(model, seg, t0, u)
     maps, terms = shared
     first = not maps.levels
     tau, states = engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
-    times = t0 + tau
     stride = n_steps // block // (len(tau) - 1)  # as the samples came
-    if stride not in terms:
-        terms[stride] = energy_terms(tau)
-    states, energies = observe(terms[stride], tau, states)
     while True:
+        if stride not in terms:
+            terms[stride] = energy_terms(tau)
+        times = t0 + tau
+        states, energies = observe(terms[stride], tau, states)
         reference = -_cumulative_trapezoid(energies, times)
         dynamic = -_simpson(energies, stride * block * dt)
         if stride == 1:
@@ -369,12 +360,8 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
         if (len(times) > 2 and quadrature <= DYNAMIC_PHASE_TOLERANCE
                 and ledger.update(states, reference, MAX_SAMPLE_JUMP)):
             break
-        mid_tau, mid_states = engine.midpoint_samples(propagator, u, maps, stride)
         stride //= 2
-        mid_states, mid_energies = observe(energy_terms(mid_tau), mid_tau, mid_states)
-        times = _interleave(times, t0 + mid_tau)
-        states = _interleave(states, mid_states)
-        energies = _interleave(energies, mid_energies)
+        tau, states = engine.samples_at(propagator, maps, u, stride)
     if first:
         maps.stride = stride
     return times, states, dynamic, stride
@@ -395,17 +382,18 @@ def _run_plan(plan, model, u0, dt, spacing):
     steps change.  A segment is sampled every stride floor intervals, a
     power of two: its first use starts at the coarsest stride the engine
     allows for its fastest step frequency (`engine.SampleMaps`) and
-    `_run_segment` refines it by midpoints, down to the floor, until its
-    error estimates pass.
+    `_run_segment` halves it, down to the floor, until its error estimates
+    pass.
 
     Each segment is propagated in its own local time from 0, and its
     samples enter the books at its start time t0, the sum of the durations
     before it.  So a segment's sample maps and energy terms depend on the
     segment alone, and a segment that recurs in the plan is propagated
-    once: its later uses start at the stride the first use accepted, only
-    apply the maps to their own start states, refine further if their own
-    estimates ask, and take their own energies, phase ledger, quadratures
-    and book.  Nothing outlives the call.
+    once, and its energy terms are taken once per stride: its later uses
+    start at the stride the first use accepted, only apply the maps to their
+    own start states, refine further if their own estimates ask, and take
+    their own energies, phase ledger, quadratures and book.  Nothing
+    outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
@@ -610,7 +598,11 @@ def run_cone_loop(
     times = np.concatenate([b.times for b in books])
     states = np.concatenate([b.states[:, :, 0] for b in books])
     if p.omega1 > 0.0:
-        raw = geometric_phase_discrete(states)
+        # The Bargmann product is off by O(spacing^2): extrapolate it from
+        # the samples and every other sample of each book (Richardson).
+        fine = geometric_phase_discrete(states)
+        coarse = geometric_phase_discrete(np.concatenate([b.states[::2, :, 0] for b in books]))
+        raw = fine + wrap_to_pi(fine - coarse) / 3.0
         holo = decomp.geometric + wrap_to_pi(raw - decomp.geometric)
         theta = math.acos(cos_theta_resonance(p.omega0, p.omega, p.omega1))
         expected = berry_cone_phase(theta)

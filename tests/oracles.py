@@ -195,8 +195,8 @@ def rk4_propagate_sampled(model, controls, n_steps, dt, u0, steps_per_sample, ma
     on the half-step grid of local times tau, read as complex maps off their
     real forms and applied to the state one step at a time.  It ignores maps and
     propagates afresh on every call, sampling every steps_per_sample steps,
-    so a plan run on it is sampled at the floor spacing and never refined
-    by `engine.midpoint_samples`."""
+    so a plan run on it is sampled at the floor spacing and never samples
+    the maps again at a finer stride."""
     if n_steps % steps_per_sample:
         raise ValueError(
             f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"

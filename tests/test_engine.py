@@ -4,13 +4,16 @@
 The oracle runs below are the production sequences with the propagator
 swapped for `oracles.rk4_propagate_sampled`, which takes a
 `engine.SectorField` as its dense Hamiltonian stack.  The oracle ignores
-the engine's sample maps, so it stands in for the refinement too: its runs
-are sampled at the floor spacing, where the plan never asks for midpoints.
+the engine's sample maps and samples every block of steps, so its runs are
+sampled at the floor spacing, where the plan never refines its samples.
 The `drive_on_b` run is checked against `oracles.plan_afresh` on RK4 of its
 Hamiltonian in the frame of the reports, independent of the phi frame.
+A loop at a constant drive rate has an exact map at any rate, and all three
+paths are held to it.
 """
 
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -21,6 +24,7 @@ from oracles import drive_on_b_hamiltonian, plan_afresh, rk4_propagate_sampled
 
 from berrygate import engine, sequences
 from berrygate.bloch import RabiParams
+from berrygate.schedules import Segment
 from berrygate.schrodinger import StepSizeError, TwoSpinParams
 
 SHORT = dict(ramp_time=5.0, sweep_time=10.0, dt=0.002)
@@ -347,3 +351,85 @@ def test_book_times_are_the_start_time_plus_the_local_grid(run):
             dt_seg = seg.duration / (planned.block * stride * (n - 1))
             assert np.array_equal(book.times, t0 + np.arange(n) * (stride * planned.block) * dt_seg)
             t0 += seg.duration
+
+
+# An idle segment with phi = (0, 2 pi) at constant w1 turns the drive at the
+# constant rate phi' = 2 pi/T.  In the frame that turns with phi its
+# Hamiltonian is static, so the loop has an exact map at any rate, far from
+# the adiabatic branch too: in each sector -exp(-i H_eff T), with
+# H_eff = (w1 sx + (delta - 2 pi/T) sz)/2, since R_z(2 pi) = -1; and in the
+# phi frame of the drive on both spins exp(-i H' T), with H' of
+# `_h2q_stack` at phi' = 2 pi/T.
+
+
+def _idle_loop(w1, om, T):
+    return Segment("idle", T, (w1, w1), (om, om), (0.0, 2.0 * math.pi))
+
+
+def _exact_sector_loop(w1, delta, T):
+    """-exp(-i H_eff T) = -(cos(r T/2) - i sin(r T/2) n . sigma), with
+    r n = (w1, 0, delta - 2 pi/T)."""
+    vx, vz = w1, delta - 2.0 * math.pi / T
+    r = math.hypot(vx, vz)
+    c, s = math.cos(0.5 * r * T), math.sin(0.5 * r * T) / r
+    return -np.array([[c - 1j * s * vz, -1j * s * vx], [-1j * s * vx, c + 1j * s * vz]])
+
+
+def _loop_map(model, controls, T, dim, n_steps=4096):
+    _, states = engine.propagate_sampled(
+        model, controls, n_steps, T / n_steps, np.eye(dim, dtype=complex), n_steps
+    )
+    return states[-1]
+
+
+# At T = 0.2 the drive turns at 31 rad/s, about ten times the sectors' Rabi
+# frequency.  The bounds come from a 4 x 5 x 5 grid over this box, at 4,096
+# steps: the worst errors were 3.6e-10 (one spin) and 4.4e-10 (two
+# sectors), both at the corner w1 2, delta -3, T 50, and 6.8e-12 in the phi
+# frame, whose static Hamiltonian leaves only rounding.
+EXACT_LOOPS = dict(w1=st.floats(0.1, 2.0), delta=st.floats(-3.0, 3.0), T=st.floats(0.2, 50.0))
+SECTOR_LOOP_BOUND = 1e-9
+PHI_FRAME_LOOP_BOUND = 5e-11
+
+
+@settings(max_examples=25, deadline=None)
+@given(**EXACT_LOOPS)
+def test_one_spin_loop_is_exact_at_any_rate(w1, delta, T):
+    seg = _idle_loop(w1, 5.0 - delta, T)
+    got = _loop_map(sequences._model_1q(5.0), seg.controls_at, T, 2)
+    assert np.max(np.abs(got - _exact_sector_loop(w1, delta, T))) < SECTOR_LOOP_BOUND
+
+
+@settings(max_examples=25, deadline=None)
+@given(**EXACT_LOOPS)
+def test_two_spin_sector_loops_are_exact_at_any_rate(w1, delta, T):
+    p = two_spin_params(2.0, 1.2)
+    om = p.omega_a - delta
+    exact = np.zeros((4, 4), dtype=complex)
+    for rows, w in zip(sequences.ROWS_2Q, (p.omega_plus, p.omega_minus)):
+        exact[np.ix_(rows, rows)] = _exact_sector_loop(w1, w - om, T)
+    got = _loop_map(sequences._model_2q(p, False), _idle_loop(w1, om, T).controls_at, T, 4)
+    assert np.max(np.abs(got - exact)) < SECTOR_LOOP_BOUND
+
+
+@settings(max_examples=10, deadline=None)
+@given(**EXACT_LOOPS)
+def test_phi_frame_loop_is_exact_at_any_rate(w1, delta, T):
+    from scipy.linalg import expm  # the oracle
+
+    p = two_spin_params(2.0, 1.2)
+    seg = _idle_loop(w1, p.omega_a - delta, T)
+    h = sequences._h2q_stack(p, np.zeros(1), *sequences._phi_frame_controls(seg, np.zeros(1)))
+    got = _loop_map(partial(sequences._h2q_stack, p),
+                    partial(sequences._phi_frame_controls, seg), T, 4)
+    assert np.max(np.abs(got - expm(-1j * T * h[0]))) < PHI_FRAME_LOOP_BOUND
+
+
+def test_exact_loop_error_falls_as_h4():
+    # one spin (omega0 5, w1 1, omega 4) over T = 50: measured 8.3e-9 at
+    # 1,024 steps and 3.2e-11 at 4,096, a ratio of 256
+    model, seg = sequences._model_1q(5.0), _idle_loop(1.0, 4.0, 50.0)
+    exact = _exact_sector_loop(1.0, 1.0, 50.0)
+    errs = [np.max(np.abs(_loop_map(model, seg.controls_at, 50.0, 2, n) - exact))
+            for n in (1024, 4096)]
+    assert 200.0 <= errs[0] / errs[1] <= 300.0, errs

@@ -44,6 +44,18 @@ def test_cone_loop_rejects_bad_durations():
         build_cone_loop(p, 1.0, 1.0, "upside-down")
 
 
+@pytest.mark.parametrize("ramp, sweep, message", [
+    (math.nan, 10.0, "ramp_time must be finite"),
+    (math.inf, 10.0, "ramp_time must be finite"),
+    (1.0, math.nan, "sweep_time must be finite"),
+    (1.0, -math.inf, "sweep_time must be finite"),
+    (-1.0, 10.0, "ramp_time must be positive"),
+])
+def test_cone_loop_rejects_non_finite_times(ramp, sweep, message):
+    with pytest.raises(ValueError, match=message):
+        build_cone_loop(RabiParams(5.0, 1.0, 4.2, 0.0), ramp, sweep)
+
+
 def test_segment_validation():
     with pytest.raises(ValueError):
         Segment("wobble", 1.0, (0, 1), (1, 1), (0, 0))
@@ -51,6 +63,18 @@ def test_segment_validation():
         Segment("ramp_up", -1.0, (0, 1), (1, 1), (0, 0))
     with pytest.raises(ValueError, match="unknown segment kind"):
         Segment("pi_pulse_a", 0.5, (0, 0), (0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("duration, controls, message", [
+    (math.nan, ((0, 1), (1, 1), (0, 0)), "segment duration must be finite"),
+    (math.inf, ((0, 1), (1, 1), (0, 0)), "segment duration must be finite"),
+    (1.0, ((0, math.nan), (1, 1), (0, 0)), "non-finite segment control"),
+    (1.0, ((0, 1), (math.inf, 1), (0, 0)), "non-finite segment control"),
+    (1.0, ((0, 1), (1, 1), (0, -math.inf)), "non-finite segment control"),
+])
+def test_segment_rejects_non_finite_input(duration, controls, message):
+    with pytest.raises(ValueError, match=message):
+        Segment("ramp_up", duration, *controls)
 
 
 def test_ramp_shape_endpoints_and_midpoint():

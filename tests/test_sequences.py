@@ -183,8 +183,11 @@ def test_reversing_the_orientation_negates_the_cone_phase(theta):
     assert circle_distance(odd, fwd.expected_geometric) < 5e-3
 
 
-def test_cone_holonomy_route_agrees_mod_2pi():
-    r = run_cone_loop(cone_params(math.pi / 4))
+@pytest.mark.parametrize("theta", [math.pi / 4, 2.0])
+def test_cone_holonomy_route_agrees_mod_2pi(theta):
+    # the Richardson-extrapolated Bargmann product; its bare value was
+    # 1.2e-3 from the decomposition at theta = 2
+    r = run_cone_loop(cone_params(theta))
     assert circle_distance(r.geometric_holonomy, r.decomposition.geometric) < 1e-3
 
 
