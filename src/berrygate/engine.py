@@ -51,7 +51,12 @@ of its samples (the controls at the Gauss nodes, the steps with their gap
 guard, the block products and their levels, the maps at each stride, the
 renormalized pairs) do not depend on the state; only applying them does.
 Every run starts at local time 0, so a later run of the same Hamiltonian
-can take them as they are (`SampleMaps`).
+can take them as they are (`SampleMaps`).  So does the energy at the
+samples as an observable of the start state, U^dagger H U in the Heisenberg
+picture (`energy_observable`); a run contracts it with the weights of its
+start state (`energy_weights`).  A run that needs one component of each
+column, or its end state, reads one row of each map (`reference_rows`) or
+the last map (`end_state`), by the products that `samples_at` uses.
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -101,21 +106,6 @@ class SectorField:
 
     def __call__(self, times, *controls) -> np.ndarray:
         return sector_hamiltonians(self.field(times, *controls), self.rows, self.dim)
-
-    def expectation(self, field: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """<psi|H|psi> (n, m) of the columns of states (n, dim, m) under the
-        fields (3, n, S) at the same times, from each sector's two
-        components x, y:
-        (1/2) [v_z (|x|^2 - |y|^2) + 2 v_x Re(x* y) + 2 v_y Im(x* y)]."""
-        energies = np.zeros((states.shape[0], states.shape[2]))
-        for s, (i, j) in enumerate(self.rows):
-            x, y = states[:, i], states[:, j]
-            xy = x.conj() * y
-            vx, vy, vz = field[:, :, s, None]
-            energies += 0.5 * vz * (np.abs(x) ** 2 - np.abs(y) ** 2)
-            energies += vx * xy.real + vy * xy.imag
-        return energies
-
 
 def sector_hamiltonians(field: np.ndarray, rows, dim: int) -> np.ndarray:
     """(n, dim, dim) stack of the sum over sectors of (1/2) v_s . sigma
@@ -346,11 +336,29 @@ def propagate_sampled(
         raise ValueError(
             f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"
         )
+    if steps_per_sample & (steps_per_sample - 1):
+        raise ValueError(f"steps_per_sample {steps_per_sample} is not a power of two")
     if maps is None:
         maps = SampleMaps(stride=1)
     if not maps.levels:
         maps.fold(model, controls, n_steps, dt, steps_per_sample)
     return samples_at(model, maps, u0, maps.stride)
+
+
+def _dense_apply(coefs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The sum over k of coefs[..., k] * u[k], for columns u (d, m): dense
+    maps applied to u, with each element made by the same operations in the
+    same order whichever rows of the maps are taken, which a stacked matmul
+    does not promise."""
+    out = coefs[..., 0] * u[0]
+    for k in range(1, len(u)):
+        out += coefs[..., k] * u[k]
+    return out
+
+
+def sample_times(maps: SampleMaps, stride: int) -> np.ndarray:
+    """Local times of the run's samples at 0 and then every stride blocks."""
+    return (np.arange(len(maps.at(stride)) + 1) * (stride * maps.block)) * maps.dt
 
 
 def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
@@ -363,11 +371,121 @@ def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
     states = np.empty((len(at) + 1,) + u.shape, dtype=complex)
     states[:] = u
     if not isinstance(model, SectorField):
-        states[1:] = at @ u
+        states[1:] = _dense_apply(at[:, :, None], u)
     else:
         for s, (i, j) in enumerate(model.rows):
             a, b = at[:, s, 0, None], at[:, s, 1, None]
             states[1:, i] = a * u[i] - b.conj() * u[j]
             states[1:, j] = b * u[i] + a.conj() * u[j]
-    times = (np.arange(len(states)) * (stride * maps.block)) * maps.dt
-    return times, states
+    return sample_times(maps, stride), states
+
+
+def end_state(model, maps: SampleMaps, u0: np.ndarray) -> np.ndarray:
+    """The state (d, m) at the end of the run of the folded maps that
+    starts from u0: bit for bit the last state of `samples_at`, at any
+    stride, since every stride ends on the same map."""
+    last = maps.at(maps.stride)[-1]
+    u = np.asarray(u0, dtype=complex)
+    if not isinstance(model, SectorField):
+        return _dense_apply(last[:, None], u)
+    end = u.copy()
+    for s, (i, j) in enumerate(model.rows):
+        a, b = last[s]
+        end[i] = a * u[i] - b.conj() * u[j]
+        end[j] = b * u[i] + a.conj() * u[j]
+    return end
+
+
+def reference_rows(model, maps: SampleMaps, u0: np.ndarray, stride: int,
+                   rows: np.ndarray) -> np.ndarray:
+    """Component rows[c] of each column c of the run that starts from u0
+    (d, m), sampled as `samples_at` samples it, bit for bit: (n_samples, m).
+    Each column takes one row of each map, by the same products as
+    `samples_at`."""
+    at = maps.at(stride)
+    u = np.asarray(u0, dtype=complex)
+    cols = np.arange(u.shape[1])
+    out = np.empty((len(at) + 1, len(cols)), dtype=complex)
+    out[:] = u[rows, cols]
+    if not isinstance(model, SectorField):
+        out[1:] = _dense_apply(at[:, rows], u)
+        return out
+    for c, r in enumerate(np.asarray(rows).tolist()):
+        for s, (i, j) in enumerate(model.rows):
+            a, b = at[:, s, 0], at[:, s, 1]
+            if r == i:
+                out[1:, c] = a * u[i, c] - b.conj() * u[j, c]
+            elif r == j:
+                out[1:, c] = b * u[i, c] + a.conj() * u[j, c]
+    return out
+
+
+def energy_weights(model, u0: np.ndarray) -> np.ndarray:
+    """The (K, m) weights of the start columns u0 (d, m) that make the
+    energies of a run from u0 out of its `energy_observable` (S, K), as
+    observable @ weights (S, m).  Per sector (i, j) of a `SectorField`, the
+    halved Bloch vector of the components x = u0[i], y = u0[j]:
+    (Re x* y, Im x* y, (|x|^2 - |y|^2)/2).  Else, from the products
+    p_ab = u0[a]* u0[b] over the rows a <= b (`_hermitian_entries`), Re p_aa
+    and 2 Re p_ab (a < b), and then 2 Im p_ab (a < b)."""
+    u = np.asarray(u0, dtype=complex)
+    if not isinstance(model, SectorField):
+        a, b, upper = _hermitian_entries(len(u))
+        pairs = u[a].conj() * u[b]
+        pairs[upper] *= 2.0
+        return np.concatenate([pairs.real, pairs[upper].imag])
+    weights = np.empty((len(model.rows), 3, u.shape[1]))
+    for s, (i, j) in enumerate(model.rows):
+        xy = u[i].conj() * u[j]
+        weights[s, 0], weights[s, 1] = xy.real, xy.imag
+        weights[s, 2] = 0.5 * (np.abs(u[i]) ** 2 - np.abs(u[j]) ** 2)
+    return weights.reshape(-1, u.shape[1])
+
+
+def energy_observable(model, maps: SampleMaps, stride: int, h: np.ndarray) -> np.ndarray:
+    """The energy of the run's samples every stride blocks as an observable
+    of the start state, in real coordinates: (S, K), such that a run from
+    any u0 has the energies <psi|H|psi> = observable @ energy_weights(model,
+    u0).  This is the Heisenberg picture, U^dagger H U with U the map to
+    each sample, so it depends on the run alone, as the maps do.
+
+    h is the energy operator at the sample times.  For a `SectorField` it
+    is the Bloch fields v (3, S, n_sectors), and each is rotated back by its
+    sector's Cayley-Klein pair (a, b), g = R(U)^T v, in closed form:
+
+        g_x + i g_y = w a^2 - w* b^2 - 2 v_z a b,
+        g_z = v_z (|a|^2 - |b|^2) + 2 Re(a b* w),   w = v_x + i v_y,
+
+    kept as (g_x, g_y, g_z) per sector.  Else it is a real symmetric stack
+    (S, d, d), and U^dagger h U = A + iB comes from the real and imaginary
+    parts x, y of U side by side, A_ab = x_a.h x_b + y_a.h y_b and
+    B_ab = x_a.h y_b - y_a.h x_b, kept as A_ab over the rows a <= b and
+    then -B_ab over a < b (`_hermitian_entries`)."""
+    at = maps.at(stride)
+    if isinstance(model, SectorField):
+        g = np.empty(h.shape[1:] + (3,))
+        g[0] = h[:, 0].T  # the start, where U = 1
+        a, b = at[..., 0], at[..., 1]
+        vx, vy, vz = h[:, 1:]
+        w = vx + 1j * vy
+        aw = a * w
+        gxy = aw * a - (w.conj() * b + 2.0 * vz * a) * b
+        g[1:, :, 0], g[1:, :, 1] = gxy.real, gxy.imag
+        g[1:, :, 2] = vz * (np.abs(a) ** 2 - np.abs(b) ** 2) + 2.0 * (aw * b.conj()).real
+        return g.reshape(len(g), -1)
+    d = at.shape[-1]
+    u = np.concatenate([np.eye(d, dtype=complex)[None], at])
+    xy = u.view(float)  # (S, d, 2d): each column's real and imaginary part side by side
+    # g[:, a, p, b, q] = (x, y)_a.h (x, y)_b for p, q = 0 (x) or 1 (y)
+    g = (xy.swapaxes(-1, -2) @ (h @ xy)).reshape(len(u), d, 2, d, 2)
+    a, b, upper = _hermitian_entries(d)
+    re = g[:, a, 0, b, 0] + g[:, a, 1, b, 1]
+    a, b = a[upper], b[upper]
+    return np.concatenate([re, g[:, a, 1, b, 0] - g[:, a, 0, b, 1]], axis=1)
+
+
+def _hermitian_entries(d: int):
+    """Rows a and columns b of the entries on and above the diagonal of a
+    d x d matrix, and where b > a."""
+    a, b = np.triu_indices(d)
+    return a, b, b > a

@@ -19,9 +19,14 @@ that never vanishes along the cone paths, unlike the overlap with the start
 state), taken against the running trapezoid of the dynamic phase so that
 only the slow remainder has to be unwrapped.  The dynamic part comes from
 Simpson quadrature of -<psi|H|psi> over each segment's equally spaced
-samples, and the geometric part is the difference.  Ideal pi pulses permute
-amplitudes without touching phases, so per-loop phases add up across a
-compound sequence.
+samples, and the geometric part is the difference.  The energy is a
+quadratic form in the segment's start state, <psi0|U^dagger H U|psi0>, so
+both quadratures are taken once per segment, of the observable U^dagger H U
+in real coordinates, and each use of the segment only contracts them with
+the weights of its start state (`engine.energy_observable`,
+`engine.energy_weights`); the ledger reads one row of each map.  Ideal pi
+pulses permute amplitudes without touching phases, so per-loop phases add
+up across a compound sequence.
 
 Sampling: each segment is sampled as coarsely as its own error estimates
 allow, not once per step.  Its samples start at the coarsest power-of-two
@@ -38,7 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -171,16 +177,6 @@ def _phi_frame_controls(seg: Segment, tau):
     return w1, om, seg.phase_rate_at(tau)
 
 
-def _expectation(h: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """<psi|H|psi> (S, m) of states (S, d, m) under the real Hamiltonians
-    (S, d, d), as x^T H x + y^T H y of the real and imaginary parts x, y, so
-    that H is never promoted to complex.  H' of `_PhiFrame` is real by
-    construction."""
-    xy = states.view(float)  # (S, d, 2m): x and y of each column side by side
-    e = np.einsum("sdm,sdm->sm", xy, h @ xy)
-    return e[:, 0::2] + e[:, 1::2]
-
-
 # ---------------------------------------------------------------------------
 # Plan execution
 
@@ -195,8 +191,12 @@ MAX_SAMPLE_JUMP = math.pi / 16
 @dataclass
 class _SegmentBook:
     times: np.ndarray  # (S,)
-    states: np.ndarray  # (S, d, m)
     kind: str
+    sample: Callable[[], np.ndarray]  # the states, taken when first read
+
+    @cached_property
+    def states(self) -> np.ndarray:  # (S, d, m), in the report frame
+        return self.sample()
 
 
 class _PhaseLedger:
@@ -233,19 +233,19 @@ class _PhaseLedger:
             self.offset[weak] = new_arg - self.total[weak]
             self.prev_arg[weak] = new_arg
 
-    def update(self, states: np.ndarray, reference: np.ndarray,
+    def update(self, comp: np.ndarray, reference: np.ndarray, last: np.ndarray,
                max_jump: float = math.inf) -> bool:
-        """Track the phase over a segment's samples (S, d, m), the first of
-        which is the last state seen.  reference (S, m) is any running
-        estimate of the phase gained since the first sample, such as the
-        trapezoid dynamic phase: the ledger unwraps the argument minus the
-        reference and adds the reference back, so the reference only has to
-        follow the phase to well within pi per sample, and its own error
-        does not enter the total.  If a jump of the unwrapped phase exceeds
-        max_jump, nothing is tracked and the result is False (so the caller
-        can sample more finely); else True."""
-        cols = np.arange(states.shape[2])
-        comp = states[:, self.ref, cols]
+        """Track the phase over a segment's samples, from comp (S, m), the
+        reference component of each column (row self.ref) at each sample,
+        the first of which is the last sample seen, and last (d, m), the
+        state at the last sample.  reference (S, m) is any running estimate
+        of the phase gained since the first sample, such as the trapezoid
+        dynamic phase: the ledger unwraps the argument minus the reference
+        and adds the reference back, so the reference only has to follow
+        the phase to well within pi per sample, and its own error does not
+        enter the total.  If a jump of the unwrapped phase exceeds max_jump,
+        nothing is tracked and the result is False (so the caller can
+        sample more finely); else True."""
         magnitude = float(np.abs(comp).min())
         if magnitude < 0.1:
             raise AdiabaticityError(
@@ -268,7 +268,7 @@ class _PhaseLedger:
         self.min_magnitude = min(self.min_magnitude, magnitude)
         self.prev_arg = rest[-1] + reference[-1]
         self.total = self.prev_arg - self.offset
-        self._rebase(states[-1])
+        self._rebase(last)
         return True
 
     def after_pulse(self, u: np.ndarray) -> None:
@@ -294,77 +294,108 @@ class _PlanResult:
 
 
 def _segment_frame(model, seg: Segment, t0: float, u):
-    """How one segment that starts from u at t0 is propagated and read:
-    (propagator, controls, start state, energy_terms, observe).  The
-    propagator(tau, *controls(tau)) goes to the engine from the start
-    state, at local times tau; energy_terms(tau) gives the model's terms of
-    the energies there, and observe(terms, tau, states) the states there in
-    the report frame and their energies <psi|H|psi> (S, m)."""
+    """How one segment that starts from u at t0 is propagated: (propagator,
+    controls, start state, to_report).  The propagator(tau, *controls(tau))
+    goes to the engine from the start state, at local times tau, and
+    to_report(tau) gives the phases (S, d) that take the states there to
+    the report frame, or is None where they are in it."""
     if isinstance(model, _PhiFrame):
-        controls = partial(_phi_frame_controls, seg)
         u = np.exp(1j * model._angles(seg, t0, np.zeros(1)))[0, :, None] * u
+        return (partial(_h2q_stack, model.p), partial(_phi_frame_controls, seg), u,
+                lambda tau: np.exp(-1j * model._angles(seg, t0, tau)))
+    return model, seg.controls_at, u, None
 
-        def energy_terms(tau):
-            # H' and the diagonal of dPhi/dt; the energy is <psi'|H' + dPhi/dt|psi'>
-            w1, om, ph_rate = controls(tau)
-            rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
-            rates += np.multiply.outer(om - model.p.omega_b, _SZ_B)
-            return _h2q_stack(model.p, tau, w1, om, ph_rate), rates
 
-        def observe(terms, tau, states):
-            h, rates = terms
-            energies = _expectation(h, states)
-            energies += np.einsum("sd,sdm->sm", rates, np.abs(states) ** 2)
-            states *= np.exp(-1j * model._angles(seg, t0, tau))[:, :, None]
-            return states, energies
-
-        return partial(_h2q_stack, model.p), controls, u, energy_terms, observe
-
-    def observe(field, tau, states):
-        return states, model.expectation(field, states)
-
-    return (model, seg.controls_at, u,
-            lambda tau: model.field(tau, *seg.controls_at(tau)), observe)
+def _observe(model, seg: Segment, propagator, maps: engine.SampleMaps, stride: int):
+    """(tau, observable, trapezoid, simpson) of a segment's samples every
+    stride blocks: their local times, its energy observable (S, K)
+    (`engine.energy_observable`, the energy as a quadratic form in the start
+    state), and the observable's running trapezoid (S, K) and Simpson
+    integral (K,) over tau.  They depend on the segment alone, so its uses
+    share them, and each use only contracts them with the
+    `engine.energy_weights` of its start state.  The observable is that of
+    the Bloch fields of a `SectorField`, and of H' + dPhi/dt for a
+    `_PhiFrame`, whose energy in the report frame is <psi'|H' + dPhi/dt|psi'>."""
+    tau = engine.sample_times(maps, stride)
+    if isinstance(model, _PhiFrame):
+        w1, om, ph_rate = _phi_frame_controls(seg, tau)
+        h = _h2q_stack(model.p, tau, w1, om, ph_rate)
+        rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
+        rates += np.multiply.outer(om - model.p.omega_b, _SZ_B)
+        diagonal = np.arange(4)
+        h[:, diagonal, diagonal] += rates
+    else:
+        h = model.field(tau, *seg.controls_at(tau))
+    observable = engine.energy_observable(propagator, maps, stride, h)
+    return (tau, observable, _cumulative_trapezoid(observable, tau),
+            _simpson(observable, stride * maps.block * maps.dt))
 
 
 def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
                  shared: tuple[engine.SampleMaps, dict], ledger: _PhaseLedger):
-    """Sample times t0 + tau, states (S, d, m) and dynamic phase (m,) of one
-    segment that starts from u at t0, and its accepted stride, in floor
-    spacings of `block` steps; the samples enter the ledger.
+    """The book, dynamic phase (m,), accepted stride (in floor spacings of
+    `block` steps) and final state (d, m) of one segment that starts from u
+    at t0; its samples enter the ledger.
 
-    shared holds the segment's sample maps and the model's terms of the
-    energies at each stride sampled so far, for all its uses (see
-    `_run_plan`).  The samples start at the stride of the maps, and each
-    refinement halves the stride and samples the maps again, until both
-    estimates of the accepted samples pass, the Simpson-against-trapezoid
-    difference of the dynamic phase (DYNAMIC_PHASE_TOLERANCE, over at least
-    two intervals) and the ledger's largest jump (MAX_SAMPLE_JUMP), or down
-    to the floor spacing."""
-    propagator, controls, u, energy_terms, observe = _segment_frame(model, seg, t0, u)
-    maps, terms = shared
-    first = not maps.levels
-    tau, states = engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
-    stride = n_steps // block // (len(tau) - 1)  # as the samples came
+    shared holds the segment's sample maps and its observed strides (see
+    `_observe`), for all its uses (see `_run_plan`).  The first use folds
+    the maps through `engine.propagate_sampled`.  Each use forms the
+    weights of its start state, and its energies, dynamic phase, ledger
+    reference and Simpson-against-trapezoid difference are products of them
+    with the shared arrays; the ledger reads one component of each column
+    (`engine.reference_rows`), and the final state is the last map applied
+    (`engine.end_state`).  The samples start at the stride of the maps, and
+    each refinement halves the stride, until both estimates of the accepted
+    samples pass, the Simpson-against-trapezoid difference of the dynamic
+    phase (DYNAMIC_PHASE_TOLERANCE, over at least two intervals) and the
+    ledger's largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing.
+    The first use reads the states that `engine.propagate_sampled`
+    returned at its start stride, and keeps them as its book if it accepts
+    them; any other book samples the maps when first read."""
+    propagator, controls, u, to_report = _segment_frame(model, seg, t0, u)
+    maps, observed = shared
+    folded = None
+    if not maps.levels:
+        _, folded = engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
+    stride = maps.stride
+    weights = engine.energy_weights(propagator, u)
+    end = engine.end_state(propagator, maps, u) if folded is None else folded[-1]
     while True:
-        if stride not in terms:
-            terms[stride] = energy_terms(tau)
-        times = t0 + tau
-        states, energies = observe(terms[stride], tau, states)
-        reference = -_cumulative_trapezoid(energies, times)
-        dynamic = -_simpson(energies, stride * block * dt)
+        if stride not in observed:
+            observed[stride] = _observe(model, seg, propagator, maps, stride)
+        tau, _, trapezoid, simpson = observed[stride]
+        reference = -(trapezoid @ weights)
+        dynamic = -(simpson @ weights)
+        if folded is not None and stride == maps.stride:
+            comp = folded[:, ledger.ref, np.arange(u.shape[1])]
+        else:
+            comp = engine.reference_rows(propagator, maps, u, stride, ledger.ref)
+        if to_report is None:
+            last = end
+        else:
+            phases = to_report(tau)
+            comp *= phases[:, ledger.ref]
+            last = end * phases[-1][:, None]
         if stride == 1:
-            ledger.update(states, reference)
+            ledger.update(comp, reference, last)
             break
         quadrature = float(np.max(np.abs(dynamic - reference[-1])))
-        if (len(times) > 2 and quadrature <= DYNAMIC_PHASE_TOLERANCE
-                and ledger.update(states, reference, MAX_SAMPLE_JUMP)):
+        if (len(tau) > 2 and quadrature <= DYNAMIC_PHASE_TOLERANCE
+                and ledger.update(comp, reference, last, MAX_SAMPLE_JUMP)):
             break
         stride //= 2
-        tau, states = engine.samples_at(propagator, maps, u, stride)
-    if first:
+    if folded is not None:
+        if stride < maps.stride:
+            folded = None
         maps.stride = stride
-    return times, states, dynamic, stride
+
+    def sample():
+        states = engine.samples_at(propagator, maps, u, stride)[1] if folded is None else folded
+        if to_report is not None:
+            states *= to_report(tau)[:, :, None]
+        return states
+
+    return _SegmentBook(t0 + tau, seg.kind, sample), dynamic, stride, last
 
 
 def _run_plan(plan, model, u0, dt, spacing):
@@ -387,13 +418,15 @@ def _run_plan(plan, model, u0, dt, spacing):
 
     Each segment is propagated in its own local time from 0, and its
     samples enter the books at its start time t0, the sum of the durations
-    before it.  So a segment's sample maps and energy terms depend on the
-    segment alone, and a segment that recurs in the plan is propagated
-    once, and its energy terms are taken once per stride: its later uses
-    start at the stride the first use accepted, only apply the maps to their
-    own start states, refine further if their own estimates ask, and take
-    their own energies, phase ledger, quadratures and book.  Nothing
-    outlives the call.
+    before it.  So a segment's sample maps, and its energy observable in the
+    Heisenberg picture with that observable's quadratures (`_observe`),
+    depend on the segment alone.  A segment that recurs in the plan is
+    propagated once, and observed once per stride.  Its later uses start at
+    the stride the first use accepted, and refine further if their own
+    estimates ask.  Each use contracts the shared quadratures with the
+    weights of its own start state, and reads its own reference components
+    for the phase ledger and its own final state; its book samples the maps
+    only if read.  Nothing outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
@@ -418,7 +451,7 @@ def _run_plan(plan, model, u0, dt, spacing):
             continue
         n_steps = block * _STRIDE_UNIT * max(1, round(item.duration / unit))
         try:
-            times, states, dyn, stride = _run_segment(
+            book, dyn, stride, u = _run_segment(
                 model, item, t0, n_steps, item.duration / n_steps, u, block,
                 shared.setdefault(item, (engine.SampleMaps(), {})), ledger,
             )
@@ -426,9 +459,8 @@ def _run_plan(plan, model, u0, dt, spacing):
             raise AdiabaticityError(f"{exc} in segment {len(books)} ({item.kind})") from None
         dynamic += dyn
         seg_dynamics.append(np.atleast_1d(dyn))
-        books.append(_SegmentBook(times, states, item.kind))
+        books.append(book)
         strides.append(stride)
-        u = states[-1]
         t0 += item.duration
     return _PlanResult(u, ledger.total, dynamic, seg_dynamics, books, ledger, block, strides)
 

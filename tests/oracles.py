@@ -188,15 +188,14 @@ def write_surface_csv_by_points(surface, path) -> None:
                 fh.write(f"{d:.12g},{w:.12g},{surface.delta_gamma[i, j]:.12g}\n")
 
 
-def rk4_propagate_sampled(model, controls, n_steps, dt, u0, steps_per_sample, maps=None):
-    """Oracle for `engine.propagate_sampled`, same arguments and samples:
-    batched RK4 maps (`engine.rk4_transition_matrices`, under the step guard
-    `engine._check_spread`) of the dense stack model(tau, *controls(tau))
-    on the half-step grid of local times tau, read as complex maps off their
-    real forms and applied to the state one step at a time.  It ignores maps and
-    propagates afresh on every call, sampling every steps_per_sample steps,
-    so a plan run on it is sampled at the floor spacing and never samples
-    the maps again at a finer stride."""
+def rk4_propagate_sampled(model, controls, n_steps, dt, u0, steps_per_sample):
+    """Oracle for `engine.propagate_sampled`, same arguments (but no sample
+    maps) and samples: batched RK4 maps (`engine.rk4_transition_matrices`,
+    under the step guard `engine._check_spread`) of the dense stack
+    model(tau, *controls(tau)) on the half-step grid of local times tau,
+    read as complex maps off their real forms and applied to the state one
+    step at a time, sampling every steps_per_sample steps.  `plan_afresh`
+    runs a plan on it."""
     if n_steps % steps_per_sample:
         raise ValueError(
             f"steps_per_sample {steps_per_sample} does not divide n_steps {n_steps}"
@@ -216,18 +215,21 @@ def rk4_propagate_sampled(model, controls, n_steps, dt, u0, steps_per_sample, ma
     return np.array(ends) * dt, np.array(samples)
 
 
-def plan_afresh(plan, propagate, model, planned):
-    """Oracle for `sequences._run_plan`: (final, total, dynamic) of the plan
-    run from the identity as `_run_plan` ran it to planned (its
-    `_PlanResult`), with every segment use propagated afresh by propagate
-    (`engine.propagate_sampled` or `rk4_propagate_sampled`) at the step
-    count and stride that use took.  model is the dense stack
-    (times, w1, om, ph) -> (n, d, d) at absolute times, in the frame of the
-    reports, or an `engine.SectorField` of it; each use propagates it at
-    its own start time t0, as model(t0 + tau, ...).  The energies are
-    <psi|H|psi> of that stack."""
-    u, t0 = np.eye(len(planned.final), dtype=complex), 0.0
-    ledger, dynamic = sequences._PhaseLedger(u), np.zeros(len(u))
+def plan_afresh(plan, propagate, model, planned, u0=None):
+    """Oracle for `sequences._run_plan`: (final, total, dynamic, states) of
+    the plan run from the columns u0 (the identity if None) as `_run_plan`
+    ran it to planned (its `_PlanResult`), with every segment use
+    propagated afresh by propagate (`engine.propagate_sampled` or
+    `rk4_propagate_sampled`) at the step count and stride that use took;
+    states holds the samples (S, d, m) of each use.  model is the dense
+    stack (times, w1, om, ph) -> (n, d, d) at absolute times, in the frame
+    of the reports, or an `engine.SectorField` of it; each use propagates
+    it at its own start time t0, as model(t0 + tau, ...).  The energies are
+    <psi|H|psi> of that stack, and the ledger reads the states themselves."""
+    u = np.eye(len(planned.final), dtype=complex) if u0 is None else np.asarray(u0, dtype=complex)
+    u, t0 = u.reshape(len(u), -1), 0.0
+    ledger, dynamic = sequences._PhaseLedger(u), np.zeros(u.shape[1])
+    cols, books = np.arange(u.shape[1]), []
     uses = iter(zip(planned.books, planned.strides))
     for kind, item in plan:
         if kind == "pulse":
@@ -242,10 +244,12 @@ def plan_afresh(plan, propagate, model, planned):
         times = t0 + tau
         h = model(times, *item.controls_at(tau))
         energies = np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
-        ledger.update(states, -sequences._cumulative_trapezoid(energies, times))
+        ledger.update(states[:, ledger.ref, cols],
+                      -sequences._cumulative_trapezoid(energies, times), states[-1])
         dynamic -= sequences._simpson(energies, steps * item.duration / n)
+        books.append(states)
         u, t0 = states[-1], t0 + item.duration
-    return u, ledger.total, dynamic
+    return u, ledger.total, dynamic, books
 
 
 def _started_at(model, t0):

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 from oracles import (
     hamiltonian_of_schedule_1q,
+    plan_afresh,
     rk4_propagate_sampled,
     surface_by_points,
     write_surface_csv_by_points,
@@ -60,11 +61,13 @@ def test_engine_matches_stepwise_rk4():
     dt = 0.004
     span = (0.0, sum(s.duration for s in sched.segments))
     ref = integrate_schrodinger(psi0, hamiltonian_of_schedule_1q(p.omega0, sched), span, dt)
-    # spacing dt: one step per sample, so the steps are the oracle's own;
-    # the oracle takes the SectorField as its dense Hamiltonian stack
-    with mock.patch.object(engine, "propagate_sampled", rk4_propagate_sampled):
-        res = _run_plan(_schedule_plan(sched), _model_1q(p.omega0), psi0, dt, dt)
-    assert np.max(np.abs(res.final[:, 0] - ref.final_psi)) < 1e-12
+    # spacing dt: one step per floor interval, so the steps of each use are
+    # the oracle's own; the oracle takes the SectorField as its dense
+    # Hamiltonian stack
+    plan, model = _schedule_plan(sched), _model_1q(p.omega0)
+    planned = _run_plan(plan, model, psi0, dt, dt)
+    final, *_ = plan_afresh(plan, rk4_propagate_sampled, model, planned, psi0)
+    assert np.max(np.abs(final[:, 0] - ref.final_psi)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 17, 64, 65, 129, 1000, 1001])
@@ -86,8 +89,9 @@ def test_quadratures_are_bit_for_bit_scipy(n, columns):
 def test_quadratures_of_a_run_are_bit_for_bit_scipy():
     from scipy.integrate import cumulative_trapezoid, simpson  # the oracle
 
-    # Each segment hands the trapezoid its sample times and then Simpson's
-    # equal-spacing rule the same energies with one spacing h.
+    # Each distinct segment hands the trapezoid its energy observable at its
+    # local sample times, and then Simpson's equal-spacing rule the same
+    # observable with one spacing h; its uses only contract the results.
     trapezoids, simpsons = [], []
     real_trapezoid, real_simpson = sequences._cumulative_trapezoid, sequences._simpson
 
@@ -102,12 +106,12 @@ def test_quadratures_of_a_run_are_bit_for_bit_scipy():
     with mock.patch.object(sequences, "_cumulative_trapezoid", spy_trapezoid), \
             mock.patch.object(sequences, "_simpson", spy_simpson):
         run_conditional_sequence(two_spin_params(2.0, 1.2))
-    assert len(simpsons) == len(trapezoids) == 12
+    assert len(simpsons) == len(trapezoids) == 5
     assert {len(y) % 2 for y, _ in simpsons} == {0, 1}
     for (y, x), (y_simpson, h) in zip(trapezoids, simpsons):
         assert y_simpson is y
         # the precondition of the rule: the samples sit every h, up to the
-        # rounding of absolute times of up to 2880 s (at most 3.8e-13 s here)
+        # rounding of local times of up to 200 s (at most 4.1e-14 s here)
         assert np.max(np.abs(np.diff(x) - h)) <= 1e-12
         assert np.array_equal(sequences._simpson(y, h), simpson(y, dx=h, axis=0))
         assert np.array_equal(
