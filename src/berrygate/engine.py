@@ -229,9 +229,10 @@ class SampleMaps:
     a finer stride may still need them.
     maps[s] holds the maps to the samples every s blocks after the start:
     the coarsest by the prefix scan over its level, and each finer one from
-    the maps at twice its stride, with one product per new map: the map to
-    a midpoint is the block product of the half interval before it times
-    the map at the sample before that (the last stage of the prefix scan).
+    the maps at twice its stride (made first if need be), with one product
+    per new map: the map to a midpoint is the block product of the half
+    interval before it times the map at the sample before that (the last
+    stage of the prefix scan).
     So refining never takes a step or computes a map twice.
 
     stride is the stride that `propagate_sampled` samples at.  The fold
@@ -274,8 +275,7 @@ class SampleMaps:
         divides the run's blocks."""
         if stride not in self.maps:
             k = stride.bit_length() - 1
-            coarse = self.maps.get(2 * stride)
-            if coarse is None:
+            if not any(s > stride for s in self.maps):
                 while len(self.levels) <= k:
                     level = self.levels[-1]
                     self.levels.append(self._mul(level[1::2], level[0::2]))
@@ -283,6 +283,8 @@ class SampleMaps:
                 # midpoints take only the levels below: free the rest
                 self.levels[k:] = [None] * (len(self.levels) - k)
             else:
+                # through the strides between, whose levels are still held
+                coarse = self.at(2 * stride)
                 halves = self.levels[k][0::2]
                 mids = np.empty_like(coarse)
                 mids[0] = halves[0]

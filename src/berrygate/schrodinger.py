@@ -4,11 +4,11 @@ coupled two-spin system.
 Hamiltonians are stored as angular-frequency matrices (hbar = 1).  The
 integrator is fixed-step RK4 on the complex ODE i d|psi>/dt = H(t)|psi>,
 with no renormalization: norm drift is a measured diagnostic, and a step
-size too large for the spectral spread is rejected outright.  It takes one
-state or a (dim, B) block of columns, such as the identity for a whole
+size too large for the spectrum is rejected outright.  It takes one state
+or a (dim, B) block of columns, such as the identity for a whole
 propagator; the columns share the Hamiltonian stack, and each column's
-norm check and phase unwrap are its own.  The Hamiltonians take a scalar
-time or an array of times.
+norm check is its own.  The Hamiltonians take a scalar time or an array
+of times.
 
 The ODE is linear, so one RK4 step is one matrix (Blanes, Casas, Oteo &
 Ros, Phys. Rep. 470, 151 (2009)).  The formula holds in any real algebra,
@@ -18,14 +18,13 @@ The integrator runs in batched stages:
 
 1. one h_of_t call on all nodes of the half-step grid, giving the
    (2n+1, d, d) complex stack, checked finite and Hermitian;
-2. the spread guard on that stack;
+2. the step guard on that stack;
 3. the one-step maps `rk4_transition_matrices` (which `engine`
    re-exports), the real (2d, 2d) forms that `linalg.rk4_step_maps`, the
    only copy of the formula, makes of the real form of -i H dt;
 4. their fold by a prefix scan, `linalg.RK4_CHUNK` steps at a time, onto
    the chunk's real start columns (`linalg.rk4_fold`);
-5. psi = Re psi + i Im psi, rebuilt once after the fold, and the overlaps
-   with psi(0) and their unwrap.
+5. psi = Re psi + i Im psi, rebuilt once after the fold.
 
 The tests check it against a stage-form RK4 loop in complex arithmetic.
 """
@@ -43,14 +42,15 @@ from .linalg import half_step_grid, pauli, real_form, rk4_fold, rk4_step_maps
 # The drive's Paulis embedded on spin a of the two-spin basis.
 _SX_A, _SY_A = np.kron(pauli("x"), np.eye(2)), np.kron(pauli("y"), np.eye(2))
 
-# Max allowed dt * (eigenvalue spread); RK4 stays phase-accurate below this.
+# Max allowed dt * max(eigenvalue spread, largest |eigenvalue|); RK4 stays
+# phase-accurate below this.
 STEP_SPREAD_LIMIT = 0.01
 # Largest |H - H^dagger| entry accepted, the atol of `linalg.expm_hermitian`.
 HERMITIAN_TOL = 1e-10
 
 
 class StepSizeError(ValueError):
-    """Raised when dt is too coarse for the Hamiltonian's spectral spread."""
+    """Raised when dt is too coarse for the Hamiltonian's spectrum."""
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,11 @@ def drive_hamiltonian_2q(p: TwoSpinParams, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchrodingerTrajectory:
-    """Sampled propagation record: times (n,), states (n, dim), and the
-    continuously unwrapped phase arg<psi(0)|psi(t)> (n,).  A block of B
-    initial columns gives states (n, dim, B) and phases (n, B)."""
+    """Sampled propagation record: times (n,) and states (n, dim), or
+    (n, dim, B) for a block of B initial columns."""
 
     t: np.ndarray
     psi: np.ndarray
-    phase: np.ndarray
 
     @property
     def final_psi(self) -> np.ndarray:
@@ -146,14 +144,16 @@ def rk4_transition_matrices(h_half: np.ndarray, dt: float) -> np.ndarray:
 
 
 def check_step_spread(hams: np.ndarray, dt: float) -> None:
-    """Reject dt if dt times the largest eigenvalue spread over the stack
-    hams (m, d, d) exceeds STEP_SPREAD_LIMIT."""
+    """Reject dt if dt times the larger of the largest eigenvalue spread and
+    the largest |eigenvalue| over the stack hams (m, d, d) exceeds
+    STEP_SPREAD_LIMIT.  For a traceless H every |eigenvalue| is at most the
+    spread; a trace turns the global phase, which RK4 must resolve too."""
     evals = np.linalg.eigvalsh(hams)
-    spread = float(np.max(evals[:, -1] - evals[:, 0]))
-    if dt * spread > STEP_SPREAD_LIMIT * (1.0 + 1e-9):
+    bound = float(max(np.max(evals[:, -1] - evals[:, 0]), np.max(np.abs(evals))))
+    if dt * bound > STEP_SPREAD_LIMIT * (1.0 + 1e-9):
         raise StepSizeError(
-            f"dt * spectral spread = {dt * spread:.3e} exceeds {STEP_SPREAD_LIMIT}; "
-            "reduce dt"
+            f"dt * max(spectral spread, largest |eigenvalue|) = {dt * bound:.3e} "
+            f"exceeds {STEP_SPREAD_LIMIT}; reduce dt"
         )
 
 
@@ -178,27 +178,6 @@ def _hamiltonian_stack(h_of_t, nodes: np.ndarray, dim: int) -> np.ndarray:
     return hams
 
 
-def _unwrapped_phase(overlap: np.ndarray) -> np.ndarray:
-    """Continuous arg of one column's overlaps <psi(0)|psi(t_k)> (n+1,).
-    Only healthy samples (magnitude above 1e-6) move the phase; the others
-    hold the last healthy angle.  A jump of pi or more between consecutive
-    healthy samples raises, since the sampling cannot resolve the winding."""
-    two_pi = 2.0 * math.pi
-    healthy = np.flatnonzero(np.abs(overlap) > 1e-6)
-    raw = np.arctan2(overlap.imag[healthy], overlap.real[healthy])
-    raw[0] = 0.0  # arg<psi(0)|psi(0)>
-    jumps = np.diff(raw)
-    turns = np.round(jumps / two_pi)
-    if np.any(np.abs(jumps - two_pi * turns) >= math.pi * (1.0 - 1e-12)):
-        raise RuntimeError(
-            "global-phase unwrapping lost continuity (per-step jump >= pi); reduce dt"
-        )
-    raw[1:] -= two_pi * np.cumsum(turns)
-    held = np.zeros(len(overlap), dtype=np.intp)
-    held[healthy] = np.arange(len(healthy))
-    return raw[np.maximum.accumulate(held)]
-
-
 def integrate_schrodinger(
     psi0: np.ndarray,
     h_of_t,
@@ -218,11 +197,9 @@ def integrate_schrodinger(
     (dim,) or (dim, B) with B >= 1 whose every column has |psi0| = 1, a
     finite, increasing t_span, a finite dt > 0 and a finite stack of that
     shape, Hermitian within HERMITIAN_TOL (ValueError otherwise), and
-    dt * (max eigenvalue spread of H) <= 0.01; a violating step size raises
-    StepSizeError instead of silently degrading.  The state is never renormalized.  Each column's
-    global phase arg<psi(0)|psi(t)> is unwrapped step to step; a jump >= pi
-    between healthy samples (overlap magnitude above 1e-6) aborts, since it
-    means the sampling cannot resolve the phase winding.
+    dt * max(eigenvalue spread, largest |eigenvalue|) of H <= 0.01; a
+    violating step size raises StepSizeError instead of silently degrading.
+    The state is never renormalized.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.ndim not in (1, 2) or 0 in psi0.shape:
@@ -244,13 +221,9 @@ def integrate_schrodinger(
     cols = np.concatenate([cols.real, cols.imag], axis=1)[:, :, None]
     xy = rk4_fold(hams, cols, lambda x: rk4_transition_matrices(x, h))[..., 0]
     states = xy[..., :dim] + 1j * xy[..., dim:]  # (n+1, B, dim)
-    phase = np.stack(
-        [_unwrapped_phase(states[:, j] @ states[0, j].conj()) for j in range(states.shape[1])],
-        axis=-1,
-    )
     if psi0.ndim == 1:
-        return SchrodingerTrajectory(t=times, psi=states[:, 0], phase=phase[:, 0])
-    return SchrodingerTrajectory(t=times, psi=states.transpose(0, 2, 1), phase=phase)
+        return SchrodingerTrajectory(t=times, psi=states[:, 0])
+    return SchrodingerTrajectory(t=times, psi=states.transpose(0, 2, 1))
 
 
 def bloch_of_state(psi: np.ndarray) -> np.ndarray:

@@ -114,18 +114,14 @@ def rk4_bloch(s0, p: RabiParams, t_span, dt, frame="lab"):
 def rk4_schrodinger_by_stages(psi0, h_of_t, t_span, dt) -> SchrodingerTrajectory:
     """Oracle for `integrate_schrodinger`, same arguments and grid: the four
     RK4 stages of each step applied to the state, with three h_of_t calls
-    per step, and each column's phase arg<psi(0)|psi(t)> unwrapped against
-    the running angle one step at a time (held where the overlap is at
-    most 1e-6).  No step-size guard."""
+    per step.  No step-size guard."""
     psi0 = np.asarray(psi0, dtype=complex)
     cols = psi0.reshape(len(psi0), -1)
     n = max(1, int(round((t_span[1] - t_span[0]) / dt)))
     h = (t_span[1] - t_span[0]) / n
     times = t_span[0] + h * np.arange(n + 1)
     psi, out = cols, [cols]
-    angles, phase = [0.0] * cols.shape[1], []
     for t in times[:-1].tolist():
-        phase.append(list(angles))
         h1, hm, h2 = h_of_t(t), h_of_t(t + 0.5 * h), h_of_t(t + h)
         k1 = -1j * h1 @ psi
         k2 = -1j * hm @ (psi + 0.5 * h * k1)
@@ -133,16 +129,10 @@ def rk4_schrodinger_by_stages(psi0, h_of_t, t_span, dt) -> SchrodingerTrajectory
         k4 = -1j * h2 @ (psi + h * k3)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(psi)
-        for j in range(cols.shape[1]):
-            ov = np.vdot(cols[:, j], psi[:, j])
-            if abs(ov) > 1e-6:
-                jump = math.atan2(ov.imag, ov.real) - angles[j]
-                angles[j] += jump - 2.0 * math.pi * round(jump / (2.0 * math.pi))
-    phase.append(angles)
-    states, phase = np.array(out), np.array(phase)
+    states = np.array(out)
     if psi0.ndim == 1:
-        return SchrodingerTrajectory(t=times, psi=states[:, :, 0], phase=phase[:, 0])
-    return SchrodingerTrajectory(t=times, psi=states, phase=phase)
+        return SchrodingerTrajectory(t=times, psi=states[:, :, 0])
+    return SchrodingerTrajectory(t=times, psi=states)
 
 
 def dynamic_phase(times: np.ndarray, states: np.ndarray, h_of_t) -> float:

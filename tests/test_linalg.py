@@ -113,6 +113,8 @@ def test_expm_unitarity_and_group_law():
 def test_expm_rejects_non_hermitian():
     with pytest.raises(ValueError):
         expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    with pytest.raises(ValueError, match=r"expected a 2x2 or 4x4 matrix, got shape \(3, 3\)"):
+        expm_hermitian(np.eye(3), 1.0)
 
 
 def _unitary_stack(rng, n, dim, dtype):

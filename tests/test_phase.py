@@ -138,7 +138,7 @@ def test_closure_total_equals_dynamic_plus_geometric():
     period = 2.0 * math.pi / math.hypot(1.2, 0.9)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     traj = integrate_schrodinger(psi0, lambda t: h, (0.0, period), period / 6000)
-    total = traj.phase[-1]
+    total = np.angle(np.vdot(psi0, traj.final_psi))
     dyn = dynamic_phase(traj.t, traj.psi, lambda t: h)
     geo = geometric_phase_discrete(traj.psi)
     assert circle_distance(total, dyn + geo) < 1e-4
@@ -253,6 +253,12 @@ def test_eigenstate_path_degeneracy_aborts():
 def test_eigenstate_path_branch_bounds():
     with pytest.raises(ValueError):
         eigenstate_path([pauli("z")], branch=2)
+
+
+def test_eigenstate_path_refuses_a_jump_between_eigenvectors():
+    # the lowest eigenvector turns from |1> to |0> in one step
+    with pytest.raises(ValueError, match=r"continuity lost at step 1 \(\|overlap\| = 0\)"):
+        eigenstate_path([pauli("z"), -pauli("z")], branch=0)
 
 
 def test_wrap_and_circle_distance():

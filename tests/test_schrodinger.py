@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import hamiltonian_2q_full, rk4_schrodinger_by_stages, rotating_hamiltonian_1q
 
-from berrygate import schrodinger
 from berrygate.bloch import RabiParams, integrate_bloch
 from berrygate.linalg import RK4_CHUNK, half_step_grid, real_form, rk4_step_maps, tensor
 from berrygate.schrodinger import (
@@ -75,6 +74,9 @@ def test_h2q_transition_gaps():
 def test_two_spin_params_validation():
     with pytest.raises(ValueError):
         TwoSpinParams(1.0, 2.0, 0.1, RabiParams(1.0, 0.0, 0.0, 0.0))
+    for bad in ((math.nan, 1.0, 0.1), (2.0, -math.inf, 0.1), (2.0, 1.0, math.inf)):
+        with pytest.raises(ValueError, match="non-finite two-spin parameter"):
+            TwoSpinParams(*bad, RabiParams(1.0, 0.0, 0.0, 0.0))
 
 
 def test_h2q_full_adds_drive():
@@ -90,7 +92,6 @@ def test_h2q_full_adds_drive():
 def test_integrate_constant_with_zero_hamiltonian():
     traj = integrate_schrodinger(UP, lambda t: np.zeros((2, 2), complex), (0.0, 2.0), 0.01)
     assert np.max(np.abs(traj.psi - UP)) < 1e-14
-    assert abs(traj.phase[-1]) < 1e-14
 
 
 def test_integrate_diagonal_evolution_phase():
@@ -99,7 +100,6 @@ def test_integrate_diagonal_evolution_phase():
     traj = integrate_schrodinger(UP, lambda t: h, (0.0, 4.0), 0.002)
     expected = np.exp(-0.5j * omega0 * traj.t)
     assert np.max(np.abs(traj.psi[:, 0] - expected)) < 1e-9
-    assert abs(traj.phase[-1] - (-0.5 * omega0 * 4.0)) < 1e-9
 
 
 def test_rabi_flopping():
@@ -147,12 +147,10 @@ def test_block_matches_single_column_runs():
     h_of_t = lambda t: hamiltonian_2q_full(p, t, drive_on_b=True)
     traj = integrate_schrodinger(block, h_of_t, (0.0, 3.0), 0.0015)
     assert traj.psi.shape == (len(traj.t), 4, 3)
-    assert traj.phase.shape == (len(traj.t), 3)
     for j in range(3):
         single = integrate_schrodinger(block[:, j], h_of_t, (0.0, 3.0), 0.0015)
         assert np.array_equal(single.t, traj.t)
         assert np.max(np.abs(traj.psi[:, :, j] - single.psi)) <= 1e-15
-        assert np.max(np.abs(traj.phase[:, j] - single.phase)) <= 1e-15
 
 
 def test_block_with_one_unnormalized_column_rejected():
@@ -188,21 +186,12 @@ def test_matches_the_stage_form_oracle(case):
     traj = integrate_schrodinger(psi0, h_of_t, (0.0, t1), dt)
     ref = rk4_schrodinger_by_stages(psi0, h_of_t, (0.0, t1), dt)
     assert np.array_equal(traj.t, ref.t)
-    assert traj.psi.shape == ref.psi.shape and traj.phase.shape == ref.phase.shape
+    assert traj.psi.shape == ref.psi.shape
     assert np.max(np.abs(traj.psi - ref.psi)) < 1e-12
-    # arg<psi0|psi> moves by at most |d psi| / |<psi0|psi>| when psi moves by
-    # d psi, so next to a zero of the overlap the phases agree less closely
-    overlap = np.abs(np.einsum("i...,ki...->k...", np.conj(psi0), traj.psi))
-    drift = np.linalg.norm(traj.psi - ref.psi, axis=1)
-    assert np.all(np.abs(traj.phase - ref.phase) <= 1e-12 + drift / overlap)
-    assert np.max(np.abs(traj.phase - ref.phase)[overlap > 1e-2]) < 1e-12
     if case == "longer-than-a-chunk":
         assert len(traj.t) - 1 > 2 * RK4_CHUNK
     if case == "resonant-flop-from-up":
-        # the unwrap takes the sign change as one near-pi jump, on the
-        # oracle's branch
         assert np.min(np.abs(traj.psi[:, 0])) < 1e-2
-        assert np.max(np.abs(np.diff(traj.phase))) > 0.9 * math.pi
 
 
 def test_one_hamiltonian_call_per_half_step_node():
@@ -291,22 +280,17 @@ def test_hermitian_within_the_bound_accepted():
     assert np.all(np.isfinite(traj.psi))
 
 
-def test_unwrap_holds_the_angle_across_a_vanishing_overlap():
-    overlap = np.array([1.0, np.exp(2j), 1e-7 * np.exp(-2j), np.exp(4j), np.exp(5j)])
-    assert np.allclose(schrodinger._unwrapped_phase(overlap), [0.0, 2.0, 2.0, 4.0, 5.0],
-                       rtol=0.0, atol=1e-14)
-
-
 def test_a_jump_of_pi_per_step_aborts():
     # For H = c 1 with c dt = sqrt(6), one RK4 step multiplies the state by
-    # 1 - 3 + 36/24 = -1/2: a phase step of pi, which the spread guard
-    # (spread 0) lets through and the unwrap must refuse.
+    # 1 - 3 + 36/24 = -1/2: a phase step of pi.  The spectral spread is 0,
+    # so the guard must refuse the step on the largest |eigenvalue|.  At
+    # c dt = 1 each step scales the norm by |1 - i - 1/2 + i/6 + 1/24| =
+    # 0.9939, to 0.54 after 100 steps.
     dt = 0.01
-    h = (math.sqrt(6.0) / dt) * np.eye(2, dtype=complex)
-    with pytest.raises(RuntimeError, match="per-step jump >= pi"):
-        integrate_schrodinger(UP, lambda t: h, (0.0, 0.1), dt)
-    with pytest.raises(RuntimeError, match="per-step jump >= pi"):
-        schrodinger._unwrapped_phase(np.array([1.0, np.exp(1j * (math.pi - 1e-13))]))
+    for c_dt in (math.sqrt(6.0), 1.0):
+        h = (c_dt / dt) * np.eye(2, dtype=complex)
+        with pytest.raises(StepSizeError, match=r"largest \|eigenvalue\|\) = .* exceeds 0.01"):
+            integrate_schrodinger(UP, lambda t: h, (0.0, 0.1), dt)
 
 
 def test_bloch_of_state_cases():
@@ -323,6 +307,8 @@ def test_bloch_of_state_cases():
         ]
         assert np.max(np.abs(bloch_of_state(psi) - expected)) < 1e-14
         assert abs(np.linalg.norm(bloch_of_state(psi)) - 1.0) < 1e-14
+    with pytest.raises(ValueError, match="expects a 2-dim state vector"):
+        bloch_of_state(np.eye(4, dtype=complex)[0])
 
 
 def test_schrodinger_bloch_consistency():

@@ -266,6 +266,11 @@ def test_default_times_respect_step_bound():
     with pytest.raises(ValueError):
         # drive resonant with the minus sector: no adiabatic connection
         default_times_2q(two_spin_params(1.0, 1.2))
+    with pytest.raises(ValueError, match="Rabi vector vanishes; no timescale"):
+        default_times_1q(RabiParams(5.0, 0.0, 5.0, 0.0))
+    with pytest.raises(ValueError, match="Rabi vector vanishes in one coupling sector"):
+        # no drive, at omega = omega+
+        default_times_2q(two_spin_params(-1.0, 0.0))
 
 
 # The API checks its times as the CLI does, with the CLI's messages.
@@ -337,6 +342,16 @@ def test_ledger_follows_a_coarse_sample_grid():
     assert abs(coarse.total[0] - default.total[0]) < 1e-6
 
 
+def test_ledger_refuses_a_jump_beyond_its_limit():
+    # one column, zero reference: a second sample 3.05 rad on from the
+    # first is within pi, so np.unwrap keeps it, but beyond 0.95 pi
+    u0 = np.array([[1.0], [0.0]], dtype=complex)
+    ledger = sequences._PhaseLedger(u0)
+    comp = np.array([[1.0], [np.exp(3.05j)]])
+    with pytest.raises(AdiabaticityError, match="a jump of 3.05 rad exceeds the limit 0.95"):
+        ledger.update(comp, np.zeros((2, 1)), u0)
+
+
 def test_diabatic_run_flagged():
     p = cone_params(math.pi / 3)
     r = run_cone_loop(p, ramp_time=1.0, sweep_time=5.0, dt=0.002)
@@ -379,6 +394,13 @@ def test_spin_echo_adiabaticity_check():
     p = cone_params(math.pi / 3)
     with pytest.raises(AdiabaticityError):
         run_spin_echo_1q(p, ramp_time=0.5, sweep_time=2.0, dt=0.002, check=True)
+
+
+def test_conditional_sequence_adiabaticity_check():
+    # measured: closure fidelities 0.814 and 0.807
+    p = two_spin_params(2.5, 0.5)
+    with pytest.raises(AdiabaticityError, match="closure fidelities .* below 0.999"):
+        run_conditional_sequence(p, ramp_time=0.5, sweep_time=2.0, dt=0.002, check=True)
 
 
 def test_spin_echo_finite_pulses_approach_ideal_ones():
