@@ -12,7 +12,7 @@ The drive parameters and Rabi vectors are shared with the rest of the
 package; the stepwise integrator `integrate_bloch` is a test and `verify`
 oracle that the production propagator in `engine` never calls.  The ODE is
 linear, ds/dt = [Omega]x s, so its RK4 steps are 3x3 maps, which it folds by
-a prefix scan as the Schrodinger oracle does (`linalg.rk4_fold`).
+a prefix scan onto s as one column (`linalg.rk4_fold`).
 """
 
 from __future__ import annotations
@@ -102,5 +102,5 @@ def integrate_bloch(
     for (i, j), w in zip(((2, 1), (0, 2), (1, 0)), field):
         a[:, i, j] = h * w
         a[:, j, i] = -h * w
-    states = rk4_fold(a, s0.reshape(1, 3, 1), rk4_step_maps)
-    return BlochTrajectory(t=times, s=states[:, 0, :, 0])
+    states = rk4_fold(a, s0[:, None], rk4_step_maps)
+    return BlochTrajectory(t=times, s=states[:, :, 0])

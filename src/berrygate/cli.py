@@ -64,18 +64,18 @@ def _echo_config(args: argparse.Namespace, keys: list[str]) -> str:
     return "\n".join(lines)
 
 
-def _resolve_times_1q(args) -> tuple[float, float, float]:
-    p = RabiParams(args.omega0, args.omega1, args.omega, args.phi)
-    return resolve_times(
-        partial(default_times_1q, p), args.ramp_time, args.sweep_time, args.dt,
-        args.sweep_factor,
+def _resolve_times(args, default_times) -> tuple[float, float, float]:
+    """The ramp, sweep and dt of args, resolved against default_times and
+    written back to args for the echoed configuration."""
+    args.ramp_time, args.sweep_time, args.dt = resolve_times(
+        default_times, args.ramp_time, args.sweep_time, args.dt, args.sweep_factor
     )
+    return args.ramp_time, args.sweep_time, args.dt
 
 
 def cmd_simulate(args) -> int:
     p = RabiParams(args.omega0, args.omega1, args.omega, args.phi)
-    ramp, sweep, dt = _resolve_times_1q(args)
-    args.ramp_time, args.sweep_time, args.dt = ramp, sweep, dt
+    ramp, sweep, dt = _resolve_times(args, partial(default_times_1q, p))
     m = measure_cone_phase(p, ramp, sweep, dt, check=True)
     run = m.forward if args.orientation == "forward" else m.reversed
 
@@ -113,8 +113,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_echo(args) -> int:
     p = RabiParams(args.omega0, args.omega1, args.omega, args.phi)
-    ramp, sweep, dt = _resolve_times_1q(args)
-    args.ramp_time, args.sweep_time, args.dt = ramp, sweep, dt
+    ramp, sweep, dt = _resolve_times(args, partial(default_times_1q, p))
     e = run_spin_echo_1q(p, ramp, sweep, dt, pi_pulse_duration=args.pi_pulse_duration,
                          check=True)
 
@@ -147,11 +146,7 @@ def cmd_conditional(args) -> int:
         args.omega_a, args.omega_b, args.coupling,
         RabiParams(args.omega_a, omega1, omega, 0.0),
     )
-    ramp, sweep, dt = resolve_times(
-        partial(default_times_2q, p), args.ramp_time, args.sweep_time,
-        args.dt, args.sweep_factor,
-    )
-    args.ramp_time, args.sweep_time, args.dt = ramp, sweep, dt
+    ramp, sweep, dt = _resolve_times(args, partial(default_times_2q, p))
 
     r = run_conditional_sequence(
         p, ramp, sweep, dt,

@@ -228,12 +228,13 @@ class SampleMaps:
     products over 2^k blocks, each the product of two of levels[k-1], while
     a finer stride may still need them.
     maps[s] holds the maps to the samples every s blocks after the start:
-    the coarsest by the prefix scan over its level, and each finer one from
+    the first asked by the prefix scan over its level, each finer one from
     the maps at twice its stride (made first if need be), with one product
     per new map: the map to a midpoint is the block product of the half
     interval before it times the map at the sample before that (the last
-    stage of the prefix scan).
-    So refining never takes a step or computes a map twice.
+    stage of the prefix scan); and each coarser one as every (s/f)-th map
+    of the nearest finer stride f, bit for bit.
+    So no stride takes a step or computes a map twice.
 
     stride is the stride that `propagate_sampled` samples at.  The fold
     sets it, unless given, to the coarsest power of two that divides the
@@ -275,7 +276,11 @@ class SampleMaps:
         divides the run's blocks."""
         if stride not in self.maps:
             k = stride.bit_length() - 1
-            if not any(s > stride for s in self.maps):
+            finer = [s for s in self.maps if s < stride]
+            if finer:  # every (stride/f)-th map of the nearest finer stride f
+                f = max(finer)
+                maps = self.maps[f][stride // f - 1 :: stride // f]
+            elif not self.maps:
                 while len(self.levels) <= k:
                     level = self.levels[-1]
                     self.levels.append(self._mul(level[1::2], level[0::2]))

@@ -148,17 +148,17 @@ def prefix_products(x: np.ndarray, mul) -> np.ndarray:
 
 
 def rk4_fold(stack: np.ndarray, u0: np.ndarray, step_maps) -> np.ndarray:
-    """Real states (n+1, B, d, 1) of n RK4 steps from the real B columns u0
-    (B, d, 1), given the generator stacked at the 2n+1 nodes of the
-    half-step grid and step_maps, which turns 2m+1 consecutive entries into
-    m real one-step maps (d, d).  The maps of `RK4_CHUNK` steps at a time
-    are folded by `prefix_products` onto the chunk's start state, one
-    matrix-vector product per column."""
+    """Real states (n+1, d, B) of n RK4 steps from the B real columns u0
+    (d, B), given the generator stacked at the 2n+1 nodes of the half-step
+    grid and step_maps, which turns 2m+1 consecutive entries into m real
+    one-step maps (d, d).  The maps of `RK4_CHUNK` steps at a time are
+    folded by `prefix_products` onto the chunk's start columns, one matrix
+    product per step for all columns."""
     n_steps = (len(stack) - 1) // 2
     out = np.empty((n_steps + 1,) + u0.shape)
     out[0] = u0
     for start in range(0, n_steps, RK4_CHUNK):
         stop = min(start + RK4_CHUNK, n_steps)
         maps = prefix_products(step_maps(stack[2 * start : 2 * stop + 1]), np.matmul)
-        np.matmul(maps[:, None], out[start], out=out[start + 1 : stop + 1])
+        np.matmul(maps, out[start], out=out[start + 1 : stop + 1])
     return out

@@ -23,8 +23,10 @@ The integrator runs in batched stages:
    re-exports), the real (2d, 2d) forms that `linalg.rk4_step_maps`, the
    only copy of the formula, makes of the real form of -i H dt;
 4. their fold by a prefix scan, `linalg.RK4_CHUNK` steps at a time, onto
-   the chunk's real start columns (`linalg.rk4_fold`);
-5. psi = Re psi + i Im psi, rebuilt once after the fold.
+   the chunk's start block of real columns (2d, B), one matrix product
+   per step (`linalg.rk4_fold`);
+5. psi = Re psi + i Im psi, rebuilt once after the fold, in the shape of
+   the initial state.
 
 The tests check it against a stage-form RK4 loop in complex arithmetic.
 """
@@ -191,9 +193,9 @@ def integrate_schrodinger(
     (2n+1,) nodes of the half-step grid of n steps, and returns H at those
     times as a (2n+1, dim, dim) stack, or a constant H as one (dim, dim)
     matrix (so `lambda t: h` works).  The one-step maps are built in batch
-    and folded by a prefix scan onto each chunk's start state, and every
-    column takes the same matrix-vector product per step, so a block
-    reproduces the B single-column runs.  Requires a finite psi0 of shape
+    and folded by a prefix scan onto each chunk's start block, one product
+    per step for all columns, so a block reproduces the B single-column
+    runs to rounding.  Requires a finite psi0 of shape
     (dim,) or (dim, B) with B >= 1 whose every column has |psi0| = 1, a
     finite, increasing t_span, a finite dt > 0 and a finite stack of that
     shape, Hermitian within HERMITIAN_TOL (ValueError otherwise), and
@@ -216,14 +218,12 @@ def integrate_schrodinger(
     hams = _hamiltonian_stack(h_of_t, nodes, dim)
     check_step_spread(hams[0::2][:: max(1, n_steps // 32)], h)
 
-    # The columns run as a (B, 2 dim, 1) stack of real columns (Re psi, Im psi).
-    cols = psi0.reshape(dim, -1).T
-    cols = np.concatenate([cols.real, cols.imag], axis=1)[:, :, None]
-    xy = rk4_fold(hams, cols, lambda x: rk4_transition_matrices(x, h))[..., 0]
-    states = xy[..., :dim] + 1j * xy[..., dim:]  # (n+1, B, dim)
-    if psi0.ndim == 1:
-        return SchrodingerTrajectory(t=times, psi=states[:, 0])
-    return SchrodingerTrajectory(t=times, psi=states.transpose(0, 2, 1))
+    # The columns run as the real columns (Re psi, Im psi), (2 dim, B).
+    cols = psi0.reshape(dim, -1)
+    xy = rk4_fold(hams, np.concatenate([cols.real, cols.imag]),
+                  lambda x: rk4_transition_matrices(x, h))
+    psi = xy[:, :dim] + 1j * xy[:, dim:]  # (n+1, dim, B)
+    return SchrodingerTrajectory(t=times, psi=psi.reshape((len(times),) + psi0.shape))
 
 
 def bloch_of_state(psi: np.ndarray) -> np.ndarray:

@@ -192,6 +192,8 @@ MAX_SAMPLE_JUMP = math.pi / 16
 class _SegmentBook:
     times: np.ndarray  # (S,)
     kind: str
+    stride: int  # accepted, in floor spacings
+    dynamic: np.ndarray  # (m,) dynamic phase
     sample: Callable[[], np.ndarray]  # the states, taken when first read
 
     @cached_property
@@ -283,14 +285,17 @@ class _PhaseLedger:
 
 @dataclass
 class _PlanResult:
+    """A plan run, with one book per segment use, in plan order."""
+
     final: np.ndarray  # (d, m)
-    total: np.ndarray  # (m,) accumulated phase per column
-    dynamic: np.ndarray  # (m,) accumulated dynamic phase per column
-    seg_dynamics: list  # per-segment (m,) dynamic contributions
-    books: list
-    ledger: _PhaseLedger
+    ledger: _PhaseLedger  # its total is the accumulated phase per column
     block: int  # steps per sample at the floor spacing
-    strides: list  # per segment use, the accepted stride in floor spacings
+    books: list[_SegmentBook]
+
+    @property
+    def dynamic(self) -> np.ndarray:
+        """The accumulated dynamic phase per column (m,), the books' sum."""
+        return sum((book.dynamic for book in self.books), np.zeros(self.final.shape[1]))
 
 
 def _segment_frame(model, seg: Segment, t0: float, u):
@@ -333,9 +338,9 @@ def _observe(model, seg: Segment, propagator, maps: engine.SampleMaps, stride: i
 
 def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
                  shared: tuple[engine.SampleMaps, dict], ledger: _PhaseLedger):
-    """The book, dynamic phase (m,), accepted stride (in floor spacings of
-    `block` steps) and final state (d, m) of one segment that starts from u
-    at t0; its samples enter the ledger.
+    """The book (with its accepted stride, in floor spacings of `block`
+    steps, and its dynamic phase (m,)) and final state (d, m) of one segment
+    that starts from u at t0; its samples enter the ledger.
 
     shared holds the segment's sample maps and its observed strides (see
     `_observe`), for all its uses (see `_run_plan`).  The first use folds
@@ -395,11 +400,11 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
             states *= to_report(tau)[:, :, None]
         return states
 
-    return _SegmentBook(t0 + tau, seg.kind, sample), dynamic, stride, last
+    return _SegmentBook(t0 + tau, seg.kind, stride, dynamic, sample), last
 
 
 def _run_plan(plan, model, u0, dt, spacing):
-    """Run a list of ('seg', Segment) / ('pulse', matrix) items.
+    """Run a list of ('seg', Segment) / ('pulse', matrix) items: a `_PlanResult`.
 
     model is the Hamiltonian: an `engine.SectorField` over a field function
     of (times, w1, om, ph), or a `_PhiFrame`.  Each segment supplies the
@@ -425,8 +430,9 @@ def _run_plan(plan, model, u0, dt, spacing):
     the stride the first use accepted, and refine further if their own
     estimates ask.  Each use contracts the shared quadratures with the
     weights of its own start state, and reads its own reference components
-    for the phase ledger and its own final state; its book samples the maps
-    only if read.  Nothing outlives the call.
+    for the phase ledger and its own final state; its book holds its stride
+    and dynamic phase, and samples the maps only if read.  Nothing outlives
+    the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
@@ -434,15 +440,9 @@ def _run_plan(plan, model, u0, dt, spacing):
     block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
     unit = _STRIDE_UNIT * interval
     shared: dict[Segment, tuple[engine.SampleMaps, dict]] = {}
-    u = np.asarray(u0, dtype=complex)
-    if u.ndim == 1:
-        u = u[:, None]
-    m = u.shape[1]
+    u = np.asarray(u0, dtype=complex).reshape(len(u0), -1)
     ledger = _PhaseLedger(u)
-    dynamic = np.zeros(m)
-    seg_dynamics: list[np.ndarray] = []
     books: list[_SegmentBook] = []
-    strides: list[int] = []
     t0 = 0.0
     for kind, item in plan:
         if kind == "pulse":
@@ -451,18 +451,15 @@ def _run_plan(plan, model, u0, dt, spacing):
             continue
         n_steps = block * _STRIDE_UNIT * max(1, round(item.duration / unit))
         try:
-            book, dyn, stride, u = _run_segment(
+            book, u = _run_segment(
                 model, item, t0, n_steps, item.duration / n_steps, u, block,
                 shared.setdefault(item, (engine.SampleMaps(), {})), ledger,
             )
         except AdiabaticityError as exc:
             raise AdiabaticityError(f"{exc} in segment {len(books)} ({item.kind})") from None
-        dynamic += dyn
-        seg_dynamics.append(np.atleast_1d(dyn))
         books.append(book)
-        strides.append(stride)
         t0 += item.duration
-    return _PlanResult(u, ledger.total, dynamic, seg_dynamics, books, ledger, block, strides)
+    return _PlanResult(u, ledger, block, books)
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -625,7 +622,7 @@ def run_cone_loop(
     spacing = _sample_spacing(_rabi_1q(p), dt)
     res = _run_plan(_schedule_plan(schedule), _model_1q(p.omega0), start, dt, spacing)
     u_f, books = res.final, res.books
-    decomp = PhaseDecomposition.from_total_and_dynamic(res.total[0], res.dynamic[0])
+    decomp = PhaseDecomposition.from_total_and_dynamic(res.ledger.total[0], res.dynamic[0])
 
     times = np.concatenate([b.times for b in books])
     states = np.concatenate([b.states[:, :, 0] for b in books])
@@ -764,10 +761,10 @@ def run_spin_echo_1q(
     plan = _schedule_plan(loop_f) + pulse + _schedule_plan(loop_r) + pulse
     spacing = _sample_spacing(_rabi_1q(p), dt)
     res = _run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
-    u_f, total, dynamic = res.final, res.total, res.dynamic
+    u_f, total, dynamic = res.final, res.ledger.total, res.dynamic
     n_loop_segs = len(loop_f.segments)
-    loop1 = sum(res.seg_dynamics[:n_loop_segs])
-    loop2 = sum(res.seg_dynamics[n_loop_segs:])
+    loop1 = sum(book.dynamic for book in res.books[:n_loop_segs])
+    loop2 = sum(book.dynamic for book in res.books[n_loop_segs:])
 
     theta = math.acos(cos_theta_resonance(p.omega0, p.omega, p.omega1))
     expected = -4.0 * berry_cone_phase(theta)
@@ -895,7 +892,7 @@ def run_conditional_sequence(
     plan = _conditional_plan(p, ramp_time, sweep_time, pi_pulse_duration)
     spacing = _sample_spacing(max(_rabi_2q(p)), dt)
     res = _run_plan(plan, model, np.eye(4, dtype=complex), dt, spacing)
-    u_f, total, dynamic = res.final, res.total, res.dynamic
+    u_f, total, dynamic = res.final, res.ledger.total, res.dynamic
 
     dg = delta_gamma(p.omega_a, p.drive.omega, p.drive.omega1, p.J)
     fid = gate_fidelity(u_f, conditional_target_gate(dg))

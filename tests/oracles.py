@@ -220,14 +220,14 @@ def plan_afresh(plan, propagate, model, planned, u0=None):
     u, t0 = u.reshape(len(u), -1), 0.0
     ledger, dynamic = sequences._PhaseLedger(u), np.zeros(u.shape[1])
     cols, books = np.arange(u.shape[1]), []
-    uses = iter(zip(planned.books, planned.strides))
+    uses = iter(planned.books)
     for kind, item in plan:
         if kind == "pulse":
             u = item @ u
             ledger.after_pulse(u)
             continue
-        book, stride = next(uses)
-        steps = planned.block * stride
+        book = next(uses)
+        steps = planned.block * book.stride
         n = steps * (len(book.times) - 1)
         tau, states = propagate(_started_at(model, t0), item.controls_at, n,
                                 item.duration / n, u, steps)

@@ -16,6 +16,7 @@ from berrygate.cli import main
 from berrygate.schrodinger import TwoSpinParams
 from berrygate.sequences import (
     SAMPLE_RESOLUTION,
+    default_times_1q,
     default_times_2q,
     delta_gamma,
     fault_tolerance_surface,
@@ -334,15 +335,23 @@ def echoed(stdout, key):
     raise KeyError(key)
 
 
-def test_conditional_defaults_match_api_times(capsys):
-    # the CLI resolves the times with the same rules as the API
-    code, out, _ = run_cli(capsys, "conditional")
-    assert code == 0
-    p = TwoSpinParams(100.0, 80.0, 1.0 / math.pi, RabiParams(100.0, 1.2, 98.0, 0.0))
-    ramp, sweep, dt = default_times_2q(p)
-    assert float(echoed(out, "ramp_time")) == ramp
-    assert float(echoed(out, "sweep_time")) == sweep
-    assert float(echoed(out, "dt")) == dt
+def test_conditional_defaults_match_api_times(tmp_path, capsys):
+    # every command that runs a schedule resolves and echoes the times with
+    # the same rules as the API, with and without a sweep factor
+    one_spin = partial(default_times_1q, RabiParams(5.0, 1.0, 4.0, 0.0))
+    two_spin = partial(default_times_2q, TwoSpinParams(
+        100.0, 80.0, 1.0 / math.pi, RabiParams(100.0, 1.2, 98.0, 0.0)))
+    for command, defaults in (
+        (["simulate", "--output", str(tmp_path / "loop.csv")], one_spin),
+        (["echo"], one_spin),
+        (["conditional"], two_spin),
+    ):
+        for factor in (1.0, 1.5):
+            flags = [] if factor == 1.0 else ["--sweep-factor", str(factor)]
+            code, out, _ = run_cli(capsys, *command, *flags)
+            assert code == 0
+            times = tuple(float(echoed(out, key)) for key in ("ramp_time", "sweep_time", "dt"))
+            assert times == resolve_times(defaults, sweep_factor=factor)
 
 
 def test_sweep_time_alone_keeps_the_default_ramp_ratio(tmp_path, capsys):

@@ -94,6 +94,11 @@ def _plan_runs(run, *args, **kwargs):
     return res, calls
 
 
+def _strides(planned):
+    """The accepted stride of each segment use of a `_PlanResult`."""
+    return [book.stride for book in planned.books]
+
+
 def _planned(p, **kwargs):
     """The conditional gate at p and the `_PlanResult` of its plan."""
     res, calls = _plan_runs(sequences.run_conditional_sequence, p, **kwargs)
@@ -352,7 +357,7 @@ def test_the_default_spot_gate_accepts_stride_4_on_every_use():
     # |Omega'|max times the floor spacing is SAMPLE_RESOLUTION = 0.32, so the
     # cap is 4 floor intervals; the ledger's margins there
     _, planned = _planned(two_spin_params(2.0, 1.2))
-    assert planned.strides == [4] * 12
+    assert _strides(planned) == [4] * 12
     ledger = planned.ledger
     assert ledger.max_jump < math.pi / 16
     assert ledger.min_magnitude >= 0.9
@@ -363,7 +368,7 @@ def test_drive_on_b_is_sampled_at_the_floor():
     # spin b turns at |omega - omega_b| = 18 rad/s in the phi frame, 2.5 rad
     # per floor interval: over the cap at any stride above 1
     _, planned = _planned(two_spin_params(2.0, 1.2), drive_on_b=True)
-    assert planned.strides == [1] * 12
+    assert _strides(planned) == [1] * 12
 
 
 def test_a_near_equator_cone_refines_its_ramps_to_the_floor():
@@ -373,7 +378,7 @@ def test_a_near_equator_cone_refines_its_ramps_to_the_floor():
     spacing = sequences._sample_spacing(sequences._rabi_1q(p), dt)
     planned = sequences._run_plan(plan, sequences._model_1q(p.omega0),
                                   sequences._aligned_start(p), dt, spacing)
-    assert planned.strides[0] == planned.strides[2] == 1
+    assert planned.books[0].stride == planned.books[2].stride == 1
 
 
 @pytest.mark.parametrize("detuning, amplitude", [(2.0, 1.2), (1.5, 1.7), (2.7, 0.9)])
@@ -409,7 +414,7 @@ def test_a_later_use_refines_the_shared_maps_further():
             mock.patch.object(engine, "propagate_sampled", propagate):
         planned = sequences._run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
     assert steps.call_count == propagate.call_count == 5
-    assert planned.strides == [2, 4, 2, 1, 2, 1]
+    assert _strides(planned) == [2, 4, 2, 1, 2, 1]
     # the later use of the ramp-up keeps no states: its book samples the
     # shared maps at its own stride, from its own start, when first read
     ramp_maps = propagate.call_args_list[0].args[6]
@@ -418,10 +423,10 @@ def test_a_later_use_refines_the_shared_maps_further():
                           engine.samples_at(model, ramp_maps, start, 1)[1])
     with mock.patch.object(engine, "MAX_SAMPLE_ANGLE", 0.0):
         floor = sequences._run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
-    assert floor.strides == [1] * 6
+    assert _strides(floor) == [1] * 6
     # measured: 0 (final state and total phases) and 5.4e-10 (dynamic)
     assert np.max(np.abs(planned.final - floor.final)) < 1e-12
-    assert np.max(np.abs(planned.total - floor.total)) < 1e-10
+    assert np.max(np.abs(planned.ledger.total - floor.ledger.total)) < 1e-10
     assert np.max(np.abs(planned.dynamic - floor.dynamic)) < 1e-8
 
 
@@ -432,14 +437,14 @@ def test_book_times_are_the_start_time_plus_the_local_grid(run):
     # books at its start time t0, the sum of the durations before it, on
     # the grid of its accepted stride, bit for bit; refined segments included
     _, plans = _plan_runs(run, RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0))
-    strides = [stride for _, planned in plans for stride in planned.strides]
+    strides = [stride for _, planned in plans for stride in _strides(planned)]
     assert min(strides) < max(strides)
     for plan, planned in plans:
         segments = [item for kind, item in plan if kind == "seg"]
         assert len(planned.books) == len(segments)
         t0 = 0.0
-        for seg, book, stride in zip(segments, planned.books, planned.strides):
-            n = len(book.times)
+        for seg, book in zip(segments, planned.books):
+            n, stride = len(book.times), book.stride
             dt_seg = seg.duration / (planned.block * stride * (n - 1))
             assert np.array_equal(book.times, t0 + np.arange(n) * (stride * planned.block) * dt_seg)
             t0 += seg.duration
@@ -487,6 +492,19 @@ def test_a_stride_skipped_on_the_way_down_is_made_later():
             states[order, stride] = engine.samples_at(model, maps, start, stride)[1]
     for stride in (2, 4):
         assert np.array_equal(states[(2, 4), stride], states[(4, 2), stride])
+
+
+def test_a_coarser_stride_takes_the_maps_of_the_finer():
+    # strides 16 and 32 asked after the run's stride 8, and stride 4 after
+    # them: each coarser one is every (stride/8)-th map at 8, bit for bit,
+    # so every stride ends on the same map
+    model, seg = sequences._model_1q(5.0), _idle_loop(1.0, 4.0, 50.0)
+    start = np.eye(2, dtype=complex)
+    maps = engine.SampleMaps(stride=8)
+    engine.propagate_sampled(model, seg.controls_at, 1024, 50.0 / 1024, start, 4, maps)
+    assert np.array_equal(maps.at(16), maps.at(8)[1::2])
+    assert np.array_equal(maps.at(32), maps.at(8)[3::4])
+    assert np.array_equal(maps.at(4)[1::2], maps.at(8))
 
 
 # At T = 0.2 the drive turns at 31 rad/s, about ten times the sectors' Rabi

@@ -214,7 +214,7 @@ def test_forward_reversed_cancellation():
     rev = build_cone_loop(p, f * rt, f * st, "reversed")
     plan = _schedule_plan(fwd) + _schedule_plan(rev)
     res = _run_plan(plan, _model_1q(p.omega0), _aligned_start(p), dt, dt)
-    assert abs(res.total[0] - res.dynamic[0]) < 1e-3
+    assert abs(res.ledger.total[0] - res.dynamic[0]) < 1e-3
 
     # schedule reversal invariant: gamma negated, delta preserved
     a = run_cone_loop(p, f * rt, f * st, dt, "forward")
@@ -339,7 +339,7 @@ def test_ledger_follows_a_coarse_sample_grid():
         coarse = _run_plan(plan, model, u0, dt, 64 * dt)
     except AdiabaticityError:
         return
-    assert abs(coarse.total[0] - default.total[0]) < 1e-6
+    assert abs(coarse.ledger.total[0] - default.ledger.total[0]) < 1e-6
 
 
 def test_ledger_refuses_a_jump_beyond_its_limit():
