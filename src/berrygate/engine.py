@@ -44,19 +44,25 @@ new sample: the product over the half interval times the map at the sample
 before.  A run starts at the coarsest stride that keeps its fastest step
 frequency (the largest step angle |w|, or eigenvalue spread of K, over dt)
 times the spacing within MAX_SAMPLE_ANGLE, so that no oscillation aliases;
-whether to halve it is the caller's choice (`sequences._run_segment`).
+whether to halve it is the caller's choice (`sequences._run_segment`).  A
+run played backwards has the same step angles, and starts at the stride of
+the fold it is reversed from.
 
 The work splits at the start state.  The maps from the run's start to each
 of its samples (the controls at the Gauss nodes, the steps with their gap
 guard, the block products and their levels, the maps at each stride, the
 renormalized pairs) do not depend on the state; only applying them does.
 Every run starts at local time 0, so a later run of the same Hamiltonian
-can take them as they are (`SampleMaps`).  So does the energy at the
-samples as an observable of the start state, U^dagger H U in the Heisenberg
-picture (`energy_observable`); a run contracts it with the weights of its
-start state (`energy_weights`).  A run that needs one component of each
-column, or its end state, reads one row of each map (`reference_rows`) or
-the last map (`end_state`), by the products that `samples_at` uses.
+can take them as they are (`SampleMaps`), and a run of it played backwards
+can take them reversed, with no step taken, where H is real or its field
+stays in one plane through z, since the Magnus-4 step is time-symmetric
+(`SampleMaps.reversed`).  The energy at the samples, as an observable of
+the start state, depends on the run alone too: U^dagger H U in the
+Heisenberg picture (`energy_observable`); a run contracts it with the
+weights of its start state (`energy_weights`).  A run that needs one
+component of each column, or its end state, reads one row of each map
+(`reference_rows`) or the last map (`end_state`), by the products that
+`samples_at` uses.
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -240,13 +246,23 @@ class SampleMaps:
     sets it, unless given, to the coarsest power of two that divides the
     run's blocks and keeps the fastest step frequency (the largest step
     angle over dt) times the spacing within MAX_SAMPLE_ANGLE; a caller may
-    lower it for later runs.
+    lower it for later runs.  start_stride keeps the stride the fold
+    sampled at.
+
+    The maps of the run played backwards come from these with no step taken
+    (`reversed`); source is then the folded run they come from.
     """
 
     def __init__(self, stride: int | None = None):
         self.stride = stride
         self.levels: list[np.ndarray] = []
         self.maps: dict[int, np.ndarray] = {}
+        self.source: SampleMaps | None = None
+
+    @property
+    def filled(self) -> bool:
+        """Whether the run is folded, or reversed from a folded run."""
+        return bool(self.levels) or self.source is not None
 
     def fold(self, model, controls, n_steps: int, dt: float, block: int) -> None:
         """Take the run's steps, at most `_CHUNK_STEPS` (or one block, if
@@ -270,6 +286,52 @@ class SampleMaps:
             while n % (2 * stride) == 0 and 2 * stride * block_angle <= MAX_SAMPLE_ANGLE:
                 stride *= 2
             self.stride = stride
+        self.start_stride = self.stride
+
+    def reversed(self, phase: float | None = None) -> SampleMaps:
+        """The maps of this folded run played backwards, H~(tau) = H(T - tau)
+        over the same steps, at any stride, with no step taken.  Valid for a
+        dense H that is real at every node (phase None), or for a
+        `SectorField` whose field stays in the plane spanned by z and
+        (cos phase, sin phase, 0).
+
+        The Magnus-4 step on the two symmetric Gauss nodes is time-symmetric
+        (Blanes, Casas, Oteo & Ros): the backward run's step at tau takes the
+        nodes of this run's step at T - tau - h in swapped order, which flips
+        the sign of the commutator term.  For a real H that step is
+        exp(-i K*) = S^T; for a planar field it is w mirrored in the plane,
+        S^T conjugated by exp(-i phase sigma_z / 2).  So from this run's
+        prefix maps P_k (P_0 = 1, N samples), the backward run's map to
+        sample j is D_j = (P_N P_{N-j}^dagger)^T, and per sector, with
+        X = P_N P_{N-j}^dagger = (a, b), the pair (a, -b* e^{2i phase}).
+
+        The backward run has this run's gaps and step angles, so it inherits
+        their check and the stride the fold sampled at.  Its maps at each
+        stride come from this run's maps at that stride, which the levels
+        that this run keeps can make."""
+        rev = SampleMaps(self.start_stride)
+        rev.block, rev.dt, rev._mul, rev.source = self.block, self.dt, self._mul, self
+        if phase is not None:
+            rev._turn = np.exp(2j * phase)
+        return rev
+
+    def _reverse(self, prefix: np.ndarray) -> np.ndarray:
+        """The maps D_j of `reversed` at the samples of the source's prefix
+        maps (P_s, P_2s, ..., P_N)."""
+        last, earlier = prefix[-1], prefix[-2::-1]  # P_N; P_{N-s}, ..., P_s
+        maps = np.empty_like(prefix)
+        if self._mul is not _su2_mul:
+            maps[:-1] = earlier.conj() @ last.T  # (P_N P^dagger)^T = P* P_N^T
+            maps[-1] = last.T
+            return maps
+        # X = (a, b) (c, d)^dagger = (a c* + b* d, b c* - a* d) per sector
+        a, b = last[:, 0], last[:, 1]
+        c, d = earlier[..., 0], earlier[..., 1]
+        maps[:-1, :, 0] = a * c.conj() + b.conj() * d
+        maps[:-1, :, 1] = (a * d.conj() - b.conj() * c) * self._turn
+        maps[-1, :, 0] = a
+        maps[-1, :, 1] = -b.conj() * self._turn
+        return self._unit(maps)
 
     def at(self, stride: int) -> np.ndarray:
         """The maps to the samples every stride blocks, a power of two that
@@ -277,7 +339,9 @@ class SampleMaps:
         if stride not in self.maps:
             k = stride.bit_length() - 1
             finer = [s for s in self.maps if s < stride]
-            if finer:  # every (stride/f)-th map of the nearest finer stride f
+            if self.source is not None:
+                maps = self._reverse(self.source.at(stride))
+            elif finer:  # every (stride/f)-th map of the nearest finer stride f
                 f = max(finer)
                 maps = self.maps[f][stride // f - 1 :: stride // f]
             elif not self.maps:
@@ -347,7 +411,7 @@ def propagate_sampled(
         raise ValueError(f"steps_per_sample {steps_per_sample} is not a power of two")
     if maps is None:
         maps = SampleMaps(stride=1)
-    if not maps.levels:
+    if not maps.filled:
         maps.fold(model, controls, n_steps, dt, steps_per_sample)
     return samples_at(model, maps, u0, maps.stride)
 

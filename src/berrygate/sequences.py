@@ -344,8 +344,9 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
 
     shared holds the segment's sample maps and its observed strides (see
     `_observe`), for all its uses (see `_run_plan`).  The first use folds
-    the maps through `engine.propagate_sampled`.  Each use forms the
-    weights of its start state, and its energies, dynamic phase, ledger
+    the maps through `engine.propagate_sampled`, unless they are the
+    reversed run of a folded ramp-up, which takes no step.  Each use forms
+    the weights of its start state, and its energies, dynamic phase, ledger
     reference and Simpson-against-trapezoid difference are products of them
     with the shared arrays; the ledger reads one component of each column
     (`engine.reference_rows`), and the final state is the last map applied
@@ -353,14 +354,16 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
     each refinement halves the stride, until both estimates of the accepted
     samples pass, the Simpson-against-trapezoid difference of the dynamic
     phase (DYNAMIC_PHASE_TOLERANCE, over at least two intervals) and the
-    ledger's largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing.
-    The first use reads the states that `engine.propagate_sampled`
-    returned at its start stride, and keeps them as its book if it accepts
-    them; any other book samples the maps when first read."""
+    ledger's largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing;
+    the first use, folded or reversed, leaves the maps at the stride it
+    accepted, where the later uses start.  A folding use reads the states
+    that `engine.propagate_sampled` returned at its start stride, and keeps
+    them as its book if it accepts them; any other book samples the maps
+    when first read."""
     propagator, controls, u, to_report = _segment_frame(model, seg, t0, u)
     maps, observed = shared
-    folded = None
-    if not maps.levels:
+    first, folded = not observed, None
+    if not maps.filled:
         _, folded = engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
     stride = maps.stride
     weights = engine.energy_weights(propagator, u)
@@ -389,9 +392,9 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
                 and ledger.update(comp, reference, last, MAX_SAMPLE_JUMP)):
             break
         stride //= 2
-    if folded is not None:
-        if stride < maps.stride:
-            folded = None
+    if folded is not None and stride < maps.stride:
+        folded = None
+    if first:
         maps.stride = stride
 
     def sample():
@@ -426,19 +429,26 @@ def _run_plan(plan, model, u0, dt, spacing):
     before it.  So a segment's sample maps, and its energy observable in the
     Heisenberg picture with that observable's quadratures (`_observe`),
     depend on the segment alone.  A segment that recurs in the plan is
-    propagated once, and observed once per stride.  Its later uses start at
-    the stride the first use accepted, and refine further if their own
-    estimates ask.  Each use contracts the shared quadratures with the
-    weights of its own start state, and reads its own reference components
-    for the phase ledger and its own final state; its book holds its stride
-    and dynamic phase, and samples the maps only if read.  Nothing outlives
-    the call.
+    propagated once, and observed once per stride.  A ramp-down that
+    mirrors an already folded ramp-up (`_mirrors`), the ramp-up played
+    backwards, takes no step: its maps are the ramp-up's reversed
+    (`engine.SampleMaps.reversed`), and every ramp-down that mirrors the
+    same ramp-up shares them and their observation, as uses of one
+    segment (`_first_maps`).  So each distinct Hamiltonian is folded once,
+    and the gate's 12 segment uses fold 3: the ramp-up and the two sweeps.
+    A segment's later uses start at the stride its first use accepted, and
+    refine further if their own estimates ask.  Each use contracts the
+    shared quadratures with the weights of its own start state, and reads
+    its own reference components for the phase ledger and its own final
+    state; its book holds its stride and dynamic phase, and samples the
+    maps only if read.  Nothing outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
     interval = max(spacing, dt)
     block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
     unit = _STRIDE_UNIT * interval
+    planar = isinstance(model, engine.SectorField)
     shared: dict[Segment, tuple[engine.SampleMaps, dict]] = {}
     u = np.asarray(u0, dtype=complex).reshape(len(u0), -1)
     ledger = _PhaseLedger(u)
@@ -450,16 +460,48 @@ def _run_plan(plan, model, u0, dt, spacing):
             ledger.after_pulse(u)
             continue
         n_steps = block * _STRIDE_UNIT * max(1, round(item.duration / unit))
+        if item not in shared:
+            shared[item] = _first_maps(shared, item, planar)
         try:
             book, u = _run_segment(
                 model, item, t0, n_steps, item.duration / n_steps, u, block,
-                shared.setdefault(item, (engine.SampleMaps(), {})), ledger,
+                shared[item], ledger,
             )
         except AdiabaticityError as exc:
             raise AdiabaticityError(f"{exc} in segment {len(books)} ({item.kind})") from None
         books.append(book)
         t0 += item.duration
     return _PlanResult(u, ledger, block, books)
+
+
+def _first_maps(shared, seg: Segment, planar: bool):
+    """The sample maps and observed strides that the first use of seg
+    starts from: for a ramp-down that mirrors a folded ramp-up of shared
+    (`_mirrors`), the ramp-up's reversed run (`engine.SampleMaps.reversed`),
+    one for every ramp-down that mirrors it; else empty ones, which the use
+    folds."""
+    for up, (maps, _) in shared.items():
+        if _mirrors(up, seg, planar):
+            for reversed_run in shared.values():
+                if reversed_run[0].source is maps:
+                    return reversed_run
+            return maps.reversed(up.phi[0] if planar else None), {}
+    return engine.SampleMaps(), {}
+
+
+def _mirrors(up: Segment, down: Segment, planar: bool) -> bool:
+    """Whether the ramp-down is the ramp-up played backwards: the same
+    duration, the mirrored amplitude and frequency, and a drive phase that
+    each holds fixed.  The Bloch fields of `_cone_field` (planar) then lie
+    in the plane at that phase, and the two phases must differ by whole
+    turns, to rounding; H' of `_PhiFrame` reads only the phase's rate."""
+    if (up.kind, down.kind) != ("ramp_up", "ramp_down"):
+        return False
+    (a, a_end), (b, b_end) = up.phi, down.phi
+    turns = abs(math.remainder(b - a, math.tau)) <= 1e-14 * max(1.0, abs(a), abs(b))
+    return (up.duration == down.duration and up.omega1 == down.omega1[::-1]
+            and up.omega == down.omega[::-1] and a == a_end and b == b_end
+            and (turns or not planar))
 
 
 def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -92,6 +92,8 @@ def test_quadratures_of_a_run_are_bit_for_bit_scipy():
     # Each distinct segment hands the trapezoid its energy observable at its
     # local sample times, and then Simpson's equal-spacing rule the same
     # observable with one spacing h; its uses only contract the results.
+    # The gate's two ramp-downs, one Hamiltonian up to a whole turn of the
+    # drive phase, are observed as one: 4 observables for 5 segments.
     trapezoids, simpsons = [], []
     real_trapezoid, real_simpson = sequences._cumulative_trapezoid, sequences._simpson
 
@@ -106,7 +108,7 @@ def test_quadratures_of_a_run_are_bit_for_bit_scipy():
     with mock.patch.object(sequences, "_cumulative_trapezoid", spy_trapezoid), \
             mock.patch.object(sequences, "_simpson", spy_simpson):
         run_conditional_sequence(two_spin_params(2.0, 1.2))
-    assert len(simpsons) == len(trapezoids) == 5
+    assert len(simpsons) == len(trapezoids) == 4
     assert {len(y) % 2 for y, _ in simpsons} == {0, 1}
     for (y, x), (y_simpson, h) in zip(trapezoids, simpsons):
         assert y_simpson is y
