@@ -1,6 +1,7 @@
 """Fixed-step fourth-order Magnus propagation of long pulse-schedule runs,
-sampled at power-of-two strides of equal step blocks for phase and energy
-bookkeeping, and resampled at a finer stride at no step's cost.
+with the energy integral carried through the fold, sampled at power-of-two
+strides of equal step blocks for phase bookkeeping, and resampled at a
+finer stride at no step's cost.
 
 `propagate_sampled` runs the same Magnus-4 scheme in one of two forms, and
 `samples_at` samples the folded run at any stride.  Which form follows from
@@ -32,37 +33,57 @@ second-order (midpoint) Magnus step, so (sqrt(3)/12) h^2 |v2 x v1|, or
 error estimate (Kormann, Holmgren & Karlsson, J. Chem. Phys. 128, 184101
 (2008)); a step whose gap exceeds `MAGNUS_GAP_LIMIT` raises `StepSizeError`.
 It comes from the Hamiltonian at the Gauss nodes, so the guard costs no
-extra evaluation.
+extra evaluation.  A dense step whose K has an eigenvalue of magnitude pi
+or more, past the convergence bound of the Magnus series (Moan & Niesen,
+Found. Comput. Math. 8, 291 (2008)), raises `StepSizeError` too.
+
+The energy integral.  Scale H to (1 + lambda) H.  The map U of a run then
+has G = i U^dagger dU/dlambda, at lambda = 0, equal to the integral of
+U(t)^dagger H(t) U(t) dt over the run, so <psi0|G|psi0> is the integral of
+the energy <psi|H|psi> of the run from psi0, the dynamic phase with its
+sign flipped, with no quadrature.  Each map is held with its G, and the
+product of two carries it (Iserles, Munthe-Kaas, Norsett & Zanna, Acta
+Numerica 9, 215 (2000)):
+
+    (U2, G2) (U1, G1) = (U2 U1, G1 + U1^dagger G2 U1).
+
+A step's G is the derivative of its exponential map.  For a sector,
+G = g . sigma / 2 with dw/dlambda = w + (sqrt(3)/12) h^2 v2 x v1 turned
+back through the step's rotation (`magnus4_steps`); for a dense step, the
+Daleckii-Krein divided differences of exp(-i x) on the eigenvalues of K
+(`magnus4_dense_steps`).  A dense model may perturb by another operator than
+H: a `FrameHamiltonian` integrates H + dPhi/dt, the energy of a frame that
+turns by the diagonal Phi(t).  So the maps' G, at any stride, give every
+sample's running energy integral as a quadratic form in the start state
+(`energy_integrals`, contracted with `energy_weights`).
 
 Sampling.  A run is a whole number of sample blocks, the finest spacing it
 can be sampled at.  The steps are taken once, at most `_CHUNK_STEPS` (or
 one block, if longer) at a time, and the steps of each block folded by
 pairwise products; the products over 2, 4, ... blocks are the next levels
-of the same tree.  The samples every s blocks come from a prefix scan over
-the products of level log2(s), and halving the stride costs one product per
+of the same tree.  The samples every s blocks come from a scan over the
+products of level log2(s), and halving the stride costs one product per
 new sample: the product over the half interval times the map at the sample
-before.  A run starts at the coarsest stride that keeps its fastest step
-frequency (the largest step angle |w|, or eigenvalue spread of K, over dt)
-times the spacing within MAX_SAMPLE_ANGLE, so that no oscillation aliases;
-whether to halve it is the caller's choice (`sequences._run_segment`).  A
-run played backwards has the same step angles, and starts at the stride of
-the fold it is reversed from.
+before.
+Whatever the stride, the energy integrals are exact for the steps: the
+stride only sets where they are read.  A run's states are read at the
+coarsest stride that keeps its fastest step frequency (the largest step
+angle |w|, or eigenvalue spread of K, over dt) times the spacing within
+MAX_SAMPLE_ANGLE, so that no oscillation aliases (`SampleMaps.read_stride`);
+a run played backwards has the same step angles.
 
 The work splits at the start state.  The maps from the run's start to each
 of its samples (the controls at the Gauss nodes, the steps with their gap
 guard, the block products and their levels, the maps at each stride, the
-renormalized pairs) do not depend on the state; only applying them does.
-Every run starts at local time 0, so a later run of the same Hamiltonian
-can take them as they are (`SampleMaps`), and a run of it played backwards
-can take them reversed, with no step taken, where H is real or its field
-stays in one plane through z, since the Magnus-4 step is time-symmetric
-(`SampleMaps.reversed`).  The energy at the samples, as an observable of
-the start state, depends on the run alone too: U^dagger H U in the
-Heisenberg picture (`energy_observable`); a run contracts it with the
-weights of its start state (`energy_weights`).  A run that needs one
-component of each column, or its end state, reads one row of each map
-(`reference_rows`) or the last map (`end_state`), by the products that
-`samples_at` uses.
+renormalized pairs, and the energy integrals carried with them) do not
+depend on the state; only applying them does.  Every run starts at local
+time 0, so a later run of the same Hamiltonian can take them as they are
+(`SampleMaps`), and a run of it played backwards can take them reversed,
+with no step taken, where H is real or its field stays in one plane through
+z, since the Magnus-4 step is time-symmetric (`SampleMaps.reversed`).  A run
+that needs one component of each column, or its end state, reads one row
+of each map (`reference_rows`) or the last map (`end_state`), by the
+products that `samples_at` uses.
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -88,10 +109,14 @@ from .schrodinger import StepSizeError, check_step_spread, rk4_transition_matric
 # At the default step a cone loop stays below 7e-5 sin(theta).
 MAGNUS_GAP_LIMIT = 1e-3
 # Largest angle, in rad, that the fastest step frequency of a run turns
-# through between two samples at its start stride (`SampleMaps`): half the
-# Nyquist limit, so that no oscillation of the samples can alias.
+# through between two samples of its states (`SampleMaps.read_stride`):
+# half the Nyquist limit, so that no oscillation of the samples can alias.
 MAX_SAMPLE_ANGLE = 0.5 * math.pi
 _CHUNK_STEPS = 16384
+# The longest level that `SampleMaps.at` scans in the fewest calls (`_scan`),
+# as a segment's first samples are; a longer one takes the work-efficient
+# scan (`linalg.prefix_products`).
+_SCAN_ENTRIES = 32
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
 
@@ -112,6 +137,22 @@ class SectorField:
 
     def __call__(self, times, *controls) -> np.ndarray:
         return sector_hamiltonians(self.field(times, *controls), self.rows, self.dim)
+
+
+@dataclass(frozen=True)
+class FrameHamiltonian:
+    """A dense Hamiltonian H(times, *controls) (n, d, d) of a frame that
+    turns by a diagonal Phi(t), psi = exp(-i Phi) psi', whose energy in the
+    unturned frame is <psi'|H + dPhi/dt|psi'>: rate(times, *controls) gives
+    the diagonal of dPhi/dt (n, d).  The steps are those of H, and the
+    energy integrals those of H + dPhi/dt.  Called itself, it returns H."""
+
+    hamiltonian: Callable[..., np.ndarray]
+    rate: Callable[..., np.ndarray]
+
+    def __call__(self, times, *controls) -> np.ndarray:
+        return self.hamiltonian(times, *controls)
+
 
 def sector_hamiltonians(field: np.ndarray, rows, dim: int) -> np.ndarray:
     """(n, dim, dim) stack of the sum over sectors of (1/2) v_s . sigma
@@ -135,57 +176,161 @@ def _check_gap(gap: float, norm: str) -> None:
 
 
 def magnus4_steps(v1: np.ndarray, v2: np.ndarray, h: float) -> tuple[np.ndarray, float, float]:
-    """Cayley-Klein pairs (n, S, 2) of the fourth-order Magnus steps from
-    the fields (3, n, S) at the first and second Gauss node of each step,
-    the largest gap (sqrt(3)/12) h^2 |v2 x v1| between one of them and its
-    midpoint step, and the largest step angle |w|."""
+    """The fourth-order Magnus steps from the fields (3, n, S) at the first
+    and second Gauss node of each step, as (n, S, 4): each step's
+    Cayley-Klein pair (a, b) and its energy integral G = g . sigma / 2, held
+    as (g_x + i g_y, g_z) (`_su2_carry`); the largest gap
+    (sqrt(3)/12) h^2 |v2 x v1| between one of them and its midpoint step;
+    and the largest step angle |w|.
+
+    With e = (sqrt(3)/12) h^2 v2 x v1, dw/dlambda = w + e, and
+    G = i U^dagger dU/dlambda of U = exp(-i w . sigma / 2) is the mean of
+    dw/dlambda turned back through the step's rotation by s |w|, s in
+    [0, 1]: g = w + (sin|w|/|w|) e + ((1 - sin|w|/|w|)/|w|^2) (w . e) w
+    - ((1 - cos|w|)/|w|^2) w x e."""
     w = 0.5 * h * (v1 + v2)
     c = _MAGNUS_COMMUTATOR * h * h
-    cross = np.empty_like(w)
-    cross[0] = v2[1] * v1[2] - v2[2] * v1[1]
-    cross[1] = v2[2] * v1[0] - v2[0] * v1[2]
-    cross[2] = v2[0] * v1[1] - v2[1] * v1[0]
-    gap = c * math.sqrt(float(np.max(np.einsum("i...,i...->...", cross, cross))))
-    w += c * cross
+    e = np.empty_like(w)
+    e[0] = v2[1] * v1[2] - v2[2] * v1[1]
+    e[1] = v2[2] * v1[0] - v2[0] * v1[2]
+    e[2] = v2[0] * v1[1] - v2[1] * v1[0]
+    gap = c * math.sqrt(float(np.max(np.einsum("i...,i...->...", e, e))))
+    e *= c
+    w += e
     angle = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
-    # w * sin(|w|/2) / |w|; where w = 0 any finite factor gives 0
-    w *= np.sin(0.5 * angle) / np.where(angle > 0.0, angle, 1.0)
-    # with w so scaled, (a, b) = (cos(|w|/2) - i w_z, w_y - i w_x), written
-    # as real and imaginary parts
-    parts = np.empty(angle.shape + (4,))
-    parts[..., 0] = np.cos(0.5 * angle)
-    parts[..., 1] = -w[2]
-    parts[..., 2] = w[1]
-    parts[..., 3] = -w[0]
-    return parts.view(complex), gap, float(angle.max())
+    # where w = 0 so is e, and any finite factor gives 0
+    inv = 1.0 / np.where(angle > 0.0, angle, 1.0)
+    half_sin, half_cos = np.sin(0.5 * angle), np.cos(0.5 * angle)
+    sinc = 2.0 * half_sin * half_cos * inv  # sin|w|/|w|
+    fold = half_sin * inv
+    fold *= 2.0 * fold  # (1 - cos|w|)/|w|^2
+    (w0, w1, w2), (e0, e1, e2) = w, e
+    along = (1.0 - sinc) * inv * inv * (w0 * e0 + w1 * e1 + w2 * e2) + 1.0
+    steps = _time_inner(angle.shape + (4,))
+    a, b, xi = steps[..., 0], steps[..., 1], steps[..., 2]
+    xi.real = along * w0 + sinc * e0 - fold * (w1 * e2 - w2 * e1)
+    xi.imag = along * w1 + sinc * e1 - fold * (w2 * e0 - w0 * e2)
+    steps[..., 3] = along * w2 + sinc * e2 - fold * (w0 * e1 - w1 * e0)
+    # w * sin(|w|/2) / |w|; then (a, b) = (cos(|w|/2) - i w_z, w_y - i w_x)
+    w *= half_sin * inv
+    a.real, a.imag = half_cos, -w[2]
+    b.real, b.imag = w[1], -w[0]
+    return steps, gap, float(angle.max())
 
 
 def magnus4_dense_steps(
-    h1: np.ndarray, h2: np.ndarray, h: float
+    h1: np.ndarray, h2: np.ndarray, h: float, rates=None
 ) -> tuple[np.ndarray, float, float]:
-    """Unitaries (n, d, d) of the fourth-order Magnus steps exp(-i K) from
-    the Hamiltonians (n, d, d) at the first and second Gauss node of each
-    step, the largest gap (sqrt(3)/12) h^2 ||[H2, H1]|| (Frobenius norm)
-    between one of them and its midpoint step, and the largest eigenvalue
-    spread of K."""
+    """The fourth-order Magnus steps exp(-i K) from the Hamiltonians
+    (n, d, d) at the first and second Gauss node of each step, as
+    (n, 2d, d): each step's unitary above its energy integral G (see
+    `_dense_carry`); the largest gap (sqrt(3)/12) h^2 ||[H2, H1]||
+    (Frobenius norm) between one of them and its midpoint step; and the
+    largest eigenvalue spread of K.  An eigenvalue of K of magnitude pi or
+    more raises `StepSizeError`.
+
+    G is the integral over s in [0, 1] of exp(isK) K' exp(-isK), with K' the
+    lambda-derivative of K: in the eigenbasis of K, K'_jk times the divided
+    difference (exp(i x) - 1)/(i x) at x = lambda_j - lambda_k (Daleckii and
+    Krein).  K' is that of H + lambda H, or, with the diagonals rates
+    (r1, r2) of dPhi/dt at the two nodes (n, d), of H + lambda (H + dPhi/dt)
+    (`FrameHamiltonian`)."""
     c = _MAGNUS_COMMUTATOR * h * h
     comm = h2 @ h1
     comm -= h1 @ h2
     gap = c * math.sqrt(float(np.max(np.sum(np.abs(comm) ** 2, axis=(-2, -1)))))
     k = (0.5 * h) * (h1 + h2) - (1j * c) * comm
     evals, evecs = np.linalg.eigh(k)
-    steps = (evecs * np.exp(-1j * evals)[:, None, :]) @ evecs.conj().swapaxes(-1, -2)
-    return steps, gap, float(np.max(evals[:, -1] - evals[:, 0]))
+    largest = float(max(-evals[:, 0].min(), evals[:, -1].max()))
+    if largest >= math.pi:
+        raise StepSizeError(
+            f"Magnus-4 exponent K has an eigenvalue of magnitude {largest:.3f} >= pi, "
+            "past the convergence bound of the Magnus series; reduce dt"
+        )
+    n, d = evals.shape
+    # K' = K - i c [H2, H1], plus the diagonals' terms
+    extra = comm
+    if rates is not None:
+        r1, r2 = rates
+        k[:, range(d), range(d)] += (0.5 * h) * (r1 + r2)
+        # [D2, H1] + [H2, D1] for the diagonals D
+        extra = comm + (r2[:, :, None] - r2[:, None, :]) * h1 + (r1[:, None, :] - r1[:, :, None]) * h2
+    k -= (1j * c) * extra
+    m = evecs.conj().swapaxes(-1, -2) @ (k @ evecs)
+    # (exp(ix) - 1)/(ix) = exp(ix/2) sinc(x/2): with the eigenvectors W
+    # turned by exp(i lambda/2), G = W (M o sinc) W^dagger and
+    # exp(-iK) = W exp(-i Lambda) W^dagger, one product for both
+    m *= np.sinc((evals[:, :, None] - evals[:, None, :]) / (2.0 * math.pi))
+    w = evecs * np.exp(0.5j * evals)[:, None, :]
+    left = np.empty((n, 2 * d, d), dtype=complex)
+    left[:, :d] = w * np.exp(-1j * evals)[:, None, :]
+    np.matmul(w, m, out=left[:, d:])
+    out = left @ w.conj().swapaxes(-1, -2)
+    return out, gap, float(np.max(evals[:, -1] - evals[:, 0]))
 
 
-def _su2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cayley-Klein pairs of the products U_a U_b of two stacks of one shape
-    (pairs on the last axis)."""
+def _time_inner(shape) -> np.ndarray:
+    """An empty complex array of shape (..., S, 4), sector maps with their
+    energy integrals, laid out with the leading (time) axes innermost, so
+    that elementwise work on one slot of every sector runs along time."""
+    *lead, sectors, slots = shape
+    n = len(lead)
+    return np.empty((slots, sectors, *lead), dtype=complex).transpose(*range(2, n + 2), 1, 0)
+
+
+def _turned_back(p: np.ndarray, q: np.ndarray, xi: np.ndarray, zeta: np.ndarray):
+    """(xi', zeta') of U^dagger G U, for U of Cayley-Klein pair (p, q) and
+    G = g . sigma / 2 held as (xi, zeta) = (g_x + i g_y, g_z): with
+    t = zeta p + xi* q and r = xi p - zeta q, the first column of G U,
+
+        xi' = p r - q t,   zeta' = Re(p* t + q* r)."""
+    t = zeta * p
+    t += xi.conj() * q
+    r = xi * p
+    r -= zeta * q
+    turned = p * r - q * t
+    t *= p.conj()
+    t += r * q.conj()
+    return turned, t.real
+
+
+def _su2_carry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products U_a U_b of two stacks of one shape, each map held on the
+    last axis as [a, b, g_x + i g_y, g_z]: its Cayley-Klein pair and its
+    energy integral G = g . sigma / 2.  The product's G is
+    G_b + U_b^dagger G_a U_b (`_turned_back`)."""
     a0, a1 = a[..., 0], a[..., 1]
-    b0, b1 = b[..., 0], b[..., 1]
-    out = np.empty(a.shape, dtype=complex)
-    out[..., 0] = a0 * b0 - a1.conj() * b1
-    out[..., 1] = a1 * b0 + a0.conj() * b1
+    p, q = b[..., 0], b[..., 1]
+    out = _time_inner(a.shape)
+    out[..., 0] = a0 * p - a1.conj() * q
+    out[..., 1] = a1 * p + a0.conj() * q
+    xi, zeta = _turned_back(p, q, a[..., 2], a[..., 3].real)
+    out[..., 2] = xi + b[..., 2]
+    out[..., 3] = zeta + b[..., 3].real
+    return out
+
+
+def _dense_carry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products U_a U_b of two stacks of one shape, each map held as
+    (2d, d): its unitary U above its energy integral G.  The product's G is
+    G_b + U_b^dagger G_a U_b."""
+    d = b.shape[-1]
+    u = b[..., :d, :]
+    out = a @ u  # U_a U_b above G_a U_b
+    out[..., d:, :] = u.conj().swapaxes(-1, -2) @ out[..., d:, :]
+    out[..., d:, :] += b[..., d:, :]
+    return out
+
+
+def _scan(x: np.ndarray, mul) -> np.ndarray:
+    """Running products x[k] ... x[0] along axis 0 under the product mul,
+    in log2 n products of up to n entries each (Hillis & Steele), the
+    fewest numpy calls for the short levels it runs on (`SampleMaps.at`)."""
+    out = x.copy(order="K")
+    shift = 1
+    while shift < len(out):
+        out[shift:] = mul(out[shift:], out[:-shift])
+        shift *= 2
     return out
 
 
@@ -210,44 +355,49 @@ def _block_products(steps: np.ndarray, mul, block: int) -> np.ndarray:
 
 def _chunk_products(model, controls, t_chunk: float, nc: int, dt: float, block: int):
     """Products over the consecutive blocks of `block` steps of a chunk of
-    nc steps at t_chunk (Cayley-Klein pairs (nc/block, S, 2) per sector of
-    a `SectorField`, else unitaries (nc/block, d, d)), and the largest angle
-    of its steps: |w|, or the eigenvalue spread of K."""
+    nc steps at t_chunk, with their energy integrals ((nc/block, S, 4) per
+    sector of a `SectorField`, else (nc/block, 2d, d)), and the largest
+    angle of its steps: |w|, or the eigenvalue spread of K."""
     nodes = (t_chunk + dt * (_GAUSS_NODES[:, None] + np.arange(nc))).ravel()
+    values = controls(nodes)
     if not isinstance(model, SectorField):
-        h = model(nodes, *controls(nodes))
-        steps, gap, angle = magnus4_dense_steps(h[:nc], h[nc:], dt)
+        h = model(nodes, *values)
+        rates = None
+        if isinstance(model, FrameHamiltonian):
+            r = model.rate(nodes, *values)
+            rates = r[:nc], r[nc:]
+        steps, gap, angle = magnus4_dense_steps(h[:nc], h[nc:], dt, rates)
         _check_gap(gap, "||[H2, H1]||")
-        return _block_products(steps, np.matmul, block), angle
-    v = model.field(nodes, *controls(nodes))
+        return _block_products(steps, _dense_carry, block), angle
+    v = model.field(nodes, *values)
     steps, gap, angle = magnus4_steps(v[:, :nc], v[:, nc:], dt)
     _check_gap(gap, "|v2 x v1|")
-    return _block_products(steps, _su2_mul, block), angle
+    return _block_products(steps, _su2_carry, block), angle
 
 
 class SampleMaps:
     """The state-independent maps of one run from its start to its samples,
-    at each stride (in sample blocks) asked so far.
+    each with its energy integral, at each stride (in sample blocks) asked
+    so far.
 
     The first `propagate_sampled` call folds the run's steps, once, into the
     products over its sample blocks, levels[0].  levels[k] holds the
     products over 2^k blocks, each the product of two of levels[k-1], while
     a finer stride may still need them.
     maps[s] holds the maps to the samples every s blocks after the start:
-    the first asked by the prefix scan over its level, each finer one from
-    the maps at twice its stride (made first if need be), with one product
-    per new map: the map to a midpoint is the block product of the half
-    interval before it times the map at the sample before that (the last
-    stage of the prefix scan); and each coarser one as every (s/f)-th map
-    of the nearest finer stride f, bit for bit.
-    So no stride takes a step or computes a map twice.
+    the first asked by a scan over its level, each finer one from the
+    maps at twice its stride (made first if need be), with one product per
+    new map: the map to a midpoint is the block product of the half
+    interval before it times the map at the sample before that; and each
+    coarser one as every (s/f)-th map of the nearest finer stride f, bit
+    for bit.  So no stride takes a step or computes a map twice, and every
+    product carries the energy integral with the map.
 
     stride is the stride that `propagate_sampled` samples at.  The fold
-    sets it, unless given, to the coarsest power of two that divides the
-    run's blocks and keeps the fastest step frequency (the largest step
-    angle over dt) times the spacing within MAX_SAMPLE_ANGLE; a caller may
-    lower it for later runs.  start_stride keeps the stride the fold
-    sampled at.
+    sets read_stride to the coarsest power of two that divides the run's
+    blocks and keeps the fastest step frequency (the largest step angle
+    over dt) times the spacing within MAX_SAMPLE_ANGLE, the stride to read
+    the run's states at, and stride to it unless given.
 
     The maps of the run played backwards come from these with no step taken
     (`reversed`); source is then the folded run they come from.
@@ -266,10 +416,11 @@ class SampleMaps:
 
     def fold(self, model, controls, n_steps: int, dt: float, block: int) -> None:
         """Take the run's steps, at most `_CHUNK_STEPS` (or one block, if
-        longer) at a time, fold them into levels[0], and set the stride if
-        none was given."""
+        longer) at a time, fold them into levels[0], and set read_stride,
+        and the stride if none was given."""
         self.block, self.dt = block, dt
-        self._mul = np.matmul if not isinstance(model, SectorField) else _su2_mul
+        self.sectors = isinstance(model, SectorField)
+        self._mul = _su2_carry if self.sectors else _dense_carry
         chunk = max(1, _CHUNK_STEPS // block) * block
         products, angle = [], 0.0
         for done in range(0, n_steps, chunk):
@@ -278,15 +429,17 @@ class SampleMaps:
             )
             products.append(part)
             angle = max(angle, part_angle)
-        self.levels = [products[0] if len(products) == 1 else np.concatenate(products)]
+        first = products[0]
+        self.levels = [first if len(products) == 1 else np.concatenate(
+            products, out=np.empty_like(first, shape=(n_steps // block,) + first.shape[1:]))]
+        # the angle turned per sample block at the fastest step frequency
+        self.n_blocks, block_angle = len(self.levels[0]), angle * block
+        stride = 1
+        while self.n_blocks % (2 * stride) == 0 and 2 * stride * block_angle <= MAX_SAMPLE_ANGLE:
+            stride *= 2
+        self.read_stride = stride
         if self.stride is None:
-            # the angle turned per sample block at the fastest step frequency
-            n, block_angle = len(self.levels[0]), angle * block
-            stride = 1
-            while n % (2 * stride) == 0 and 2 * stride * block_angle <= MAX_SAMPLE_ANGLE:
-                stride *= 2
             self.stride = stride
-        self.start_stride = self.stride
 
     def reversed(self, phase: float | None = None) -> SampleMaps:
         """The maps of this folded run played backwards, H~(tau) = H(T - tau)
@@ -299,30 +452,40 @@ class SampleMaps:
         (Blanes, Casas, Oteo & Ros): the backward run's step at tau takes the
         nodes of this run's step at T - tau - h in swapped order, which flips
         the sign of the commutator term.  For a real H that step is
-        exp(-i K*) = S^T; for a planar field it is w mirrored in the plane,
-        S^T conjugated by exp(-i phase sigma_z / 2).  So from this run's
-        prefix maps P_k (P_0 = 1, N samples), the backward run's map to
-        sample j is D_j = (P_N P_{N-j}^dagger)^T, and per sector, with
-        X = P_N P_{N-j}^dagger = (a, b), the pair (a, -b* e^{2i phase}).
+        exp(-i K*) = S^T, at every lambda; for a planar field it is w
+        mirrored in the plane, S^T conjugated by exp(-i phase sigma_z).  So
+        from this run's prefix maps P_k (P_0 = 1, N samples) with their
+        energy integrals G_k, the backward run's map to sample j is
+        D_j = X^T, X = P_N P_{N-j}^dagger, with the energy integral
+        (P_N (G_N - G_{N-j}) P_N^dagger)^T; per sector, with X = (a, b), the
+        pair (a, -b* e^{2i phase}), and g_N - g_{N-j} turned by P_N and
+        mirrored in the plane.
 
         The backward run has this run's gaps and step angles, so it inherits
-        their check and the stride the fold sampled at.  Its maps at each
+        their check, its stride and its read stride.  Its maps at each
         stride come from this run's maps at that stride, which the levels
         that this run keeps can make."""
-        rev = SampleMaps(self.start_stride)
-        rev.block, rev.dt, rev._mul, rev.source = self.block, self.dt, self._mul, self
+        rev = SampleMaps(self.stride)
+        rev.block, rev.dt, rev._mul, rev.sectors = self.block, self.dt, self._mul, self.sectors
+        rev.n_blocks, rev.read_stride, rev.source = self.n_blocks, self.read_stride, self
         if phase is not None:
             rev._turn = np.exp(2j * phase)
         return rev
 
     def _reverse(self, prefix: np.ndarray) -> np.ndarray:
-        """The maps D_j of `reversed` at the samples of the source's prefix
-        maps (P_s, P_2s, ..., P_N)."""
+        """The maps D_j of `reversed`, with their energy integrals, at the
+        samples of the source's prefix maps (P_s, P_2s, ..., P_N)."""
         last, earlier = prefix[-1], prefix[-2::-1]  # P_N; P_{N-s}, ..., P_s
         maps = np.empty_like(prefix)
-        if self._mul is not _su2_mul:
-            maps[:-1] = earlier.conj() @ last.T  # (P_N P^dagger)^T = P* P_N^T
-            maps[-1] = last.T
+        if not self.sectors:
+            d = last.shape[-1]
+            u = last[:d]
+            maps[:-1, :d] = earlier[:, :d].conj() @ u.T  # (P_N P^dagger)^T = P* P_N^T
+            maps[-1, :d] = u.T
+            maps[:-1, d:] = last[d:] - earlier[:, d:]
+            maps[-1, d:] = last[d:]
+            # (P_N dG P_N^dagger)^T = P_N* dG^T P_N^T
+            maps[:, d:] = u.conj() @ maps[:, d:].swapaxes(-1, -2) @ u.T
             return maps
         # X = (a, b) (c, d)^dagger = (a c* + b* d, b c* - a* d) per sector
         a, b = last[:, 0], last[:, 1]
@@ -331,11 +494,17 @@ class SampleMaps:
         maps[:-1, :, 1] = (a * d.conj() - b.conj() * c) * self._turn
         maps[-1, :, 0] = a
         maps[-1, :, 1] = -b.conj() * self._turn
+        # g_N - g_{N-j} turned by P_N, that is back by P_N^dagger = (a*, -b),
+        # then mirrored in the plane: xi -> xi* e^{2i phase}
+        maps[:-1, :, 2:] = last[:, 2:] - earlier[..., 2:]
+        maps[-1, :, 2:] = last[:, 2:]
+        xi, maps[..., 3] = _turned_back(a.conj(), -b, maps[..., 2], maps[..., 3].real)
+        maps[..., 2] = xi.conj() * self._turn
         return self._unit(maps)
 
     def at(self, stride: int) -> np.ndarray:
         """The maps to the samples every stride blocks, a power of two that
-        divides the run's blocks."""
+        divides the run's blocks, with their energy integrals."""
         if stride not in self.maps:
             k = stride.bit_length() - 1
             finer = [s for s in self.maps if s < stride]
@@ -348,7 +517,9 @@ class SampleMaps:
                 while len(self.levels) <= k:
                     level = self.levels[-1]
                     self.levels.append(self._mul(level[1::2], level[0::2]))
-                maps = self._unit(prefix_products(self.levels[k], self._mul))
+                level = self.levels[k]
+                scan = _scan if len(level) <= _SCAN_ENTRIES else prefix_products
+                maps = self._unit(scan(level, self._mul))
                 # midpoints take only the levels below: free the rest
                 self.levels[k:] = [None] * (len(self.levels) - k)
             else:
@@ -358,7 +529,7 @@ class SampleMaps:
                 mids = np.empty_like(coarse)
                 mids[0] = halves[0]
                 mids[1:] = self._mul(halves[1:], coarse[:-1])
-                maps = np.empty((2 * len(coarse),) + coarse.shape[1:], dtype=coarse.dtype)
+                maps = np.empty_like(coarse, shape=(2 * len(coarse),) + coarse.shape[1:])
                 maps[0::2] = self._unit(mids)
                 maps[1::2] = coarse
             self.maps[stride] = maps
@@ -369,8 +540,9 @@ class SampleMaps:
         # about 1e-17 each on average; since the norm is multiplicative,
         # renormalizing the pairs keeps that bias from adding up over 10^6
         # steps.
-        if self._mul is _su2_mul:
-            maps /= np.sqrt(np.sum(np.abs(maps) ** 2, axis=-1, keepdims=True))
+        if self.sectors:
+            pairs = maps[..., :2]
+            pairs /= np.sqrt(np.sum(np.abs(pairs) ** 2, axis=-1, keepdims=True))
         return maps
 
 
@@ -389,16 +561,16 @@ def propagate_sampled(
     The Hamiltonian at a 1-d array of local times is
     model(times, *controls(times)).  model is a `SectorField` (closed-form
     SU(2) steps per sector) or any callable that returns the matching
-    (len, d, d) Hermitian stack (dense steps).  Returns (times, states)
-    with states sampled at 0 and then after every block of
-    steps_per_sample steps, a power of two that divides n_steps (a
-    ValueError otherwise); states has shape (n_samples, d, m).
-    Sample k sits at (k * steps_per_sample) * dt, so halving dt and
-    doubling steps_per_sample gives the same sample times.
+    (len, d, d) Hermitian stack (dense steps), such as a
+    `FrameHamiltonian`.  Returns (times, states) with states sampled at 0
+    and then after every block of steps_per_sample steps, a power of two
+    that divides n_steps (a ValueError otherwise); states has shape
+    (n_samples, d, m).  Sample k sits at (k * steps_per_sample) * dt, so
+    halving dt and doubling steps_per_sample gives the same sample times.
 
     maps, if given, is the run's `SampleMaps`, and the samples come every
     maps.stride blocks.  An empty one is filled by the fold, and sets its
-    stride; a filled one is applied to u0 as it is, with no Hamiltonian
+    strides; a filled one is applied to u0 as it is, with no Hamiltonian
     evaluated and no step taken, as `samples_at` applies it at any stride.
     A filled one is only valid for a run of the same model, controls,
     n_steps, dt and steps_per_sample.
@@ -429,7 +601,7 @@ def _dense_apply(coefs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def sample_times(maps: SampleMaps, stride: int) -> np.ndarray:
     """Local times of the run's samples at 0 and then every stride blocks."""
-    return (np.arange(len(maps.at(stride)) + 1) * (stride * maps.block)) * maps.dt
+    return (np.arange(maps.n_blocks // stride + 1) * (stride * maps.block)) * maps.dt
 
 
 def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
@@ -442,7 +614,7 @@ def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
     states = np.empty((len(at) + 1,) + u.shape, dtype=complex)
     states[:] = u
     if not isinstance(model, SectorField):
-        states[1:] = _dense_apply(at[:, :, None], u)
+        states[1:] = _dense_apply(at[:, : len(u), None], u)
     else:
         for s, (i, j) in enumerate(model.rows):
             a, b = at[:, s, 0, None], at[:, s, 1, None]
@@ -458,10 +630,10 @@ def end_state(model, maps: SampleMaps, u0: np.ndarray) -> np.ndarray:
     last = maps.at(maps.stride)[-1]
     u = np.asarray(u0, dtype=complex)
     if not isinstance(model, SectorField):
-        return _dense_apply(last[:, None], u)
+        return _dense_apply(last[: len(u), None], u)
     end = u.copy()
     for s, (i, j) in enumerate(model.rows):
-        a, b = last[s]
+        a, b = last[s, 0], last[s, 1]
         end[i] = a * u[i] - b.conj() * u[j]
         end[j] = b * u[i] + a.conj() * u[j]
     return end
@@ -479,7 +651,7 @@ def reference_rows(model, maps: SampleMaps, u0: np.ndarray, stride: int,
     out = np.empty((len(at) + 1, len(cols)), dtype=complex)
     out[:] = u[rows, cols]
     if not isinstance(model, SectorField):
-        out[1:] = _dense_apply(at[:, rows], u)
+        out[1:] = _dense_apply(at[:, rows], u)  # rows of U, the top d of each map
         return out
     for c, r in enumerate(np.asarray(rows).tolist()):
         for s, (i, j) in enumerate(model.rows):
@@ -493,9 +665,9 @@ def reference_rows(model, maps: SampleMaps, u0: np.ndarray, stride: int,
 
 def energy_weights(model, u0: np.ndarray) -> np.ndarray:
     """The (K, m) weights of the start columns u0 (d, m) that make the
-    energies of a run from u0 out of its `energy_observable` (S, K), as
-    observable @ weights (S, m).  Per sector (i, j) of a `SectorField`, the
-    halved Bloch vector of the components x = u0[i], y = u0[j]:
+    energy integrals of a run from u0 out of its `energy_integrals` (S, K),
+    as integrals @ weights (S, m).  Per sector (i, j) of a `SectorField`,
+    the halved Bloch vector of the components x = u0[i], y = u0[j]:
     (Re x* y, Im x* y, (|x|^2 - |y|^2)/2).  Else, from the products
     p_ab = u0[a]* u0[b] over the rows a <= b (`_hermitian_entries`), Re p_aa
     and 2 Re p_ab (a < b), and then 2 Im p_ab (a < b)."""
@@ -513,46 +685,31 @@ def energy_weights(model, u0: np.ndarray) -> np.ndarray:
     return weights.reshape(-1, u.shape[1])
 
 
-def energy_observable(model, maps: SampleMaps, stride: int, h: np.ndarray) -> np.ndarray:
-    """The energy of the run's samples every stride blocks as an observable
-    of the start state, in real coordinates: (S, K), such that a run from
-    any u0 has the energies <psi|H|psi> = observable @ energy_weights(model,
-    u0).  This is the Heisenberg picture, U^dagger H U with U the map to
-    each sample, so it depends on the run alone, as the maps do.
+def energy_integrals(maps: SampleMaps, stride: int) -> np.ndarray:
+    """The energy integrals G_k of the run's maps to its samples every
+    stride blocks, in real coordinates: (S, K), zero at the start, such
+    that a run from any u0 has the integral of <psi|H|psi> dt from its start
+    to each sample, <psi0|G_k|psi0>, as integrals @ energy_weights(model,
+    u0).  They are carried with the maps, so they depend on the run alone,
+    and are exact for its steps at every stride.
 
-    h is the energy operator at the sample times.  For a `SectorField` it
-    is the Bloch fields v (3, S, n_sectors), and each is rotated back by its
-    sector's Cayley-Klein pair (a, b), g = R(U)^T v, in closed form:
-
-        g_x + i g_y = w a^2 - w* b^2 - 2 v_z a b,
-        g_z = v_z (|a|^2 - |b|^2) + 2 Re(a b* w),   w = v_x + i v_y,
-
-    kept as (g_x, g_y, g_z) per sector.  Else it is a real symmetric stack
-    (S, d, d), and U^dagger h U = A + iB comes from the real and imaginary
-    parts x, y of U side by side, A_ab = x_a.h x_b + y_a.h y_b and
-    B_ab = x_a.h y_b - y_a.h x_b, kept as A_ab over the rows a <= b and
-    then -B_ab over a < b (`_hermitian_entries`)."""
+    Per sector, G = g . sigma / 2, kept as (g_x, g_y, g_z).  Else G's real
+    parts over the rows a <= b, and then minus its imaginary parts over
+    a < b (`_hermitian_entries`)."""
     at = maps.at(stride)
-    if isinstance(model, SectorField):
-        g = np.empty(h.shape[1:] + (3,))
-        g[0] = h[:, 0].T  # the start, where U = 1
-        a, b = at[..., 0], at[..., 1]
-        vx, vy, vz = h[:, 1:]
-        w = vx + 1j * vy
-        aw = a * w
-        gxy = aw * a - (w.conj() * b + 2.0 * vz * a) * b
-        g[1:, :, 0], g[1:, :, 1] = gxy.real, gxy.imag
-        g[1:, :, 2] = vz * (np.abs(a) ** 2 - np.abs(b) ** 2) + 2.0 * (aw * b.conj()).real
+    if maps.sectors:
+        g = np.zeros((len(at) + 1,) + at.shape[1:-1] + (3,))
+        g[1:, ..., 0] = at[..., 2].real
+        g[1:, ..., 1] = at[..., 2].imag
+        g[1:, ..., 2] = at[..., 3].real
         return g.reshape(len(g), -1)
     d = at.shape[-1]
-    u = np.concatenate([np.eye(d, dtype=complex)[None], at])
-    xy = u.view(float)  # (S, d, 2d): each column's real and imaginary part side by side
-    # g[:, a, p, b, q] = (x, y)_a.h (x, y)_b for p, q = 0 (x) or 1 (y)
-    g = (xy.swapaxes(-1, -2) @ (h @ xy)).reshape(len(u), d, 2, d, 2)
     a, b, upper = _hermitian_entries(d)
-    re = g[:, a, 0, b, 0] + g[:, a, 1, b, 1]
-    a, b = a[upper], b[upper]
-    return np.concatenate([re, g[:, a, 1, b, 0] - g[:, a, 0, b, 1]], axis=1)
+    entries = at[:, d + a, b]
+    g = np.zeros((len(at) + 1, len(a) + int(upper.sum())))
+    g[1:, : len(a)] = entries.real
+    g[1:, len(a) :] = -entries[:, upper].imag
+    return g
 
 
 def _hermitian_entries(d: int):

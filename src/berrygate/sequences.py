@@ -16,27 +16,31 @@ Phase accounting: every adiabatic loop is closed in projective space per
 basis state, so its total phase is well defined and tracked continuously by
 unwrapping the argument of one basis component of the state (a reference
 that never vanishes along the cone paths, unlike the overlap with the start
-state), taken against the running trapezoid of the dynamic phase so that
-only the slow remainder has to be unwrapped.  The dynamic part comes from
-Simpson quadrature of -<psi|H|psi> over each segment's equally spaced
-samples, and the geometric part is the difference.  The energy is a
-quadratic form in the segment's start state, <psi0|U^dagger H U|psi0>, so
-both quadratures are taken once per segment, of the observable U^dagger H U
-in real coordinates, and each use of the segment only contracts them with
-the weights of its start state (`engine.energy_observable`,
-`engine.energy_weights`); the ledger reads one row of each map.  Ideal pi
-pulses permute amplitudes without touching phases, so per-loop phases add
-up across a compound sequence.
+state), taken against the running dynamic phase so that only the slow
+geometric remainder has to be unwrapped.  The dynamic phase is exact for
+the Magnus-4 steps, with no quadrature: the engine carries each map's
+derivative in a scaling (1 + lambda) H of the Hamiltonian through the fold,
+and that derivative is the energy integral of the run as a quadratic form
+in its start state (`engine.energy_integrals`).  So each use of a segment
+contracts the integrals of the shared maps with the weights of its start
+state (`engine.energy_weights`) for its dynamic phase and for the ledger's
+reference, and the geometric part is the difference; the ledger reads one
+row of each map.  Ideal pi pulses permute amplitudes without touching
+phases, so per-loop phases add up across a compound sequence.
 
-Sampling: each segment is sampled as coarsely as its own error estimates
-allow, not once per step.  Its samples start at the coarsest power-of-two
-multiple of the floor spacing (`_sample_spacing`, set by the fastest Rabi
-vector of the system, whatever the step) that its fastest step frequency
-allows without aliasing.  The stride is then halved, and the segment's
-maps sampled again, until the Simpson-against-trapezoid difference of its
-dynamic phase and the largest jump of its unwrapped phase both pass, or
-down to the floor (`_run_segment`).  The gate is the product of the
-steps, whatever the samples.
+Sampling: the samples serve the phase ledger only, and each segment use is
+sampled as coarsely as its unwrapped phase allows, not once per step.  Each
+segment is cut into floor intervals (the floor spacing `_sample_spacing` is
+set by the fastest Rabi vector of the system, whatever the step), a whole
+number of units of a power of two of them, at least 16 units
+(`_floor_intervals`), and its ledger starts at one sample per unit.  The
+stride is then halved, and the segment's maps sampled again, until the
+largest jump of the unwrapped phase between samples passes MAX_SAMPLE_JUMP,
+or down to the floor (`_run_segment`).  States are read only where a result
+asks for them (the cone's holonomy and measured angle), at the stride that
+keeps the fastest step frequency within the engine's Nyquist cap, or at the
+ledger's stride where that is finer.  The gate is the product of the steps,
+whatever the samples.
 """
 
 from __future__ import annotations
@@ -69,10 +73,6 @@ RAMP_FRACTION = 0.2
 # SAMPLE_BLOCK steps.
 SAMPLE_RESOLUTION = 0.32
 SAMPLE_BLOCK = 64
-# Each segment is a whole number of this many floor intervals, so that it
-# can start at the stride (`engine.SampleMaps`) that a field no faster than
-# the |Omega'|max setting the floor spacing allows.
-_STRIDE_UNIT = 2 ** int(math.log2(engine.MAX_SAMPLE_ANGLE / SAMPLE_RESOLUTION))
 MIN_CLOSURE_FIDELITY = 0.999
 
 
@@ -177,22 +177,32 @@ def _phi_frame_controls(seg: Segment, tau):
     return w1, om, seg.phase_rate_at(tau)
 
 
+def _phi_frame_rates(p: TwoSpinParams, times, w1, om, ph_rate) -> np.ndarray:
+    """(n, 4) diagonal of dPhi/dt of `_PhiFrame`, phi' S_z^tot +
+    (om - omega_b) S_bz, at the controls of `_h2q_stack`."""
+    rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
+    rates += np.multiply.outer(om - p.omega_b, _SZ_B)
+    return rates
+
+
 # ---------------------------------------------------------------------------
 # Plan execution
 
-# A segment's samples are accepted at a stride when both estimates pass:
-# the Simpson-against-trapezoid difference of its dynamic phase, in rad
-# (about the default step's own dynamic-phase error), and the largest jump
-# of the unwrapped phase between samples, far inside the ledger's limit.
-DYNAMIC_PHASE_TOLERANCE = 1e-9
+# A segment use's samples are accepted at a stride when the largest jump of
+# its unwrapped phase between samples is within this, far inside the
+# ledger's limit.
 MAX_SAMPLE_JUMP = math.pi / 16
+# A segment's ledger starts with at least this many samples, one per unit
+# of its floor intervals (`_floor_intervals`).
+_MIN_SAMPLES = 16
 
 
 @dataclass
 class _SegmentBook:
-    times: np.ndarray  # (S,)
+    times: np.ndarray  # (S,) of the states
     kind: str
-    stride: int  # accepted, in floor spacings
+    stride: int  # accepted by the ledger, in floor spacings
+    steps: int  # taken or applied by the use
     dynamic: np.ndarray  # (m,) dynamic phase
     sample: Callable[[], np.ndarray]  # the states, taken when first read
 
@@ -240,14 +250,15 @@ class _PhaseLedger:
         """Track the phase over a segment's samples, from comp (S, m), the
         reference component of each column (row self.ref) at each sample,
         the first of which is the last sample seen, and last (d, m), the
-        state at the last sample.  reference (S, m) is any running estimate
-        of the phase gained since the first sample, such as the trapezoid
-        dynamic phase: the ledger unwraps the argument minus the reference
-        and adds the reference back, so the reference only has to follow
-        the phase to well within pi per sample, and its own error does not
-        enter the total.  If a jump of the unwrapped phase exceeds max_jump,
-        nothing is tracked and the result is False (so the caller can
-        sample more finely); else True."""
+        state at the last sample.  reference (S, m) is a running estimate
+        of the phase gained since the first sample, from 0: the dynamic
+        phase that the engine carries with the maps, exact for the steps.
+        The ledger unwraps the argument minus the reference, the slow
+        geometric remainder, and adds the reference back, so the reference
+        only has to follow the phase to well within pi per sample, and its
+        own error does not enter the total.  If a jump of the unwrapped
+        phase exceeds max_jump, nothing is tracked and the result is False
+        (so the caller can sample more finely); else True."""
         magnitude = float(np.abs(comp).min())
         if magnitude < 0.1:
             raise AdiabaticityError(
@@ -303,107 +314,76 @@ def _segment_frame(model, seg: Segment, t0: float, u):
     controls, start state, to_report).  The propagator(tau, *controls(tau))
     goes to the engine from the start state, at local times tau, and
     to_report(tau) gives the phases (S, d) that take the states there to
-    the report frame, or is None where they are in it."""
+    the report frame, or is None where they are in it.  For a `_PhiFrame`
+    the propagator is an `engine.FrameHamiltonian`, whose energy integrals
+    are those of H' + dPhi/dt, the energy in the report frame."""
     if isinstance(model, _PhiFrame):
         u = np.exp(1j * model._angles(seg, t0, np.zeros(1)))[0, :, None] * u
-        return (partial(_h2q_stack, model.p), partial(_phi_frame_controls, seg), u,
+        propagator = engine.FrameHamiltonian(partial(_h2q_stack, model.p),
+                                             partial(_phi_frame_rates, model.p))
+        return (propagator, partial(_phi_frame_controls, seg), u,
                 lambda tau: np.exp(-1j * model._angles(seg, t0, tau)))
     return model, seg.controls_at, u, None
 
 
-def _observe(model, seg: Segment, propagator, maps: engine.SampleMaps, stride: int):
-    """(tau, observable, trapezoid, simpson) of a segment's samples every
-    stride blocks: their local times, its energy observable (S, K)
-    (`engine.energy_observable`, the energy as a quadratic form in the start
-    state), and the observable's running trapezoid (S, K) and Simpson
-    integral (K,) over tau.  They depend on the segment alone, so its uses
-    share them, and each use only contracts them with the
-    `engine.energy_weights` of its start state.  The observable is that of
-    the Bloch fields of a `SectorField`, and of H' + dPhi/dt for a
-    `_PhiFrame`, whose energy in the report frame is <psi'|H' + dPhi/dt|psi'>."""
-    tau = engine.sample_times(maps, stride)
-    if isinstance(model, _PhiFrame):
-        w1, om, ph_rate = _phi_frame_controls(seg, tau)
-        h = _h2q_stack(model.p, tau, w1, om, ph_rate)
-        rates = np.multiply.outer(ph_rate, _SZ_TOTAL)
-        rates += np.multiply.outer(om - model.p.omega_b, _SZ_B)
-        diagonal = np.arange(4)
-        h[:, diagonal, diagonal] += rates
-    else:
-        h = model.field(tau, *seg.controls_at(tau))
-    observable = engine.energy_observable(propagator, maps, stride, h)
-    return (tau, observable, _cumulative_trapezoid(observable, tau),
-            _simpson(observable, stride * maps.block * maps.dt))
-
-
 def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, block: int,
-                 shared: tuple[engine.SampleMaps, dict], ledger: _PhaseLedger):
+                 maps: engine.SampleMaps, ledger: _PhaseLedger):
     """The book (with its accepted stride, in floor spacings of `block`
     steps, and its dynamic phase (m,)) and final state (d, m) of one segment
     that starts from u at t0; its samples enter the ledger.
 
-    shared holds the segment's sample maps and its observed strides (see
-    `_observe`), for all its uses (see `_run_plan`).  The first use folds
-    the maps through `engine.propagate_sampled`, unless they are the
-    reversed run of a folded ramp-up, which takes no step.  Each use forms
-    the weights of its start state, and its energies, dynamic phase, ledger
-    reference and Simpson-against-trapezoid difference are products of them
-    with the shared arrays; the ledger reads one component of each column
-    (`engine.reference_rows`), and the final state is the last map applied
-    (`engine.end_state`).  The samples start at the stride of the maps, and
-    each refinement halves the stride, until both estimates of the accepted
-    samples pass, the Simpson-against-trapezoid difference of the dynamic
-    phase (DYNAMIC_PHASE_TOLERANCE, over at least two intervals) and the
-    ledger's largest jump (MAX_SAMPLE_JUMP), or down to the floor spacing;
-    the first use, folded or reversed, leaves the maps at the stride it
-    accepted, where the later uses start.  A folding use reads the states
-    that `engine.propagate_sampled` returned at its start stride, and keeps
-    them as its book if it accepts them; any other book samples the maps
-    when first read."""
+    maps are the segment's sample maps, shared by all its uses (see
+    `_run_plan`).  A use whose maps are empty folds them through
+    `engine.propagate_sampled`; a ramp-down's may be the reversed run of a
+    folded ramp-up, which takes no step.  Each use forms the weights of its
+    start state, and contracts the energy integrals of the maps at its
+    samples with them (`engine.energy_integrals`): their running values are
+    the ledger's reference, and the last its dynamic phase.  The ledger reads
+    one component of each column (`engine.reference_rows`), and the final
+    state is the last map applied (`engine.end_state`).  The samples start
+    at the stride of the maps, and each refinement halves the stride, until
+    the ledger's largest jump passes MAX_SAMPLE_JUMP, or down to the floor
+    spacing.  The book samples the maps when first read, at their read
+    stride (`engine.SampleMaps`), or at the accepted stride if that is
+    finer: a use whose phase turns too fast for the coarser samples needs
+    the finer ones for its holonomy too."""
     propagator, controls, u, to_report = _segment_frame(model, seg, t0, u)
-    maps, observed = shared
-    first, folded = not observed, None
     if not maps.filled:
-        _, folded = engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
-    stride = maps.stride
+        engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
     weights = engine.energy_weights(propagator, u)
-    end = engine.end_state(propagator, maps, u) if folded is None else folded[-1]
+    last = engine.end_state(propagator, maps, u)
+    if to_report is not None:
+        last *= to_report(np.array([n_steps * dt]))[0][:, None]
+    stride = maps.stride
     while True:
-        if stride not in observed:
-            observed[stride] = _observe(model, seg, propagator, maps, stride)
-        tau, _, trapezoid, simpson = observed[stride]
-        reference = -(trapezoid @ weights)
-        dynamic = -(simpson @ weights)
-        if folded is not None and stride == maps.stride:
-            comp = folded[:, ledger.ref, np.arange(u.shape[1])]
-        else:
-            comp = engine.reference_rows(propagator, maps, u, stride, ledger.ref)
-        if to_report is None:
-            last = end
-        else:
-            phases = to_report(tau)
-            comp *= phases[:, ledger.ref]
-            last = end * phases[-1][:, None]
-        if stride == 1:
-            ledger.update(comp, reference, last)
-            break
-        quadrature = float(np.max(np.abs(dynamic - reference[-1])))
-        if (len(tau) > 2 and quadrature <= DYNAMIC_PHASE_TOLERANCE
-                and ledger.update(comp, reference, last, MAX_SAMPLE_JUMP)):
+        reference = -(engine.energy_integrals(maps, stride) @ weights)
+        comp = engine.reference_rows(propagator, maps, u, stride, ledger.ref)
+        if to_report is not None:
+            comp *= to_report(engine.sample_times(maps, stride))[:, ledger.ref]
+        if ledger.update(comp, reference, last, MAX_SAMPLE_JUMP if stride > 1 else math.inf):
             break
         stride //= 2
-    if folded is not None and stride < maps.stride:
-        folded = None
-    if first:
-        maps.stride = stride
+    read = min(stride, maps.read_stride)
+    tau = engine.sample_times(maps, read)
 
     def sample():
-        states = engine.samples_at(propagator, maps, u, stride)[1] if folded is None else folded
+        states = engine.samples_at(propagator, maps, u, read)[1]
         if to_report is not None:
             states *= to_report(tau)[:, :, None]
         return states
 
-    return _SegmentBook(t0 + tau, seg.kind, stride, dynamic, sample), last
+    return _SegmentBook(t0 + tau, seg.kind, stride, n_steps, reference[-1], sample), last
+
+
+def _floor_intervals(intervals: float) -> tuple[int, int]:
+    """(count, unit) of a segment of `intervals` floor intervals (a float):
+    it is cut into a whole number of units, count floor intervals in all,
+    with the unit the largest power of two within intervals/_MIN_SAMPLES (at
+    least 1).  So its ledger can start at a stride of one unit with at least
+    _MIN_SAMPLES samples, or one per floor interval if fewer, and the count
+    is within half a unit, about 3%, of intervals."""
+    unit = 1 << max(0, math.floor(math.log2(intervals / _MIN_SAMPLES)))
+    return unit * max(1, round(intervals / unit)), unit
 
 
 def _run_plan(plan, model, u0, dt, spacing):
@@ -416,40 +396,34 @@ def _run_plan(plan, model, u0, dt, spacing):
     The floor spacing of the samples is the spacing, or dt if that is
     longer: each segment is cut into equal floor intervals of the same
     power-of-two number of steps, the fewest that keep the step within dt,
-    and the number of intervals is a whole multiple of _STRIDE_UNIT.  So at
-    any dt up to the spacing the floor intervals are the same, and only the
-    steps change.  A segment is sampled every stride floor intervals, a
-    power of two: its first use starts at the coarsest stride the engine
-    allows for its fastest step frequency (`engine.SampleMaps`) and
-    `_run_segment` halves it, down to the floor, until its error estimates
-    pass.
+    and the number of intervals is a whole number of units
+    (`_floor_intervals`).  So at any dt up to the spacing the floor
+    intervals are the same, and only the steps change.  A segment is
+    sampled every stride floor intervals, a power of two: each use starts at
+    the unit, and `_run_segment` halves it, down to the floor, until the
+    ledger's jump test passes.
 
     Each segment is propagated in its own local time from 0, and its
     samples enter the books at its start time t0, the sum of the durations
-    before it.  So a segment's sample maps, and its energy observable in the
-    Heisenberg picture with that observable's quadratures (`_observe`),
+    before it.  So a segment's sample maps, with their energy integrals,
     depend on the segment alone.  A segment that recurs in the plan is
-    propagated once, and observed once per stride.  A ramp-down that
-    mirrors an already folded ramp-up (`_mirrors`), the ramp-up played
-    backwards, takes no step: its maps are the ramp-up's reversed
-    (`engine.SampleMaps.reversed`), and every ramp-down that mirrors the
-    same ramp-up shares them and their observation, as uses of one
+    propagated once.  A ramp-down that mirrors an already folded ramp-up
+    (`_mirrors`), the ramp-up played backwards, takes no step: its maps are
+    the ramp-up's reversed (`engine.SampleMaps.reversed`), and every
+    ramp-down that mirrors the same ramp-up shares them, as uses of one
     segment (`_first_maps`).  So each distinct Hamiltonian is folded once,
     and the gate's 12 segment uses fold 3: the ramp-up and the two sweeps.
-    A segment's later uses start at the stride its first use accepted, and
-    refine further if their own estimates ask.  Each use contracts the
-    shared quadratures with the weights of its own start state, and reads
-    its own reference components for the phase ledger and its own final
-    state; its book holds its stride and dynamic phase, and samples the
-    maps only if read.  Nothing outlives the call.
+    Each use contracts the shared energy integrals with the weights of its
+    own start state, and reads its own reference components for the phase
+    ledger and its own final state; its book holds its stride and dynamic
+    phase, and samples the maps only if read.  Nothing outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
     interval = max(spacing, dt)
     block = 2 ** math.ceil(math.log2(interval / dt) - 1e-9)
-    unit = _STRIDE_UNIT * interval
     planar = isinstance(model, engine.SectorField)
-    shared: dict[Segment, tuple[engine.SampleMaps, dict]] = {}
+    shared: dict[Segment, engine.SampleMaps] = {}
     u = np.asarray(u0, dtype=complex).reshape(len(u0), -1)
     ledger = _PhaseLedger(u)
     books: list[_SegmentBook] = []
@@ -459,9 +433,10 @@ def _run_plan(plan, model, u0, dt, spacing):
             u = item @ u
             ledger.after_pulse(u)
             continue
-        n_steps = block * _STRIDE_UNIT * max(1, round(item.duration / unit))
+        intervals, unit = _floor_intervals(item.duration / interval)
+        n_steps = block * intervals
         if item not in shared:
-            shared[item] = _first_maps(shared, item, planar)
+            shared[item] = _first_maps(shared, item, planar, unit)
         try:
             book, u = _run_segment(
                 model, item, t0, n_steps, item.duration / n_steps, u, block,
@@ -474,19 +449,19 @@ def _run_plan(plan, model, u0, dt, spacing):
     return _PlanResult(u, ledger, block, books)
 
 
-def _first_maps(shared, seg: Segment, planar: bool):
-    """The sample maps and observed strides that the first use of seg
-    starts from: for a ramp-down that mirrors a folded ramp-up of shared
-    (`_mirrors`), the ramp-up's reversed run (`engine.SampleMaps.reversed`),
-    one for every ramp-down that mirrors it; else empty ones, which the use
-    folds."""
-    for up, (maps, _) in shared.items():
+def _first_maps(shared, seg: Segment, planar: bool, unit: int) -> engine.SampleMaps:
+    """The sample maps that the first use of seg starts from: for a
+    ramp-down that mirrors a folded ramp-up of shared (`_mirrors`), the
+    ramp-up's reversed run (`engine.SampleMaps.reversed`), one for every
+    ramp-down that mirrors it; else empty ones at a stride of unit floor
+    intervals, which the use folds."""
+    for up, maps in shared.items():
         if _mirrors(up, seg, planar):
             for reversed_run in shared.values():
-                if reversed_run[0].source is maps:
+                if reversed_run.source is maps:
                     return reversed_run
-            return maps.reversed(up.phi[0] if planar else None), {}
-    return engine.SampleMaps(), {}
+            return maps.reversed(up.phi[0] if planar else None)
+    return engine.SampleMaps(unit)
 
 
 def _mirrors(up: Segment, down: Segment, planar: bool) -> bool:
@@ -502,34 +477,6 @@ def _mirrors(up: Segment, down: Segment, planar: bool) -> bool:
     return (up.duration == down.duration and up.omega1 == down.omega1[::-1]
             and up.omega == down.omega[::-1] and a == a_end and b == b_end
             and (turns or not planar))
-
-
-def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of y (n, ...) over x (n,), from 0: bit for
-    bit scipy.integrate.cumulative_trapezoid(y, x, axis=0, initial=0)."""
-    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
-    return np.concatenate([np.zeros((1,) + res.shape[1:]), res])
-
-
-def _simpson(y: np.ndarray, h: float):
-    """Simpson integral of y (n, ...) sampled every h along axis 0: bit for
-    bit scipy.integrate.simpson(y, dx=h, axis=0) of scipy 1.17.  Parabolas
-    over pairs of intervals; for even n, Cartwright's correction for the
-    last interval, or for n = 2 the trapezoid."""
-    n = len(y)
-    if n == 2:
-        return 0.5 * h * (y[-1] + y[-2])
-    stop = n - 2 if n % 2 else n - 3
-    result = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2], axis=0)
-    result *= h / 3.0
-    if n % 2 == 0:
-        g, k = np.asarray([h, h], dtype=np.float64)  # scipy's h[0], h[1]
-        alpha = (2 * k ** 2 + 3 * g * k) / (6 * (k + g))
-        beta = (k ** 2 + 3.0 * g * k) / (6 * g)
-        eta = k ** 3 / (6 * g * (g + k))
-        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return result
 
 
 def _schedule_plan(schedule: PulseSchedule):

@@ -205,17 +205,49 @@ def rk4_propagate_sampled(model, controls, n_steps, dt, u0, steps_per_sample):
     return np.array(ends) * dt, np.array(samples)
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y (n, ...) over x (n,), from 0: bit for
+    bit scipy.integrate.cumulative_trapezoid(y, x, axis=0, initial=0), with
+    the rule written out so that the oracle does not move with scipy."""
+    d = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    res = np.cumsum(d * (y[1:] + y[:-1]) / 2.0, axis=0)
+    return np.concatenate([np.zeros((1,) + res.shape[1:]), res])
+
+
+def simpson(y: np.ndarray, h: float):
+    """Simpson integral of y (n, ...) sampled every h along axis 0: bit for
+    bit scipy.integrate.simpson(y, dx=h, axis=0) of scipy 1.17.  Parabolas
+    over pairs of intervals; for even n, Cartwright's correction for the
+    last interval, or for n = 2 the trapezoid."""
+    n = len(y)
+    if n == 2:
+        return 0.5 * h * (y[-1] + y[-2])
+    stop = n - 2 if n % 2 else n - 3
+    result = np.sum(y[0:stop:2] + 4.0 * y[1:stop + 1:2] + y[2:stop + 2:2], axis=0)
+    result *= h / 3.0
+    if n % 2 == 0:
+        g, k = np.asarray([h, h], dtype=np.float64)  # scipy's h[0], h[1]
+        alpha = (2 * k ** 2 + 3 * g * k) / (6 * (k + g))
+        beta = (k ** 2 + 3.0 * g * k) / (6 * g)
+        eta = k ** 3 / (6 * g * (g + k))
+        result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
+
+
 def plan_afresh(plan, propagate, model, planned, u0=None):
     """Oracle for `sequences._run_plan`: (final, total, dynamic, states) of
     the plan run from the columns u0 (the identity if None) as `_run_plan`
     ran it to planned (its `_PlanResult`), with every segment use
     propagated afresh by propagate (`engine.propagate_sampled` or
-    `rk4_propagate_sampled`) at the step count and stride that use took;
-    states holds the samples (S, d, m) of each use.  model is the dense
+    `rk4_propagate_sampled`) at the steps that use took, sampled at every
+    step, whatever strides the run took; states holds those samples
+    (S, d, m) of each use.  model is the dense
     stack (times, w1, om, ph) -> (n, d, d) at absolute times, in the frame
     of the reports, or an `engine.SectorField` of it; each use propagates
     it at its own start time t0, as model(t0 + tau, ...).  The energies are
-    <psi|H|psi> of that stack, and the ledger reads the states themselves."""
+    <psi|H|psi> of that stack at the samples: their Simpson integral is the
+    dynamic phase, and their running trapezoid the reference of a ledger
+    that reads the states themselves."""
     u = np.eye(len(planned.final), dtype=complex) if u0 is None else np.asarray(u0, dtype=complex)
     u, t0 = u.reshape(len(u), -1), 0.0
     ledger, dynamic = sequences._PhaseLedger(u), np.zeros(u.shape[1])
@@ -226,17 +258,15 @@ def plan_afresh(plan, propagate, model, planned, u0=None):
             u = item @ u
             ledger.after_pulse(u)
             continue
-        book = next(uses)
-        steps = planned.block * book.stride
-        n = steps * (len(book.times) - 1)
+        n = next(uses).steps
         tau, states = propagate(_started_at(model, t0), item.controls_at, n,
-                                item.duration / n, u, steps)
+                                item.duration / n, u, 1)
         times = t0 + tau
         h = model(times, *item.controls_at(tau))
         energies = np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
-        ledger.update(states[:, ledger.ref, cols],
-                      -sequences._cumulative_trapezoid(energies, times), states[-1])
-        dynamic -= sequences._simpson(energies, steps * item.duration / n)
+        ledger.update(states[:, ledger.ref, cols], -cumulative_trapezoid(energies, times),
+                      states[-1])
+        dynamic -= simpson(energies, item.duration / n)
         books.append(states)
         u, t0 = states[-1], t0 + item.duration
     return u, ledger.total, dynamic, books

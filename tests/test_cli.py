@@ -494,6 +494,22 @@ def test_echo_off_the_adiabatic_branch_exits_2(capsys):
     assert err.rstrip().endswith("below 0.999")
 
 
+def test_a_drive_on_b_step_past_the_magnus_bound_exits_2(capsys):
+    # 4x the default dt: the exponent K of a dense step has an eigenvalue of
+    # magnitude 4.15 >= pi, past the convergence bound of the Magnus series,
+    # while its gap (8.9e-4) passes the gap guard
+    code, out, err = run_cli(capsys, "conditional", "--drive-on-b", "--dt", "0.396")
+    assert code == 2
+    assert out == ""
+    assert "eigenvalue of magnitude 4.154 >= pi" in err
+
+
+def test_a_drive_on_b_step_at_twice_the_default_runs(capsys):
+    code, out, _ = run_cli(capsys, "conditional", "--drive-on-b", "--dt", "0.198")
+    assert code == 0
+    assert report_value(out, "off_diagonal_leakage") < 2e-4
+
+
 def test_oversized_step_exits_2(tmp_path, capsys):
     code, out, err = run_cli(
         capsys, "simulate", "--omega0", "50", "--omega1", "1", "--omega", "49.4226",

@@ -24,6 +24,7 @@ from oracles import drive_on_b_hamiltonian, plan_afresh, rk4_propagate_sampled
 
 from berrygate import engine, sequences
 from berrygate.bloch import RabiParams
+from berrygate.phase import circle_distance
 from berrygate.schedules import Segment, build_cone_loop
 from berrygate.schrodinger import StepSizeError, TwoSpinParams
 
@@ -50,9 +51,19 @@ def test_cone_loop_matches_rk4_oracle():
         plan, oracle, sequences._model_1q(p.omega0), planned, sequences._aligned_start(p)
     )
     assert oracle.call_count == 3  # one per segment
-    assert np.max(np.abs(su2.states - np.concatenate(states)[:, :, 0])) < 1e-9
+    _assert_books_agree(planned, states, 1e-9)
     assert abs(su2.decomposition.total - total[0]) < 1e-9
     assert abs(su2.decomposition.dynamic - dynamic[0]) < 1e-9
+
+
+def _assert_books_agree(planned, afresh_states, tol):
+    """Each use's book, whose states are read at its own stride, against
+    the states of `oracles.plan_afresh` at every step, at the same times."""
+    assert len(planned.books) == len(afresh_states)
+    for book, states in zip(planned.books, afresh_states):
+        every = (len(states) - 1) // (len(book.times) - 1)
+        assert book.states.shape == states[::every].shape
+        assert np.max(np.abs(book.states - states[::every])) < tol
 
 
 def _assert_gates_agree(su2, rk4, tol):
@@ -116,10 +127,8 @@ def test_drive_on_b_run_matches_rk4_oracle():
     afresh = plan_afresh(plan, rk4_propagate_sampled, drive_on_b_hamiltonian(p), planned)
     _assert_afresh_agrees(magnus, afresh, 1e-9)
     # each use's book, turned into the frame of the reports: measured 6.3e-10
-    assert len(planned.books) == len(afresh[3]) == 12
-    for book, states in zip(planned.books, afresh[3]):
-        assert book.states.shape == states.shape
-        assert np.max(np.abs(book.states - states)) < 5e-9
+    assert len(planned.books) == 12
+    _assert_books_agree(planned, afresh[3], 5e-9)
 
 
 def _plan_map(plan, model, dt):
@@ -211,6 +220,17 @@ def test_oversized_dense_step_raises():
         _final_map(0.5, _coupled_wobbling_field)
 
 
+def test_a_dense_step_past_the_magnus_bound_raises():
+    # a static H has no commutator and so no gap: only the bound on the
+    # eigenvalues of K = h H refuses h ||H||_2 >= pi (3.08 passes at n = 13
+    # steps over 4 s, 3.33 is refused at n = 12)
+    static = np.diag([10.0, -10.0, 3.0, -3.0])
+    stack = lambda times: np.broadcast_to(static, (len(times), 4, 4))
+    _final_map(0.3, stack)
+    with pytest.raises(StepSizeError, match=r"eigenvalue of magnitude 3.333 >= pi"):
+        _final_map(0.32, stack)
+
+
 @pytest.mark.parametrize("propagate", [engine.propagate_sampled, rk4_propagate_sampled])
 @pytest.mark.parametrize("n_steps, steps_per_sample", [(5, 2), (64, 128), (96, 64)])
 def test_a_partial_sample_block_raises(propagate, n_steps, steps_per_sample):
@@ -286,19 +306,36 @@ def test_the_gate_propagates_each_distinct_segment_once(drive_on_b, steps):
             assert propagate.call_count == 3
 
 
-# A segment's energies are a quadratic form in its start state, so its uses
-# share one observable in the Heisenberg picture, U^dagger H U, and each use
-# only contracts it with the weights of its start state; the ledger reads
-# one row of each map.  Random unit start columns, which span
-# both sectors, against <psi|H|psi> of the states that `engine.samples_at`
-# gives, in the frame of the reports (the oracle's Hamiltonian for the phi
-# frame).
+# A segment's energy integrals are a quadratic form in its start state, so
+# its uses share one integral in the Heisenberg picture, the integral of
+# U^dagger H U that the engine carries with its maps, and each use only
+# contracts it with the weights of its start state; the ledger reads one row
+# of each map.  Random unit start columns, which span both sectors, against
+# the running sum of <psi|G|psi> over the steps, each step's energy integral
+# G on the state before it, in the frame the engine runs in (H' + dPhi/dt
+# for the phi frame, whose energy in the frame of the reports the oracle
+# runs above check).
 
 FRAMES = {
     "one spin": (lambda p: sequences._model_1q(p.drive.omega0), 2),
     "two sectors": (lambda p: sequences._model_2q(p, False), 4),
     "phi frame": (sequences._PhiFrame, 4),
 }
+
+
+def _step_matrices(model, steps, d):
+    """The unitaries (n, d, d) and energy integrals (n, d, d) of the engine's
+    steps, as matrices."""
+    if not isinstance(model, engine.SectorField):
+        return steps[:, :d], steps[:, d:]
+    u = np.zeros((len(steps), d, d), dtype=complex)
+    g = np.zeros((len(steps), d, d), dtype=complex)
+    for s, (i, j) in enumerate(model.rows):
+        a, b, xi, zeta = (steps[:, s, k] for k in range(4))
+        u[:, i, i], u[:, i, j], u[:, j, i], u[:, j, j] = a, -b.conj(), b, a.conj()
+        g[:, i, i], g[:, i, j], g[:, j, i], g[:, j, j] = (
+            0.5 * zeta, 0.5 * xi.conj(), 0.5 * xi, -0.5 * zeta)
+    return u, g
 
 
 @settings(max_examples=30, deadline=None)
@@ -319,9 +356,17 @@ def test_a_use_reads_its_segment_in_the_heisenberg_picture(frame, use, columns, 
     u /= np.linalg.norm(u, axis=0)
     ref, cols = rng.integers(0, d, size=columns), np.arange(columns)
     propagator, controls, start, to_report = sequences._segment_frame(model, seg, t0, u)
+    n, dt = 1024, seg.duration / 1024
     maps = engine.SampleMaps()
-    engine.propagate_sampled(propagator, controls, 1024, seg.duration / 1024, start, 4, maps)
+    engine.propagate_sampled(propagator, controls, n, dt, start, 4, maps)
     weights = engine.energy_weights(propagator, start)
+    # the running sum over the steps, one at a time
+    steps, gaps = _step_matrices(propagator, engine._chunk_products(
+        propagator, controls, 0.0, n, dt, 1)[0], d)
+    psi, running = start, np.zeros((n + 1, columns))
+    for k in range(n):
+        running[k + 1] = running[k] + np.einsum("dm,dm->m", psi.conj(), gaps[k] @ psi).real
+        psi = steps[k] @ psi
     stride = maps.stride
     while stride:
         tau, states = engine.samples_at(propagator, maps, start, stride)
@@ -332,36 +377,115 @@ def test_a_use_reads_its_segment_in_the_heisenberg_picture(frame, use, columns, 
             states *= phases[:, :, None]
             comp *= phases[:, ref]
         assert np.array_equal(comp, states[:, ref, cols])
-        if to_report is None:
-            h = model(tau, *seg.controls_at(tau))
-        else:
-            h = drive_on_b_hamiltonian(p)(t0 + tau, *seg.controls_at(tau))
-        energies = np.einsum("sdm,sdm->sm", states.conj(), h @ states).real
-        observable = sequences._observe(model, seg, propagator, maps, stride)[1]
-        assert np.max(np.abs(observable @ weights - energies)) <= 1e-12 * np.abs(h).max()
+        integrals = engine.energy_integrals(maps, stride) @ weights
+        expected = running[:: 4 * stride]
+        assert np.max(np.abs(integrals - expected)) <= 1e-12 * np.abs(expected).max()
         stride //= 2
 
 
+# The energy integral of one Magnus-4 step, G = i S^dagger dS/dlambda with H
+# scaled to (1 + lambda) H, or perturbed to H' + lambda (H' + dPhi/dt) in the
+# phi frame, against a central finite difference in lambda of the steps
+# themselves.  Measured at a difference step of 1e-5: 8.8e-12 (sectors),
+# 1.0e-10 (dense) and 1.4e-10 (phi frame), on integrals of up to 0.95, where
+# the difference's own rounding and truncation are about 1e-10.
+
+
+def _random_steps(frame, rng, n=64, h=0.3):
+    """The steps at h of random fields or Hamiltonians at their two Gauss
+    nodes, with their energy integrals as matrices, and the same steps'
+    unitaries at a perturbation lam, as a function of lam."""
+    if frame == "sectors":
+        model = engine.SectorField(None, sequences.ROWS_2Q, 4)
+        v1 = rng.normal(size=(3, n, 2))
+        v2 = v1 + 0.3 * rng.normal(size=(3, n, 2))
+        return (_step_matrices(model, engine.magnus4_steps(v1, v2, h)[0], 4),
+                lambda lam: _step_matrices(
+                    model, engine.magnus4_steps((1 + lam) * v1, (1 + lam) * v2, h)[0], 4)[0])
+    h1, h2 = (rng.normal(size=(n, 4, 4)) for _ in range(2))
+    if frame == "dense":
+        h1, h2 = h1 + 1j * rng.normal(size=(n, 4, 4)), h2 + 1j * rng.normal(size=(n, 4, 4))
+    h1, h2 = (0.5 * (x + x.conj().swapaxes(-1, -2)) for x in (h1, h2))
+    rates = None
+    v1, v2 = h1, h2
+    if frame == "phi frame":  # real H', perturbed by H' + diag(rate)
+        rates = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+        v1, v2 = (x + r[:, :, None] * np.eye(4) for x, r in zip((h1, h2), rates))
+    steps = engine.magnus4_dense_steps(h1, h2, h, rates)[0]
+    return ((steps[:, :4], steps[:, 4:]),
+            lambda lam: engine.magnus4_dense_steps(h1 + lam * v1, h2 + lam * v2, h)[0][:, :4])
+
+
+@pytest.mark.parametrize("frame", ["sectors", "dense", "phi frame"])
+def test_a_step_energy_integral_is_its_lambda_derivative(frame):
+    (steps, gaps), perturbed = _random_steps(frame, np.random.default_rng(7))
+    eps = 1e-5
+    derivative = (perturbed(eps) - perturbed(-eps)) / (2.0 * eps)
+    by_difference = 1j * steps.conj().swapaxes(-1, -2) @ derivative
+    assert np.max(np.abs(by_difference - gaps)) < 1e-9
+
+
+def _final_energies(dt, model, span=4.0):
+    """The energy integral of each basis state over a run of the field
+    model at step dt, read off the engine's maps."""
+    n = int(round(span / dt))
+    maps = engine.SampleMaps()
+    engine.propagate_sampled(model, lambda times: (), n, span / n, np.eye(4, dtype=complex), 1,
+                             maps)
+    return engine.energy_integrals(maps, maps.stride)[-1] @ engine.energy_weights(
+        model, np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize("model", [
+    engine.SectorField(_wobbling_field, sequences.ROWS_2Q, 4), _coupled_wobbling_field,
+], ids=["sectors", "dense"])
+def test_the_dynamic_phase_error_falls_as_h4(model):
+    # measured ratios 16.0 (sectors) and 16.0 (dense)
+    exact = _final_energies(0.04 / 32, model)
+    errs = [np.max(np.abs(_final_energies(dt, model) - exact)) for dt in (0.04, 0.02)]
+    assert 12.0 <= errs[0] / errs[1] <= 20.0, errs
+
+
 def test_shared_segments_give_the_gate_of_fresh_ones():
-    # measured: 0 (gate), 2.3e-13 (total phases) and 6.1e-13 (dynamic
-    # phases, the net of segment terms of up to 517 rad)
+    # each use folded afresh from its own start, with its dynamic phase read
+    # off the energy integrals of its own fresh maps; measured: 2.3e-15
+    # (gate), 0 (total phases) and 4.5e-13 (dynamic phases, the net of
+    # segment terms of up to 517 rad)
     p = two_spin_params(2.0, 1.2)
     ramp, sweep, _ = sequences.default_times_2q(p)
     plan = sequences._conditional_plan(p, ramp, sweep, 0.0)
     res, planned = _planned(p)
-    afresh = plan_afresh(plan, engine.propagate_sampled, sequences._model_2q(p, False), planned)
-    _assert_afresh_agrees(res, afresh, 1e-12)
+    model = sequences._model_2q(p, False)
+    gate, total, _, states = plan_afresh(plan, engine.propagate_sampled, model, planned)
+    dynamic = np.zeros(4)
+    segments = [item for kind, item in plan if kind == "seg"]
+    for seg, book, start in zip(segments, planned.books, (use[0] for use in states)):
+        maps = engine.SampleMaps()
+        engine.propagate_sampled(model, seg.controls_at, book.steps, seg.duration / book.steps,
+                                 start, 1, maps)
+        dynamic -= (engine.energy_integrals(maps, maps.stride)[-1]
+                    @ engine.energy_weights(model, start))
+    _assert_afresh_agrees(res, (gate, total, dynamic, states), 1e-12)
 
 
-# Each segment is sampled at the coarsest stride whose error estimates pass,
-# from a start within the Nyquist cap of its fastest step frequency.
+# Each segment use is sampled at the coarsest stride whose ledger jumps pass,
+# from one sample per unit of its floor intervals (`sequences._floor_intervals`);
+# its states are read, if at all, at the stride within the Nyquist cap of its
+# fastest step frequency.
 
 
-def test_the_default_spot_gate_accepts_stride_4_on_every_use():
-    # |Omega'|max times the floor spacing is SAMPLE_RESOLUTION = 0.32, so the
-    # cap is 4 floor intervals; the ledger's margins there
+def _samples(planned):
+    """The samples that the ledger kept, over all segment uses."""
+    return sum(book.steps // planned.block // book.stride + 1 for book in planned.books)
+
+
+def test_the_default_spot_gate_samples_each_use_coarsely():
+    # the ramps are 2048 floor intervals in units of 64, the sweeps 3200 in
+    # units of 128, and each use accepts its first stride: 368 samples, and
+    # the ledger's margins there
     _, planned = _planned(two_spin_params(2.0, 1.2))
-    assert _strides(planned) == [4] * 12
+    assert _strides(planned) == [64, 128, 64] * 4
+    assert _samples(planned) == 368
     ledger = planned.ledger
     assert ledger.max_jump < math.pi / 16
     assert ledger.min_magnitude >= 0.9
@@ -370,30 +494,44 @@ def test_the_default_spot_gate_accepts_stride_4_on_every_use():
 
 def test_drive_on_b_is_sampled_at_the_floor():
     # spin b turns at |omega - omega_b| = 18 rad/s in the phi frame, 2.5 rad
-    # per floor interval: over the cap at any stride above 1
+    # per floor interval: over the cap at any stride above 1, so the states
+    # are read at the floor; the ledger, whose reference is the exact dynamic
+    # phase, takes one sample per unit of 64 floor intervals
     _, planned = _planned(two_spin_params(2.0, 1.2), drive_on_b=True)
-    assert _strides(planned) == [1] * 12
+    assert _strides(planned) == [64] * 12
+    for book in planned.books:
+        assert len(book.times) - 1 == book.steps // planned.block
 
 
-def test_a_near_equator_cone_refines_its_ramps_to_the_floor():
+def test_a_near_equator_cone_refines_every_segment():
+    # near the equator the reference component wobbles at the Rabi
+    # frequency, well off the adiabatic branch: from units of 16 floor
+    # intervals the ramps refine to 2 and the sweep to the floor, and each
+    # book reads its states at that stride, finer than the read stride of 4
     p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(1.45), 0.0)
     ramp, sweep, dt = sequences.default_times_1q(p)
     plan = sequences._schedule_plan(sequences.build_cone_loop(p, ramp, sweep))
     spacing = sequences._sample_spacing(sequences._rabi_1q(p), dt)
     planned = sequences._run_plan(plan, sequences._model_1q(p.omega0),
                                   sequences._aligned_start(p), dt, spacing)
-    assert planned.books[0].stride == planned.books[2].stride == 1
+    assert _strides(planned) == [2, 1, 2]
+    for book in planned.books:
+        assert len(book.times) - 1 == book.steps // planned.block // book.stride
+    # so the holonomy keeps to the decomposition: measured 8.4e-3, and 1.33
+    # rad with the states read at the read stride
+    r = sequences.run_cone_loop(p)
+    assert circle_distance(r.geometric_holonomy, r.decomposition.geometric) < 0.02
 
 
 @pytest.mark.parametrize("detuning, amplitude", [(2.0, 1.2), (1.5, 1.7), (2.7, 0.9)])
 def test_the_sampled_gate_is_the_floor_sampled_gate(detuning, amplitude):
-    # with the Nyquist cap at zero every segment is sampled at the floor
-    # spacing; the steps are the same, so only the quadrature of the
-    # dynamic phases moves (measured: 0 (gate), up to 1.7e-13 (total
-    # phases) and 3.1e-10 (dynamic phases))
+    # with no jump accepted every segment use is sampled at the floor
+    # spacing; the steps are the same, and the dynamic phases are read off
+    # the same energy integrals, so only rounding moves (measured: up to
+    # 4.4e-15 (gate), 0 (total phases) and 4.5e-13 (dynamic phases))
     p = two_spin_params(detuning, amplitude)
     sampled = sequences.run_conditional_sequence(p)
-    with mock.patch.object(engine, "MAX_SAMPLE_ANGLE", 0.0):
+    with mock.patch.object(sequences, "MAX_SAMPLE_JUMP", 0.0):
         floor = sequences.run_conditional_sequence(p)
     assert np.max(np.abs(sampled.gate - floor.gate)) < 1e-10
     assert np.max(np.abs(sampled.total_phases - floor.total_phases)) < 1e-10
@@ -401,11 +539,11 @@ def test_the_sampled_gate_is_the_floor_sampled_gate(detuning, amplitude):
 
 
 def test_a_later_use_refines_the_shared_maps_further():
-    # the echo's two loops share their ramp-up: its first use accepts
-    # stride 2, and its second, on the flipped columns, refines to 1 from
-    # the shared maps; the two ramp-downs take the ramp-up's maps reversed,
-    # so the 6 segment uses take the steps of 3
-    p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0)
+    # the echo's two loops share their ramp-up: near the equator its first
+    # use accepts stride 2, and its second, on the flipped columns, refines
+    # to 1 from the shared maps; the two ramp-downs take the ramp-up's maps
+    # reversed, so the 6 segment uses take the steps of 3
+    p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(1.45), 0.0)
     ramp, sweep, dt = sequences.default_times_1q(p)
     model = sequences._model_1q(p.omega0)
     pulse = [("pulse", sequences._pi_pulse(model, p.omega, "single", 0.0))]
@@ -419,14 +557,16 @@ def test_a_later_use_refines_the_shared_maps_further():
             mock.patch.object(engine, "propagate_sampled", propagate):
         planned = sequences._run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
     assert steps.call_count == propagate.call_count == 3
-    assert _strides(planned) == [2, 4, 2, 1, 2, 1]
-    # the later use of the ramp-up keeps no states: its book samples the
-    # shared maps at its own stride, from its own start, when first read
+    assert _strides(planned) == [2, 1, 2, 1, 1, 1]
+    # no use keeps states: the later use's book samples the shared maps at
+    # its own accepted stride, finer than their read stride, from its own
+    # start, when first read
     ramp_maps = propagate.call_args_list[0].args[6]
     start = plan[3][1] @ planned.books[2].states[-1]
+    assert ramp_maps.read_stride > 1
     assert np.array_equal(planned.books[3].states,
                           engine.samples_at(model, ramp_maps, start, 1)[1])
-    with mock.patch.object(engine, "MAX_SAMPLE_ANGLE", 0.0):
+    with mock.patch.object(sequences, "MAX_SAMPLE_JUMP", 0.0):
         floor = sequences._run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
     assert _strides(floor) == [1] * 6
     # measured: 0 (final state and total phases) and 5.4e-10 (dynamic)
@@ -440,7 +580,8 @@ def test_a_later_use_refines_the_shared_maps_further():
 def test_book_times_are_the_start_time_plus_the_local_grid(run):
     # each segment runs in local time from 0, and its samples enter the
     # books at its start time t0, the sum of the durations before it, on
-    # the grid of its accepted stride, bit for bit; refined segments included
+    # the grid its states are read at, bit for bit, whatever stride its
+    # ledger accepted
     _, plans = _plan_runs(run, RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0))
     strides = [stride for _, planned in plans for stride in _strides(planned)]
     assert min(strides) < max(strides)
@@ -449,9 +590,9 @@ def test_book_times_are_the_start_time_plus_the_local_grid(run):
         assert len(planned.books) == len(segments)
         t0 = 0.0
         for seg, book in zip(segments, planned.books):
-            n, stride = len(book.times), book.stride
-            dt_seg = seg.duration / (planned.block * stride * (n - 1))
-            assert np.array_equal(book.times, t0 + np.arange(n) * (stride * planned.block) * dt_seg)
+            n, dt_seg = len(book.times), seg.duration / book.steps
+            read = book.steps // planned.block // (n - 1)
+            assert np.array_equal(book.times, t0 + np.arange(n) * (read * planned.block) * dt_seg)
             t0 += seg.duration
 
 
@@ -609,7 +750,14 @@ def test_a_ramp_down_is_its_ramp_up_reversed(frame, amplitude, detuning, phase, 
     folded = _folded_ramp(model, controls(down), down, dim)
     assert reversed_run.stride == folded.stride
     for stride in (folded.stride, 1):
-        assert np.max(np.abs(reversed_run.at(stride) - folded.at(stride))) < bound
+        rev, fold = reversed_run.at(stride), folded.at(stride)
+        unitaries = (slice(None), Ellipsis, slice(2)) if planar else (slice(None), slice(dim))
+        assert np.max(np.abs(rev[unitaries] - fold[unitaries])) < bound
+        # with the energy integrals carried with them, to the rounding of
+        # integrals of up to 52 rad
+        integrals = engine.energy_integrals(folded, stride)
+        assert (np.max(np.abs(engine.energy_integrals(reversed_run, stride) - integrals))
+                <= 1e-12 * np.abs(integrals).max())
 
 
 def _plan_folds(p, plan):
@@ -640,6 +788,5 @@ def test_only_a_ramp_down_that_mirrors_a_folded_ramp_up_is_reversed():
     half_turn = replace(down, phi=(down.phi[0] + math.pi,) * 2)
     for other in (replace(down, duration=1.5 * down.duration),
                   replace(down, omega1=(0.9, 0.0)), half_turn):
-        maps, observed = sequences._first_maps({up: (folded_up, {})}, other, True)
-        assert not maps.filled and observed == {}
+        assert not sequences._first_maps({up: folded_up}, other, True, 16).filled
     assert sequences._mirrors(up, half_turn, False)

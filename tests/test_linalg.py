@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berrygate.engine import _su2_mul
+from berrygate.engine import _dense_carry, _scan, _su2_carry
 from berrygate.linalg import (
     KET_UP,
     expm_hermitian,
@@ -126,18 +126,42 @@ def _unitary_stack(rng, n, dim, dtype):
 
 
 def _su2_pairs(rng, n):
+    """The engine's Cayley-Klein pairs of three sectors, each with an
+    energy integral (g_x + i g_y, g_z) small enough that the long sums stay
+    of order one."""
     pairs = rng.normal(size=(n, 3, 2)) + 1j * rng.normal(size=(n, 3, 2))
-    return pairs / np.linalg.norm(pairs, axis=-1, keepdims=True)
+    g = 1e-3 * rng.normal(size=(n, 3, 3))
+    return np.concatenate(
+        [pairs / np.linalg.norm(pairs, axis=-1, keepdims=True),
+         (g[..., :2] @ [1.0, 1j])[..., None], g[..., 2:] + 0j], axis=-1)
+
+
+def _dense_maps(rng, n):
+    """Unitaries above small Hermitian energy integrals, as the engine's
+    dense maps hold them."""
+    g = 1e-3 * (rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+    return np.concatenate([_unitary_stack(rng, n, 4, complex), g + g.conj().swapaxes(-1, -2)],
+                          axis=1)
 
 
 # (operands, product): real rotations, complex unitaries, and the engine's
-# Cayley-Klein pairs of three sectors, all of norm one so that long products
-# stay of order one.
+# maps with their energy integrals (`engine._su2_carry`, three sectors, and
+# `engine._dense_carry`), all of norm one so that long products stay of
+# order one.
 SCAN_OPERANDS = {
     "real-3x3": (lambda rng, n: _unitary_stack(rng, n, 3, float), np.matmul),
     "complex-4x4": (lambda rng, n: _unitary_stack(rng, n, 4, complex), np.matmul),
-    "su2-pairs": (_su2_pairs, _su2_mul),
+    "su2-pairs": (_su2_pairs, _su2_carry),
+    "dense-carried": (_dense_maps, _dense_carry),
 }
+
+
+def _left_fold(x, mul):
+    ref = np.empty_like(x)
+    ref[0] = x[0]
+    for k in range(1, len(x)):
+        ref[k] = mul(x[k], ref[k - 1])
+    return ref
 
 
 @pytest.mark.parametrize("kind", SCAN_OPERANDS)
@@ -145,13 +169,20 @@ SCAN_OPERANDS = {
 def test_prefix_products_match_a_sequential_left_fold(kind, n):
     make, mul = SCAN_OPERANDS[kind]
     x = make(np.random.default_rng(n), n)
-    ref = np.empty_like(x)
-    ref[0] = x[0]
-    for k in range(1, n):
-        ref[k] = mul(x[k], ref[k - 1])
     out = prefix_products(x, mul)
     assert out.shape == x.shape and out.dtype == x.dtype
-    assert np.max(np.abs(out - ref)) < 1e-13
+    assert np.max(np.abs(out - _left_fold(x, mul))) < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["su2-pairs", "dense-carried"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 31, 32])
+def test_the_engine_scan_matches_a_sequential_left_fold(kind, n):
+    # the short scan that starts a run's samples (`engine.SampleMaps.at`)
+    make, mul = SCAN_OPERANDS[kind]
+    x = make(np.random.default_rng(n), n)
+    out = _scan(x, mul)
+    assert out.shape == x.shape and out.dtype == x.dtype
+    assert np.max(np.abs(out - _left_fold(x, mul))) < 1e-13
 
 
 def _textbook_rk4_maps(a):
