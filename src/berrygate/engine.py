@@ -113,10 +113,6 @@ MAGNUS_GAP_LIMIT = 1e-3
 # half the Nyquist limit, so that no oscillation of the samples can alias.
 MAX_SAMPLE_ANGLE = 0.5 * math.pi
 _CHUNK_STEPS = 16384
-# The longest level that `SampleMaps.at` scans in the fewest calls (`_scan`),
-# as a segment's first samples are; a longer one takes the work-efficient
-# scan (`linalg.prefix_products`).
-_SCAN_ENTRIES = 32
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * math.sqrt(3.0) / 6.0
 _MAGNUS_COMMUTATOR = math.sqrt(3.0) / 12.0
 
@@ -322,18 +318,6 @@ def _dense_carry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scan(x: np.ndarray, mul) -> np.ndarray:
-    """Running products x[k] ... x[0] along axis 0 under the product mul,
-    in log2 n products of up to n entries each (Hillis & Steele), the
-    fewest numpy calls for the short levels it runs on (`SampleMaps.at`)."""
-    out = x.copy(order="K")
-    shift = 1
-    while shift < len(out):
-        out[shift:] = mul(out[shift:], out[:-shift])
-        shift *= 2
-    return out
-
-
 def _check_spread(model, controls, t_chunk: float, nc: int, dt: float) -> None:
     """Oracle step guard: reject dt if dt times the spectral spread of H,
     at every 16th node of the half-step grid of nc RK4 steps from t_chunk,
@@ -518,8 +502,7 @@ class SampleMaps:
                     level = self.levels[-1]
                     self.levels.append(self._mul(level[1::2], level[0::2]))
                 level = self.levels[k]
-                scan = _scan if len(level) <= _SCAN_ENTRIES else prefix_products
-                maps = self._unit(scan(level, self._mul))
+                maps = self._unit(prefix_products(level, self._mul))
                 # midpoints take only the levels below: free the rest
                 self.levels[k:] = [None] * (len(self.levels) - k)
             else:

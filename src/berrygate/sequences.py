@@ -202,7 +202,6 @@ class _SegmentBook:
     times: np.ndarray  # (S,) of the states
     kind: str
     stride: int  # accepted by the ledger, in floor spacings
-    steps: int  # taken or applied by the use
     dynamic: np.ndarray  # (m,) dynamic phase
     sample: Callable[[], np.ndarray]  # the states, taken when first read
 
@@ -372,7 +371,7 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
             states *= to_report(tau)[:, :, None]
         return states
 
-    return _SegmentBook(t0 + tau, seg.kind, stride, n_steps, reference[-1], sample), last
+    return _SegmentBook(t0 + tau, seg.kind, stride, reference[-1], sample), last
 
 
 def _floor_intervals(intervals: float) -> tuple[int, int]:

@@ -234,13 +234,23 @@ def simpson(y: np.ndarray, h: float):
     return result
 
 
-def plan_afresh(plan, propagate, model, planned, u0=None):
+def use_steps(plan, planned, interval):
+    """The steps of each segment use of plan, as `sequences._run_plan` took
+    them for planned (its `_PlanResult`) at the floor spacing interval,
+    max(spacing, dt): planned.block steps for each of the use's floor
+    intervals (`sequences._floor_intervals`)."""
+    return [planned.block * sequences._floor_intervals(item.duration / interval)[0]
+            for kind, item in plan if kind == "seg"]
+
+
+def plan_afresh(plan, propagate, model, planned, interval, u0=None):
     """Oracle for `sequences._run_plan`: (final, total, dynamic, states) of
     the plan run from the columns u0 (the identity if None) as `_run_plan`
-    ran it to planned (its `_PlanResult`), with every segment use
-    propagated afresh by propagate (`engine.propagate_sampled` or
-    `rk4_propagate_sampled`) at the steps that use took, sampled at every
-    step, whatever strides the run took; states holds those samples
+    ran it to planned (its `_PlanResult`) at the floor spacing interval,
+    with every segment use propagated afresh by propagate
+    (`engine.propagate_sampled` or `rk4_propagate_sampled`) at the steps
+    that use took (`use_steps`), sampled at every step, whatever strides
+    the run took; states holds those samples
     (S, d, m) of each use.  model is the dense
     stack (times, w1, om, ph) -> (n, d, d) at absolute times, in the frame
     of the reports, or an `engine.SectorField` of it; each use propagates
@@ -252,13 +262,13 @@ def plan_afresh(plan, propagate, model, planned, u0=None):
     u, t0 = u.reshape(len(u), -1), 0.0
     ledger, dynamic = sequences._PhaseLedger(u), np.zeros(u.shape[1])
     cols, books = np.arange(u.shape[1]), []
-    uses = iter(planned.books)
+    uses = iter(use_steps(plan, planned, interval))
     for kind, item in plan:
         if kind == "pulse":
             u = item @ u
             ledger.after_pulse(u)
             continue
-        n = next(uses).steps
+        n = next(uses)
         tau, states = propagate(_started_at(model, t0), item.controls_at, n,
                                 item.duration / n, u, 1)
         times = t0 + tau

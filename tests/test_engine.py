@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import drive_on_b_hamiltonian, plan_afresh, rk4_propagate_sampled
+from oracles import drive_on_b_hamiltonian, plan_afresh, rk4_propagate_sampled, use_steps
 
 from berrygate import engine, sequences
 from berrygate.bloch import RabiParams
@@ -45,10 +45,11 @@ def rk4_oracle():
 
 def test_cone_loop_matches_rk4_oracle():
     p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0)
-    su2, [(plan, planned)] = _plan_runs(sequences.run_cone_loop, p, **SHORT)
+    su2, [(plan, planned, interval)] = _plan_runs(sequences.run_cone_loop, p, **SHORT)
     oracle = rk4_oracle()
     _, total, dynamic, states = plan_afresh(
-        plan, oracle, sequences._model_1q(p.omega0), planned, sequences._aligned_start(p)
+        plan, oracle, sequences._model_1q(p.omega0), planned, interval,
+        sequences._aligned_start(p),
     )
     assert oracle.call_count == 3  # one per segment
     _assert_books_agree(planned, states, 1e-9)
@@ -84,20 +85,21 @@ def _assert_afresh_agrees(res, afresh, tol):
 def test_conditional_run_matches_rk4_oracle():
     p = two_spin_params(2.0, 1.2)
     plan = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], 0.0)
-    su2, planned = _planned(p, **SHORT)
+    su2, planned, interval = _planned(p, **SHORT)
     oracle = rk4_oracle()
-    afresh = plan_afresh(plan, oracle, sequences._model_2q(p, False), planned)
+    afresh = plan_afresh(plan, oracle, sequences._model_2q(p, False), planned, interval)
     assert oracle.call_count == 12  # one per segment use: 4 loops of 3
     _assert_afresh_agrees(su2, afresh, 1e-9)
 
 
 def _plan_runs(run, *args, **kwargs):
-    """The result of run(*args, **kwargs) and the (plan, `_PlanResult`) of
-    each `sequences._run_plan` call it made."""
+    """The result of run(*args, **kwargs) and the (plan, `_PlanResult`,
+    floor spacing max(spacing, dt)) of each `sequences._run_plan` call it
+    made."""
     calls = []
 
-    def spy(plan, *rest):
-        calls.append((plan, run_plan(plan, *rest)))
+    def spy(plan, model, u0, dt, spacing):
+        calls.append((plan, run_plan(plan, model, u0, dt, spacing), max(spacing, dt)))
         return calls[-1][1]
 
     run_plan = sequences._run_plan
@@ -112,9 +114,10 @@ def _strides(planned):
 
 
 def _planned(p, **kwargs):
-    """The conditional gate at p and the `_PlanResult` of its plan."""
-    res, calls = _plan_runs(sequences.run_conditional_sequence, p, **kwargs)
-    return res, calls[0][1]
+    """The conditional gate at p, and the `_PlanResult` and floor spacing
+    of its plan."""
+    res, [(_, planned, interval)] = _plan_runs(sequences.run_conditional_sequence, p, **kwargs)
+    return res, planned, interval
 
 
 def test_drive_on_b_run_matches_rk4_oracle():
@@ -123,8 +126,9 @@ def test_drive_on_b_run_matches_rk4_oracle():
     # 2.1e-10 (dynamic phases), so the bound leaves a margin of about 5
     p = two_spin_params(2.0, 1.2)
     plan = sequences._conditional_plan(p, SHORT["ramp_time"], SHORT["sweep_time"], 0.0)
-    magnus, planned = _planned(p, drive_on_b=True, **SHORT)
-    afresh = plan_afresh(plan, rk4_propagate_sampled, drive_on_b_hamiltonian(p), planned)
+    magnus, planned, interval = _planned(p, drive_on_b=True, **SHORT)
+    afresh = plan_afresh(plan, rk4_propagate_sampled, drive_on_b_hamiltonian(p), planned,
+                         interval)
     _assert_afresh_agrees(magnus, afresh, 1e-9)
     # each use's book, turned into the frame of the reports: measured 6.3e-10
     assert len(planned.books) == 12
@@ -454,15 +458,16 @@ def test_shared_segments_give_the_gate_of_fresh_ones():
     p = two_spin_params(2.0, 1.2)
     ramp, sweep, _ = sequences.default_times_2q(p)
     plan = sequences._conditional_plan(p, ramp, sweep, 0.0)
-    res, planned = _planned(p)
+    res, planned, interval = _planned(p)
     model = sequences._model_2q(p, False)
-    gate, total, _, states = plan_afresh(plan, engine.propagate_sampled, model, planned)
+    gate, total, _, states = plan_afresh(plan, engine.propagate_sampled, model, planned,
+                                         interval)
     dynamic = np.zeros(4)
     segments = [item for kind, item in plan if kind == "seg"]
-    for seg, book, start in zip(segments, planned.books, (use[0] for use in states)):
+    for seg, n, start in zip(segments, use_steps(plan, planned, interval),
+                             (use[0] for use in states)):
         maps = engine.SampleMaps()
-        engine.propagate_sampled(model, seg.controls_at, book.steps, seg.duration / book.steps,
-                                 start, 1, maps)
+        engine.propagate_sampled(model, seg.controls_at, n, seg.duration / n, start, 1, maps)
         dynamic -= (engine.energy_integrals(maps, maps.stride)[-1]
                     @ engine.energy_weights(model, start))
     _assert_afresh_agrees(res, (gate, total, dynamic, states), 1e-12)
@@ -474,18 +479,21 @@ def test_shared_segments_give_the_gate_of_fresh_ones():
 # fastest step frequency.
 
 
-def _samples(planned):
+def _samples(plan, planned, interval):
     """The samples that the ledger kept, over all segment uses."""
-    return sum(book.steps // planned.block // book.stride + 1 for book in planned.books)
+    return sum(n // planned.block // book.stride + 1
+               for n, book in zip(use_steps(plan, planned, interval), planned.books))
 
 
 def test_the_default_spot_gate_samples_each_use_coarsely():
     # the ramps are 2048 floor intervals in units of 64, the sweeps 3200 in
     # units of 128, and each use accepts its first stride: 368 samples, and
     # the ledger's margins there
-    _, planned = _planned(two_spin_params(2.0, 1.2))
+    p = two_spin_params(2.0, 1.2)
+    _, planned, interval = _planned(p)
+    plan = sequences._conditional_plan(p, *sequences.default_times_2q(p)[:2], 0.0)
     assert _strides(planned) == [64, 128, 64] * 4
-    assert _samples(planned) == 368
+    assert _samples(plan, planned, interval) == 368
     ledger = planned.ledger
     assert ledger.max_jump < math.pi / 16
     assert ledger.min_magnitude >= 0.9
@@ -497,10 +505,12 @@ def test_drive_on_b_is_sampled_at_the_floor():
     # per floor interval: over the cap at any stride above 1, so the states
     # are read at the floor; the ledger, whose reference is the exact dynamic
     # phase, takes one sample per unit of 64 floor intervals
-    _, planned = _planned(two_spin_params(2.0, 1.2), drive_on_b=True)
+    p = two_spin_params(2.0, 1.2)
+    _, planned, interval = _planned(p, drive_on_b=True)
+    plan = sequences._conditional_plan(p, *sequences.default_times_2q(p)[:2], 0.0)
     assert _strides(planned) == [64] * 12
-    for book in planned.books:
-        assert len(book.times) - 1 == book.steps // planned.block
+    for n, book in zip(use_steps(plan, planned, interval), planned.books):
+        assert len(book.times) - 1 == n // planned.block
 
 
 def test_a_near_equator_cone_refines_every_segment():
@@ -515,8 +525,8 @@ def test_a_near_equator_cone_refines_every_segment():
     planned = sequences._run_plan(plan, sequences._model_1q(p.omega0),
                                   sequences._aligned_start(p), dt, spacing)
     assert _strides(planned) == [2, 1, 2]
-    for book in planned.books:
-        assert len(book.times) - 1 == book.steps // planned.block // book.stride
+    for n, book in zip(use_steps(plan, planned, max(spacing, dt)), planned.books):
+        assert len(book.times) - 1 == n // planned.block // book.stride
     # so the holonomy keeps to the decomposition: measured 8.4e-3, and 1.33
     # rad with the states read at the read stride
     r = sequences.run_cone_loop(p)
@@ -533,6 +543,22 @@ def test_the_sampled_gate_is_the_floor_sampled_gate(detuning, amplitude):
     sampled = sequences.run_conditional_sequence(p)
     with mock.patch.object(sequences, "MAX_SAMPLE_JUMP", 0.0):
         floor = sequences.run_conditional_sequence(p)
+    assert np.max(np.abs(sampled.gate - floor.gate)) < 1e-10
+    assert np.max(np.abs(sampled.total_phases - floor.total_phases)) < 1e-10
+    assert np.max(np.abs(sampled.dynamic_phases - floor.dynamic_phases)) < 1e-8
+
+
+@pytest.mark.parametrize("detuning, amplitude", [(2.0, 1.2), (1.5, 1.7), (2.7, 0.9)])
+def test_the_sampled_drive_on_b_gate_is_the_floor_sampled_gate(detuning, amplitude):
+    # spin b turns by about 160 rad between two samples of the coarse
+    # ledger, so a remainder that moved by nearly 2 pi between them would
+    # pass its jump test unseen: the floor-sampled run, which sees every
+    # turn, holds the coarse one to the same totals (measured: 0 for the
+    # gate, the total and the dynamic phases at all three spots)
+    p = two_spin_params(detuning, amplitude)
+    sampled = sequences.run_conditional_sequence(p, drive_on_b=True)
+    with mock.patch.object(sequences, "MAX_SAMPLE_JUMP", 0.0):
+        floor = sequences.run_conditional_sequence(p, drive_on_b=True)
     assert np.max(np.abs(sampled.gate - floor.gate)) < 1e-10
     assert np.max(np.abs(sampled.total_phases - floor.total_phases)) < 1e-10
     assert np.max(np.abs(sampled.dynamic_phases - floor.dynamic_phases)) < 1e-8
@@ -583,15 +609,15 @@ def test_book_times_are_the_start_time_plus_the_local_grid(run):
     # the grid its states are read at, bit for bit, whatever stride its
     # ledger accepted
     _, plans = _plan_runs(run, RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0))
-    strides = [stride for _, planned in plans for stride in _strides(planned)]
+    strides = [stride for _, planned, _ in plans for stride in _strides(planned)]
     assert min(strides) < max(strides)
-    for plan, planned in plans:
+    for plan, planned, interval in plans:
         segments = [item for kind, item in plan if kind == "seg"]
         assert len(planned.books) == len(segments)
         t0 = 0.0
-        for seg, book in zip(segments, planned.books):
-            n, dt_seg = len(book.times), seg.duration / book.steps
-            read = book.steps // planned.block // (n - 1)
+        for seg, steps, book in zip(segments, use_steps(plan, planned, interval), planned.books):
+            n, dt_seg = len(book.times), seg.duration / steps
+            read = steps // planned.block // (n - 1)
             assert np.array_equal(book.times, t0 + np.arange(n) * (read * planned.block) * dt_seg)
             t0 += seg.duration
 

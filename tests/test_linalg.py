@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berrygate.engine import _dense_carry, _scan, _su2_carry
+from berrygate.engine import _dense_carry, _su2_carry
 from berrygate.linalg import (
     KET_UP,
     expm_hermitian,
@@ -170,17 +170,6 @@ def test_prefix_products_match_a_sequential_left_fold(kind, n):
     make, mul = SCAN_OPERANDS[kind]
     x = make(np.random.default_rng(n), n)
     out = prefix_products(x, mul)
-    assert out.shape == x.shape and out.dtype == x.dtype
-    assert np.max(np.abs(out - _left_fold(x, mul))) < 1e-13
-
-
-@pytest.mark.parametrize("kind", ["su2-pairs", "dense-carried"])
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 31, 32])
-def test_the_engine_scan_matches_a_sequential_left_fold(kind, n):
-    # the short scan that starts a run's samples (`engine.SampleMaps.at`)
-    make, mul = SCAN_OPERANDS[kind]
-    x = make(np.random.default_rng(n), n)
-    out = _scan(x, mul)
     assert out.shape == x.shape and out.dtype == x.dtype
     assert np.max(np.abs(out - _left_fold(x, mul))) < 1e-13
 

@@ -67,7 +67,7 @@ def test_engine_matches_stepwise_rk4():
     # Hamiltonian stack
     plan, model = _schedule_plan(sched), _model_1q(p.omega0)
     planned = _run_plan(plan, model, psi0, dt, dt)
-    final, *_ = plan_afresh(plan, rk4_propagate_sampled, model, planned, psi0)
+    final, *_ = plan_afresh(plan, rk4_propagate_sampled, model, planned, dt, psi0)
     assert np.max(np.abs(final[:, 0] - ref.final_psi)) < 1e-12
 
 
@@ -111,15 +111,15 @@ def test_quadratures_of_a_run_are_bit_for_bit_scipy():
     run_plan = sequences._run_plan
 
     def spy_plan(*args):
-        planned.append(run_plan(*args))
-        return planned[-1]
+        planned.append((run_plan(*args), max(args[3], args[4])))  # max(dt, spacing)
+        return planned[-1][0]
 
     with mock.patch.object(sequences, "_run_plan", spy_plan):
         run_conditional_sequence(p, ramp_time=5.0, sweep_time=10.0, dt=0.002)
     plan = _conditional_plan(p, 5.0, 10.0, 0.0)
     with mock.patch.object(oracles, "cumulative_trapezoid", spy_trapezoid), \
             mock.patch.object(oracles, "simpson", spy_simpson):
-        plan_afresh(plan, engine.propagate_sampled, _model_2q(p, False), planned[0])
+        plan_afresh(plan, engine.propagate_sampled, _model_2q(p, False), *planned[0])
     assert len(simpsons) == len(trapezoids) == 12
     for (y, x), (y_simpson, h) in zip(trapezoids, simpsons):
         assert y_simpson is y
