@@ -80,10 +80,9 @@ depend on the state; only applying them does.  Every run starts at local
 time 0, so a later run of the same Hamiltonian can take them as they are
 (`SampleMaps`), and a run of it played backwards can take them reversed,
 with no step taken, where H is real or its field stays in one plane through
-z, since the Magnus-4 step is time-symmetric (`SampleMaps.reversed`).  A run
-that needs one component of each column, or its end state, reads one row
-of each map (`reference_rows`) or the last map (`end_state`), by the
-products that `samples_at` uses.
+z, since the Magnus-4 step is time-symmetric (`SampleMaps.reversed`); and a
+run whose second half is its first half played backwards, so mirrored,
+folds its first half only.
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -97,6 +96,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -133,6 +133,12 @@ class SectorField:
 
     def __call__(self, times, *controls) -> np.ndarray:
         return sector_hamiltonians(self.field(times, *controls), self.rows, self.dim)
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first rows and the second rows of the sectors, (S,) each."""
+        first, second = np.array(self.rows).T
+        return first, second
 
 
 @dataclass(frozen=True)
@@ -276,15 +282,23 @@ def _time_inner(shape) -> np.ndarray:
 
 def _turned_back(p: np.ndarray, q: np.ndarray, xi: np.ndarray, zeta: np.ndarray):
     """(xi', zeta') of U^dagger G U, for U of Cayley-Klein pair (p, q) and
-    G = g . sigma / 2 held as (xi, zeta) = (g_x + i g_y, g_z): with
-    t = zeta p + xi* q and r = xi p - zeta q, the first column of G U,
-
-        xi' = p r - q t,   zeta' = Re(p* t + q* r)."""
+    G = g . sigma / 2 held as (xi, zeta) = (g_x + i g_y, g_z) (`_back`)."""
     t = zeta * p
     t += xi.conj() * q
     r = xi * p
     r -= zeta * q
-    turned = p * r - q * t
+    return _back(p, q, t, r)
+
+
+def _back(p: np.ndarray, q: np.ndarray, t: np.ndarray, r: np.ndarray):
+    """(xi', zeta') of `_turned_back` from t = zeta p + xi* q and
+    r = xi p - zeta q, the first column of G U:
+
+        xi' = p r - q t,   zeta' = Re(p* t + q* r).
+
+    t is overwritten."""
+    turned = p * r
+    turned -= q * t
     t *= p.conj()
     t += r * q.conj()
     return turned, t.real
@@ -294,15 +308,18 @@ def _su2_carry(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The products U_a U_b of two stacks of one shape, each map held on the
     last axis as [a, b, g_x + i g_y, g_z]: its Cayley-Klein pair and its
     energy integral G = g . sigma / 2.  The product's G is
-    G_b + U_b^dagger G_a U_b (`_turned_back`)."""
-    a0, a1 = a[..., 0], a[..., 1]
-    p, q = b[..., 0], b[..., 1]
+    G_b + U_b^dagger G_a U_b (`_back`).  Every slot of U_a is multiplied
+    by p and, conjugated, by q at once, with (p, q) the pair of U_b."""
+    p, q = b[..., 0, None], b[..., 1, None]
+    ap = a * p  # a0 p, a1 p, xi p, zeta p
+    cq = a.conj()
+    cq *= q  # a0* q, a1* q, xi* q, zeta q (g_z is real)
     out = _time_inner(a.shape)
-    out[..., 0] = a0 * p - a1.conj() * q
-    out[..., 1] = a1 * p + a0.conj() * q
-    xi, zeta = _turned_back(p, q, a[..., 2], a[..., 3].real)
-    out[..., 2] = xi + b[..., 2]
-    out[..., 3] = zeta + b[..., 3].real
+    np.subtract(ap[..., 0], cq[..., 1], out=out[..., 0])
+    np.add(ap[..., 1], cq[..., 0], out=out[..., 1])
+    xi, zeta = _back(p[..., 0], q[..., 0], ap[..., 3] + cq[..., 2], ap[..., 2] - cq[..., 3])
+    np.add(xi, b[..., 2], out=out[..., 2])
+    np.add(zeta, b[..., 3].real, out=out[..., 3])
     return out
 
 
@@ -385,13 +402,25 @@ class SampleMaps:
 
     The maps of the run played backwards come from these with no step taken
     (`reversed`); source is then the folded run they come from.
+
+    A symmetric run is its own first half followed by that half played
+    backwards under the mirror of `reversed`, H(T - t) = Theta H(t) Theta^-1
+    (complex conjugation for a dense H, phase None; for a `SectorField`, the
+    mirror in the plane spanned by z and (cos phase, sin phase, 0)), such as
+    a phase sweep at a fixed amplitude whose phase runs symmetrically about
+    its midpoint.  Its fold takes the steps of the first half only, and its
+    levels hold the products over that half until the second half's are
+    needed, which mirror them (`_level`).
     """
 
-    def __init__(self, stride: int | None = None):
-        self.stride = stride
+    def __init__(self, stride: int | None = None, symmetric: bool = False,
+                 phase: float | None = None):
+        self.stride, self.symmetric = stride, symmetric
         self.levels: list[np.ndarray] = []
         self.maps: dict[int, np.ndarray] = {}
         self.source: SampleMaps | None = None
+        if phase is not None:
+            self._turn = np.exp(2j * phase)
 
     @property
     def filled(self) -> bool:
@@ -405,19 +434,25 @@ class SampleMaps:
         self.block, self.dt = block, dt
         self.sectors = isinstance(model, SectorField)
         self._mul = _su2_carry if self.sectors else _dense_carry
+        self.n_blocks = n_steps // block
+        # a symmetric run folds the blocks up to its midpoint, and the middle
+        # block if their number is odd
+        n_fold = -(-self.n_blocks // 2) * block if self.symmetric else n_steps
         chunk = max(1, _CHUNK_STEPS // block) * block
         products, angle = [], 0.0
-        for done in range(0, n_steps, chunk):
+        for done in range(0, n_fold, chunk):
             part, part_angle = _chunk_products(
-                model, controls, done * dt, min(chunk, n_steps - done), dt, block
+                model, controls, done * dt, min(chunk, n_fold - done), dt, block
             )
             products.append(part)
             angle = max(angle, part_angle)
         first = products[0]
         self.levels = [first if len(products) == 1 else np.concatenate(
-            products, out=np.empty_like(first, shape=(n_steps // block,) + first.shape[1:]))]
+            products, out=np.empty_like(first, shape=(n_fold // block,) + first.shape[1:]))]
+        if self.symmetric and self.n_blocks % 2:  # the middle block mirrors itself
+            self._level(0)
         # the angle turned per sample block at the fastest step frequency
-        self.n_blocks, block_angle = len(self.levels[0]), angle * block
+        block_angle = angle * block
         stride = 1
         while self.n_blocks % (2 * stride) == 0 and 2 * stride * block_angle <= MAX_SAMPLE_ANGLE:
             stride *= 2
@@ -449,12 +484,35 @@ class SampleMaps:
         their check, its stride and its read stride.  Its maps at each
         stride come from this run's maps at that stride, which the levels
         that this run keeps can make."""
-        rev = SampleMaps(self.stride)
+        rev = SampleMaps(self.stride, phase=phase)
         rev.block, rev.dt, rev._mul, rev.sectors = self.block, self.dt, self._mul, self.sectors
         rev.n_blocks, rev.read_stride, rev.source = self.n_blocks, self.read_stride, self
-        if phase is not None:
-            rev._turn = np.exp(2j * phase)
         return rev
+
+    def _mirrored(self, blocks: np.ndarray) -> np.ndarray:
+        """The products of a symmetric run's second half, from the products
+        over its first half that they mirror, in their order.
+
+        By the time symmetry of the step (see `reversed`), the step at
+        T - t - h is Theta S^-1 Theta^-1 for the step S at t, at every
+        lambda, so a product X with its energy integral G gives
+        (Theta X^-1 Theta^-1, Theta X G X^dagger Theta^-1): (X^T, (X G
+        X^dagger)^T) for a dense H, and per sector, with X = (a, b), the pair
+        (a, -b* e^{2i phase}) and g turned by X and mirrored in the plane."""
+        if not self.sectors:
+            d = blocks.shape[-1]
+            u = blocks[:, :d]
+            out = np.empty_like(blocks)
+            out[:, :d] = u.swapaxes(-1, -2)
+            out[:, d:] = (u @ blocks[:, d:] @ u.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
+            return out
+        a, b = blocks[..., 0], blocks[..., 1]
+        out = _time_inner(blocks.shape)
+        out[..., 0] = a
+        out[..., 1] = -b.conj() * self._turn
+        xi, out[..., 3] = _turned_back(a.conj(), -b, blocks[..., 2], blocks[..., 3].real)
+        out[..., 2] = xi.conj() * self._turn
+        return out
 
     def _reverse(self, prefix: np.ndarray) -> np.ndarray:
         """The maps D_j of `reversed`, with their energy integrals, at the
@@ -498,17 +556,13 @@ class SampleMaps:
                 f = max(finer)
                 maps = self.maps[f][stride // f - 1 :: stride // f]
             elif not self.maps:
-                while len(self.levels) <= k:
-                    level = self.levels[-1]
-                    self.levels.append(self._mul(level[1::2], level[0::2]))
-                level = self.levels[k]
-                maps = self._unit(prefix_products(level, self._mul))
+                maps = self._unit(prefix_products(self._level(k), self._mul))
                 # midpoints take only the levels below: free the rest
                 self.levels[k:] = [None] * (len(self.levels) - k)
             else:
                 # through the strides between, whose levels are still held
                 coarse = self.at(2 * stride)
-                halves = self.levels[k][0::2]
+                halves = self._level(k)[0::2]
                 mids = np.empty_like(coarse)
                 mids[0] = halves[0]
                 mids[1:] = self._mul(halves[1:], coarse[:-1])
@@ -517,6 +571,26 @@ class SampleMaps:
                 maps[1::2] = coarse
             self.maps[stride] = maps
         return self.maps[stride]
+
+    def _level(self, j: int) -> np.ndarray:
+        """levels[j], the products over 2^j blocks of the whole run, made
+        first if need be.  A symmetric run with an even number of blocks
+        holds a level over its first half only while the midpoint falls
+        between two of its products, and makes it whole, by mirroring that
+        half (`_mirrored`), when it is asked for or when the next level's
+        pairs would straddle the midpoint."""
+        while len(self.levels) <= j:
+            below = self.levels[-1]
+            if len(below) % 2:
+                below = self._level(len(self.levels) - 1)
+            self.levels.append(self._mul(below[1::2], below[0::2]))
+        level = self.levels[j]
+        whole = self.n_blocks >> j
+        if len(level) < whole:
+            tail = self._mirrored(level[: whole - len(level)][::-1])
+            level = self.levels[j] = np.concatenate(
+                [level, tail], out=np.empty_like(level, shape=(whole,) + level.shape[1:]))
+        return level
 
     def _unit(self, maps: np.ndarray) -> np.ndarray:
         # Rounding shrinks the norm of the steps and of their products by
@@ -599,51 +673,11 @@ def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
     if not isinstance(model, SectorField):
         states[1:] = _dense_apply(at[:, : len(u), None], u)
     else:
-        for s, (i, j) in enumerate(model.rows):
-            a, b = at[:, s, 0, None], at[:, s, 1, None]
-            states[1:, i] = a * u[i] - b.conj() * u[j]
-            states[1:, j] = b * u[i] + a.conj() * u[j]
+        i, j = model.pairs
+        a, b = at[:, :, 0, None], at[:, :, 1, None]
+        states[1:, i] = a * u[i] - b.conj() * u[j]
+        states[1:, j] = b * u[i] + a.conj() * u[j]
     return sample_times(maps, stride), states
-
-
-def end_state(model, maps: SampleMaps, u0: np.ndarray) -> np.ndarray:
-    """The state (d, m) at the end of the run of the folded maps that
-    starts from u0: bit for bit the last state of `samples_at`, at any
-    stride, since every stride ends on the same map."""
-    last = maps.at(maps.stride)[-1]
-    u = np.asarray(u0, dtype=complex)
-    if not isinstance(model, SectorField):
-        return _dense_apply(last[: len(u), None], u)
-    end = u.copy()
-    for s, (i, j) in enumerate(model.rows):
-        a, b = last[s, 0], last[s, 1]
-        end[i] = a * u[i] - b.conj() * u[j]
-        end[j] = b * u[i] + a.conj() * u[j]
-    return end
-
-
-def reference_rows(model, maps: SampleMaps, u0: np.ndarray, stride: int,
-                   rows: np.ndarray) -> np.ndarray:
-    """Component rows[c] of each column c of the run that starts from u0
-    (d, m), sampled as `samples_at` samples it, bit for bit: (n_samples, m).
-    Each column takes one row of each map, by the same products as
-    `samples_at`."""
-    at = maps.at(stride)
-    u = np.asarray(u0, dtype=complex)
-    cols = np.arange(u.shape[1])
-    out = np.empty((len(at) + 1, len(cols)), dtype=complex)
-    out[:] = u[rows, cols]
-    if not isinstance(model, SectorField):
-        out[1:] = _dense_apply(at[:, rows], u)  # rows of U, the top d of each map
-        return out
-    for c, r in enumerate(np.asarray(rows).tolist()):
-        for s, (i, j) in enumerate(model.rows):
-            a, b = at[:, s, 0], at[:, s, 1]
-            if r == i:
-                out[1:, c] = a * u[i, c] - b.conj() * u[j, c]
-            elif r == j:
-                out[1:, c] = b * u[i, c] + a.conj() * u[j, c]
-    return out
 
 
 def energy_weights(model, u0: np.ndarray) -> np.ndarray:
@@ -660,11 +694,11 @@ def energy_weights(model, u0: np.ndarray) -> np.ndarray:
         pairs = u[a].conj() * u[b]
         pairs[upper] *= 2.0
         return np.concatenate([pairs.real, pairs[upper].imag])
-    weights = np.empty((len(model.rows), 3, u.shape[1]))
-    for s, (i, j) in enumerate(model.rows):
-        xy = u[i].conj() * u[j]
-        weights[s, 0], weights[s, 1] = xy.real, xy.imag
-        weights[s, 2] = 0.5 * (np.abs(u[i]) ** 2 - np.abs(u[j]) ** 2)
+    i, j = model.pairs
+    xy = u[i].conj() * u[j]
+    weights = np.empty((len(i), 3, u.shape[1]))
+    weights[:, 0], weights[:, 1] = xy.real, xy.imag
+    weights[:, 2] = 0.5 * (np.abs(u[i]) ** 2 - np.abs(u[j]) ** 2)
     return weights.reshape(-1, u.shape[1])
 
 

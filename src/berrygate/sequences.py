@@ -25,8 +25,9 @@ in its start state (`engine.energy_integrals`).  So each use of a segment
 contracts the integrals of the shared maps with the weights of its start
 state (`engine.energy_weights`) for its dynamic phase and for the ledger's
 reference, and the geometric part is the difference; the ledger reads one
-row of each map.  Ideal pi pulses permute amplitudes without touching
-phases, so per-loop phases add up across a compound sequence.
+component of each column of the states at its samples.  Ideal pi pulses
+permute amplitudes without touching phases, so per-loop phases add up across
+a compound sequence.
 
 Sampling: the samples serve the phase ledger only, and each segment use is
 sampled as coarsely as its unwrapped phase allows, not once per step.  Each
@@ -36,10 +37,10 @@ number of units of a power of two of them, at least 16 units
 (`_floor_intervals`), and its ledger starts at one sample per unit.  The
 stride is then halved, and the segment's maps sampled again, until the
 largest jump of the unwrapped phase between samples passes MAX_SAMPLE_JUMP,
-or down to the floor (`_run_segment`).  States are read only where a result
-asks for them (the cone's holonomy and measured angle), at the stride that
-keeps the fastest step frequency within the engine's Nyquist cap, or at the
-ledger's stride where that is finer.  The gate is the product of the steps,
+or down to the floor (`_run_segment`).  A book's states are read only where
+a result asks for them (the cone's holonomy and measured angle), at the
+stride that keeps the fastest step frequency within the engine's Nyquist
+cap, or at the ledger's stride where that is finer.  The gate is the product of the steps,
 whatever the samples.
 """
 
@@ -264,11 +265,13 @@ class _PhaseLedger:
                 "phase bookkeeping unreliable: reference component magnitude "
                 f"dropped to {magnitude:.3g}, below the floor 0.1"
             )
-        rest = np.unwrap(
-            np.concatenate([self.prev_arg[None, :], np.angle(comp) - reference], axis=0),
-            axis=0,
-        )
-        jump = float(np.abs(np.diff(rest, axis=0)).max())
+        rest = np.angle(comp)
+        rest -= reference
+        # the remainder's steps from the last sample seen, each unwrapped to
+        # within pi by whole turns
+        step = np.diff(rest, axis=0, prepend=self.prev_arg[None, :])
+        step -= (2.0 * math.pi) * np.round(step * (0.5 / math.pi))
+        jump = float(np.abs(step).max())
         if jump > max_jump:
             return False
         if jump > 0.95 * math.pi:
@@ -278,7 +281,7 @@ class _PhaseLedger:
             )
         self.max_jump = max(self.max_jump, jump)
         self.min_magnitude = min(self.min_magnitude, magnitude)
-        self.prev_arg = rest[-1] + reference[-1]
+        self.prev_arg = self.prev_arg + step.sum(axis=0) + reference[-1]
         self.total = self.prev_arg - self.offset
         self._rebase(last)
         return True
@@ -333,35 +336,39 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
 
     maps are the segment's sample maps, shared by all its uses (see
     `_run_plan`).  A use whose maps are empty folds them through
-    `engine.propagate_sampled`; a ramp-down's may be the reversed run of a
-    folded ramp-up, which takes no step.  Each use forms the weights of its
-    start state, and contracts the energy integrals of the maps at its
-    samples with them (`engine.energy_integrals`): their running values are
-    the ledger's reference, and the last its dynamic phase.  The ledger reads
-    one component of each column (`engine.reference_rows`), and the final
-    state is the last map applied (`engine.end_state`).  The samples start
-    at the stride of the maps, and each refinement halves the stride, until
-    the ledger's largest jump passes MAX_SAMPLE_JUMP, or down to the floor
-    spacing.  The book samples the maps when first read, at their read
+    `engine.propagate_sampled`, which returns its states at the stride of
+    the maps; a ramp-down's may be the reversed run of a folded ramp-up,
+    which takes no step.  Each use forms the weights of its start state,
+    and contracts the energy integrals of the maps at its samples with them
+    (`engine.energy_integrals`): their running values are the ledger's
+    reference, and the last its dynamic phase.  The ledger reads one
+    component of each column of the states at the samples, and the final
+    state is the last sample.  The samples start at the stride of the maps,
+    and each refinement halves the stride, until the ledger's largest jump
+    passes MAX_SAMPLE_JUMP, or down to the floor spacing.  The book samples the maps when first read, at their read
     stride (`engine.SampleMaps`), or at the accepted stride if that is
     finer: a use whose phase turns too fast for the coarser samples needs
     the finer ones for its holonomy too."""
     propagator, controls, u, to_report = _segment_frame(model, seg, t0, u)
-    if not maps.filled:
-        engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
-    weights = engine.energy_weights(propagator, u)
-    last = engine.end_state(propagator, maps, u)
-    if to_report is not None:
-        last *= to_report(np.array([n_steps * dt]))[0][:, None]
     stride = maps.stride
+    if maps.filled:
+        tau, states = engine.samples_at(propagator, maps, u, stride)
+    else:
+        tau, states = engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
+    weights = engine.energy_weights(propagator, u)
+    cols = np.arange(u.shape[1])
+    last = states[-1]
+    if to_report is not None:
+        last = last * to_report(tau[-1:])[0][:, None]
     while True:
         reference = -(engine.energy_integrals(maps, stride) @ weights)
-        comp = engine.reference_rows(propagator, maps, u, stride, ledger.ref)
+        comp = states[:, ledger.ref, cols]
         if to_report is not None:
-            comp *= to_report(engine.sample_times(maps, stride))[:, ledger.ref]
+            comp *= to_report(tau)[:, ledger.ref]
         if ledger.update(comp, reference, last, MAX_SAMPLE_JUMP if stride > 1 else math.inf):
             break
         stride //= 2
+        tau, states = engine.samples_at(propagator, maps, u, stride)
     read = min(stride, maps.read_stride)
     tau = engine.sample_times(maps, read)
 
@@ -410,12 +417,18 @@ def _run_plan(plan, model, u0, dt, spacing):
     (`_mirrors`), the ramp-up played backwards, takes no step: its maps are
     the ramp-up's reversed (`engine.SampleMaps.reversed`), and every
     ramp-down that mirrors the same ramp-up shares them, as uses of one
-    segment (`_first_maps`).  So each distinct Hamiltonian is folded once,
-    and the gate's 12 segment uses fold 3: the ramp-up and the two sweeps.
-    Each use contracts the shared energy integrals with the weights of its
-    own start state, and reads its own reference components for the phase
-    ledger and its own final state; its book holds its stride and dynamic
-    phase, and samples the maps only if read.  Nothing outlives the call.
+    segment (`_first_maps`).  A phase sweep at a fixed amplitude and
+    frequency runs symmetrically about its midpoint phase: its second half
+    is its first half played backwards, mirrored in the plane of that phase
+    (the phi frame's H' is real and reads only the phase's rate, which is
+    symmetric), so its fold takes the first half's steps only
+    (`engine.SampleMaps` with symmetric set).  So each distinct Hamiltonian
+    is folded once, and the gate's 12 segment uses fold 3: the ramp-up and
+    the first halves of the two sweeps.  Each use contracts the shared
+    energy integrals with the weights of its own start state, and applies
+    the shared maps to it for its reference components and its final state;
+    its book holds its stride and dynamic phase, and samples the maps at the
+    read stride only if read.  Nothing outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
@@ -453,14 +466,17 @@ def _first_maps(shared, seg: Segment, planar: bool, unit: int) -> engine.SampleM
     ramp-down that mirrors a folded ramp-up of shared (`_mirrors`), the
     ramp-up's reversed run (`engine.SampleMaps.reversed`), one for every
     ramp-down that mirrors it; else empty ones at a stride of unit floor
-    intervals, which the use folds."""
+    intervals, which the use folds, symmetric for a phase sweep at a fixed
+    amplitude and frequency (see `_run_plan`)."""
     for up, maps in shared.items():
         if _mirrors(up, seg, planar):
             for reversed_run in shared.values():
                 if reversed_run.source is maps:
                     return reversed_run
             return maps.reversed(up.phi[0] if planar else None)
-    return engine.SampleMaps(unit)
+    symmetric = (seg.kind == "phase_sweep" and seg.omega1[0] == seg.omega1[1]
+                 and seg.omega[0] == seg.omega[1])
+    return engine.SampleMaps(unit, symmetric, 0.5 * (seg.phi[0] + seg.phi[1]) if planar else None)
 
 
 def _mirrors(up: Segment, down: Segment, planar: bool) -> bool:

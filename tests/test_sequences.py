@@ -357,7 +357,7 @@ def test_ledger_follows_a_coarse_sample_grid():
 
 def test_ledger_refuses_a_jump_beyond_its_limit():
     # one column, zero reference: a second sample 3.05 rad on from the
-    # first is within pi, so np.unwrap keeps it, but beyond 0.95 pi
+    # first is within pi, so unwrapping keeps it, but beyond 0.95 pi
     u0 = np.array([[1.0], [0.0]], dtype=complex)
     ledger = sequences._PhaseLedger(u0)
     comp = np.array([[1.0], [np.exp(3.05j)]])
