@@ -61,10 +61,11 @@ Sampling.  A run is a whole number of sample blocks, the finest spacing it
 can be sampled at.  The steps are taken once, at most `_CHUNK_STEPS` (or
 one block, if longer) at a time, and the steps of each block folded by
 pairwise products; the products over 2, 4, ... blocks are the next levels
-of the same tree.  The samples every s blocks come from a scan over the
-products of level log2(s), and halving the stride costs one product per
-new sample: the product over the half interval times the map at the sample
-before.
+of the same tree, kept while the maps live.  The samples every s blocks
+come from a scan over the products of level log2(s), and halving the
+stride costs one product per new sample: the product over the half
+interval times the map at the sample before.  A dense run's states at the
+samples are its maps times the start state, in one product (`samples_at`).
 Whatever the stride, the energy integrals are exact for the steps: the
 stride only sets where they are read.  A run's states are read at the
 coarsest stride that keeps its fastest step frequency (the largest step
@@ -78,11 +79,13 @@ guard, the block products and their levels, the maps at each stride, the
 renormalized pairs, and the energy integrals carried with them) do not
 depend on the state; only applying them does.  Every run starts at local
 time 0, so a later run of the same Hamiltonian can take them as they are
-(`SampleMaps`), and a run of it played backwards can take them reversed,
-with no step taken, where H is real or its field stays in one plane through
-z, since the Magnus-4 step is time-symmetric (`SampleMaps.reversed`); and a
-run whose second half is its first half played backwards, so mirrored,
-folds its first half only.
+(`SampleMaps`).  The Magnus-4 step is time-symmetric, so, under a time
+reversal Theta that leaves H alone (complex conjugation of a real H, or the
+mirror in the plane of a field that stays in one plane through z), a run
+played backwards takes the maps of the run forwards with no step taken
+(`SampleMaps.reversed`), and a run whose second half is its first half
+played backwards folds its first half only.  Both take one mirror,
+Theta X^-1 Theta^-1 of a map X (`SampleMaps._mirror`).
 
 Oracle: `_check_spread` applies the RK4 step bound of `schrodinger` to a
 dense Hamiltonian stack, and `rk4_transition_matrices`, the batched
@@ -95,6 +98,7 @@ path calls either; the tests propagate with them to check the Magnus paths.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -383,8 +387,8 @@ class SampleMaps:
 
     The first `propagate_sampled` call folds the run's steps, once, into the
     products over its sample blocks, levels[0].  levels[k] holds the
-    products over 2^k blocks, each the product of two of levels[k-1], while
-    a finer stride may still need them.
+    products over 2^k blocks, each the product of two of levels[k-1], made
+    when first needed and kept.
     maps[s] holds the maps to the samples every s blocks after the start:
     the first asked by a scan over its level, each finer one from the
     maps at twice its stride (made first if need be), with one product per
@@ -400,17 +404,18 @@ class SampleMaps:
     over dt) times the spacing within MAX_SAMPLE_ANGLE, the stride to read
     the run's states at, and stride to it unless given.
 
-    The maps of the run played backwards come from these with no step taken
-    (`reversed`); source is then the folded run they come from.
-
-    A symmetric run is its own first half followed by that half played
-    backwards under the mirror of `reversed`, H(T - t) = Theta H(t) Theta^-1
-    (complex conjugation for a dense H, phase None; for a `SectorField`, the
-    mirror in the plane spanned by z and (cos phase, sin phase, 0)), such as
-    a phase sweep at a fixed amplitude whose phase runs symmetrically about
-    its midpoint.  Its fold takes the steps of the first half only, and its
-    levels hold the products over that half until the second half's are
-    needed, which mirror them (`_level`).
+    phase gives the time reversal Theta of the run (`_mirror`): for a
+    `SectorField`, the mirror in the plane spanned by z and
+    (cos phase, sin phase, 0); for a dense H (phase None), complex
+    conjugation.  A run whose H is left alone by Theta, such as a ramp at a
+    fixed drive phase, played backwards takes these maps mirrored, with no
+    step taken (`reversed`, whose source is then this run).  A symmetric
+    run is its own first half followed by that half played backwards under
+    Theta, H(T - t) = Theta H(t) Theta^-1, such as a phase sweep at a fixed
+    amplitude whose phase runs symmetrically about its midpoint phase.  Its
+    fold takes the steps of the first half only, and its levels hold the
+    products over that half until the second half's are needed, which
+    mirror them (`_level`).
     """
 
     def __init__(self, stride: int | None = None, symmetric: bool = False,
@@ -419,8 +424,8 @@ class SampleMaps:
         self.levels: list[np.ndarray] = []
         self.maps: dict[int, np.ndarray] = {}
         self.source: SampleMaps | None = None
-        if phase is not None:
-            self._turn = np.exp(2j * phase)
+        self._turn = None if phase is None else np.exp(2j * phase)
+        self._reversed: Callable[[], SampleMaps | None] = lambda: None
 
     @property
     def filled(self) -> bool:
@@ -460,89 +465,69 @@ class SampleMaps:
         if self.stride is None:
             self.stride = stride
 
-    def reversed(self, phase: float | None = None) -> SampleMaps:
+    @property
+    def reversed(self) -> SampleMaps:
         """The maps of this folded run played backwards, H~(tau) = H(T - tau)
-        over the same steps, at any stride, with no step taken.  Valid for a
-        dense H that is real at every node (phase None), or for a
-        `SectorField` whose field stays in the plane spanned by z and
-        (cos phase, sin phase, 0).
+        over the same steps, at any stride, with no step taken: valid where
+        Theta leaves H alone (see `SampleMaps`).
 
         The Magnus-4 step on the two symmetric Gauss nodes is time-symmetric
         (Blanes, Casas, Oteo & Ros): the backward run's step at tau takes the
         nodes of this run's step at T - tau - h in swapped order, which flips
-        the sign of the commutator term.  For a real H that step is
-        exp(-i K*) = S^T, at every lambda; for a planar field it is w
-        mirrored in the plane, S^T conjugated by exp(-i phase sigma_z).  So
-        from this run's prefix maps P_k (P_0 = 1, N samples) with their
-        energy integrals G_k, the backward run's map to sample j is
-        D_j = X^T, X = P_N P_{N-j}^dagger, with the energy integral
-        (P_N (G_N - G_{N-j}) P_N^dagger)^T; per sector, with X = (a, b), the
-        pair (a, -b* e^{2i phase}), and g_N - g_{N-j} turned by P_N and
-        mirrored in the plane.
+        the sign of the commutator term, so it is Theta S^-1 Theta^-1 for
+        this run's step S, at every lambda.  So from this run's prefix maps
+        P_k (P_0 = 1, N samples), the backward run's map to sample j is the
+        mirror of P_N P_{N-j}^dagger (`_mirror`).  It inherits this run's
+        checked gaps and step angles, stride and read stride.
 
-        The backward run has this run's gaps and step angles, so it inherits
-        their check, its stride and its read stride.  Its maps at each
-        stride come from this run's maps at that stride, which the levels
-        that this run keeps can make."""
-        rev = SampleMaps(self.stride, phase=phase)
-        rev.block, rev.dt, rev._mul, rev.sectors = self.block, self.dt, self._mul, self.sectors
-        rev.n_blocks, rev.read_stride, rev.source = self.n_blocks, self.read_stride, self
+        It is made once, and holds this run, which holds it weakly: a cycle
+        would keep both, with their levels, until the cyclic collector ran."""
+        rev = self._reversed()
+        if rev is None:
+            rev = SampleMaps(self.stride)
+            rev.block, rev.dt, rev._mul, rev.sectors = self.block, self.dt, self._mul, self.sectors
+            rev.n_blocks, rev.read_stride, rev.source = self.n_blocks, self.read_stride, self
+            rev._turn = self._turn
+            self._reversed = weakref.ref(rev)
         return rev
 
-    def _mirrored(self, blocks: np.ndarray) -> np.ndarray:
-        """The products of a symmetric run's second half, from the products
-        over its first half that they mirror, in their order.
-
-        By the time symmetry of the step (see `reversed`), the step at
-        T - t - h is Theta S^-1 Theta^-1 for the step S at t, at every
-        lambda, so a product X with its energy integral G gives
-        (Theta X^-1 Theta^-1, Theta X G X^dagger Theta^-1): (X^T, (X G
-        X^dagger)^T) for a dense H, and per sector, with X = (a, b), the pair
-        (a, -b* e^{2i phase}) and g turned by X and mirrored in the plane."""
+    def _mirror(self, last: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+        """Theta X^-1 Theta^-1 of the maps X = last earlier^dagger (stacks
+        that broadcast), with the energy integral Theta last dG last^dagger
+        Theta^-1, dG = G_last - G_earlier, for the run's Theta (see
+        `SampleMaps`): for a dense H, X^T with (last dG last^dagger)^T; per
+        sector, with X = (a, b), the pair (a, -b* e^{2i phase}), and g
+        turned by last and mirrored in the plane, xi -> xi* e^{2i phase}."""
         if not self.sectors:
-            d = blocks.shape[-1]
-            u = blocks[:, :d]
-            out = np.empty_like(blocks)
-            out[:, :d] = u.swapaxes(-1, -2)
-            out[:, d:] = (u @ blocks[:, d:] @ u.conj().swapaxes(-1, -2)).swapaxes(-1, -2)
+            d = last.shape[-1]
+            u = last[..., :d, :]
+            out = np.empty(np.broadcast_shapes(last.shape, earlier.shape), dtype=complex)
+            # X^T = earlier* last^T, and (last dG last^dagger)^T = last* dG^T last^T
+            out[..., :d, :] = earlier[..., :d, :].conj() @ u.swapaxes(-1, -2)
+            delta = (last[..., d:, :] - earlier[..., d:, :]).swapaxes(-1, -2)
+            out[..., d:, :] = u.conj() @ delta @ u.swapaxes(-1, -2)
             return out
-        a, b = blocks[..., 0], blocks[..., 1]
-        out = _time_inner(blocks.shape)
-        out[..., 0] = a
-        out[..., 1] = -b.conj() * self._turn
-        xi, out[..., 3] = _turned_back(a.conj(), -b, blocks[..., 2], blocks[..., 3].real)
+        # X = (a, b) (c, d)^dagger = (a c* + b* d, b c* - a* d) per sector
+        a, b = last[..., 0], last[..., 1]
+        c, d = earlier[..., 0], earlier[..., 1]
+        out = _time_inner(np.broadcast_shapes(last.shape, earlier.shape))
+        out[..., 0] = a * c.conj() + b.conj() * d
+        out[..., 1] = (a * d.conj() - b.conj() * c) * self._turn
+        # dG turned by last, that is back by last^dagger = (a*, -b)
+        xi, out[..., 3] = _turned_back(a.conj(), -b, last[..., 2] - earlier[..., 2],
+                                       (last[..., 3] - earlier[..., 3]).real)
         out[..., 2] = xi.conj() * self._turn
         return out
 
-    def _reverse(self, prefix: np.ndarray) -> np.ndarray:
-        """The maps D_j of `reversed`, with their energy integrals, at the
-        samples of the source's prefix maps (P_s, P_2s, ..., P_N)."""
-        last, earlier = prefix[-1], prefix[-2::-1]  # P_N; P_{N-s}, ..., P_s
-        maps = np.empty_like(prefix)
-        if not self.sectors:
-            d = last.shape[-1]
-            u = last[:d]
-            maps[:-1, :d] = earlier[:, :d].conj() @ u.T  # (P_N P^dagger)^T = P* P_N^T
-            maps[-1, :d] = u.T
-            maps[:-1, d:] = last[d:] - earlier[:, d:]
-            maps[-1, d:] = last[d:]
-            # (P_N dG P_N^dagger)^T = P_N* dG^T P_N^T
-            maps[:, d:] = u.conj() @ maps[:, d:].swapaxes(-1, -2) @ u.T
-            return maps
-        # X = (a, b) (c, d)^dagger = (a c* + b* d, b c* - a* d) per sector
-        a, b = last[:, 0], last[:, 1]
-        c, d = earlier[..., 0], earlier[..., 1]
-        maps[:-1, :, 0] = a * c.conj() + b.conj() * d
-        maps[:-1, :, 1] = (a * d.conj() - b.conj() * c) * self._turn
-        maps[-1, :, 0] = a
-        maps[-1, :, 1] = -b.conj() * self._turn
-        # g_N - g_{N-j} turned by P_N, that is back by P_N^dagger = (a*, -b),
-        # then mirrored in the plane: xi -> xi* e^{2i phase}
-        maps[:-1, :, 2:] = last[:, 2:] - earlier[..., 2:]
-        maps[-1, :, 2:] = last[:, 2:]
-        xi, maps[..., 3] = _turned_back(a.conj(), -b, maps[..., 2], maps[..., 3].real)
-        maps[..., 2] = xi.conj() * self._turn
-        return self._unit(maps)
+    def _one(self, like: np.ndarray) -> np.ndarray:
+        """The identity map, with a zero energy integral, laid out as one of
+        the maps like."""
+        one = np.zeros(like.shape[-2:], dtype=complex)
+        if self.sectors:
+            one[:, 0] = 1.0
+        else:
+            np.fill_diagonal(one, 1.0)
+        return one
 
     def at(self, stride: int) -> np.ndarray:
         """The maps to the samples every stride blocks, a power of two that
@@ -551,16 +536,17 @@ class SampleMaps:
             k = stride.bit_length() - 1
             finer = [s for s in self.maps if s < stride]
             if self.source is not None:
-                maps = self._reverse(self.source.at(stride))
+                prefix = self.source.at(stride)
+                earlier = np.empty_like(prefix)  # P_{N-s}, ..., P_s, P_0
+                earlier[:-1], earlier[-1] = prefix[-2::-1], self._one(prefix)
+                maps = self._unit(self._mirror(prefix[-1], earlier))
             elif finer:  # every (stride/f)-th map of the nearest finer stride f
                 f = max(finer)
                 maps = self.maps[f][stride // f - 1 :: stride // f]
             elif not self.maps:
                 maps = self._unit(prefix_products(self._level(k), self._mul))
-                # midpoints take only the levels below: free the rest
-                self.levels[k:] = [None] * (len(self.levels) - k)
             else:
-                # through the strides between, whose levels are still held
+                # through the strides between
                 coarse = self.at(2 * stride)
                 halves = self._level(k)[0::2]
                 mids = np.empty_like(coarse)
@@ -577,8 +563,9 @@ class SampleMaps:
         first if need be.  A symmetric run with an even number of blocks
         holds a level over its first half only while the midpoint falls
         between two of its products, and makes it whole, by mirroring that
-        half (`_mirrored`), when it is asked for or when the next level's
-        pairs would straddle the midpoint."""
+        half's products in reverse order (`_mirror`, with the identity as
+        earlier), when it is asked for or when the next level's pairs would
+        straddle the midpoint."""
         while len(self.levels) <= j:
             below = self.levels[-1]
             if len(below) % 2:
@@ -587,7 +574,7 @@ class SampleMaps:
         level = self.levels[j]
         whole = self.n_blocks >> j
         if len(level) < whole:
-            tail = self._mirrored(level[: whole - len(level)][::-1])
+            tail = self._mirror(level[: whole - len(level)][::-1], self._one(level))
             level = self.levels[j] = np.concatenate(
                 [level, tail], out=np.empty_like(level, shape=(whole,) + level.shape[1:]))
         return level
@@ -645,17 +632,6 @@ def propagate_sampled(
     return samples_at(model, maps, u0, maps.stride)
 
 
-def _dense_apply(coefs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The sum over k of coefs[..., k] * u[k], for columns u (d, m): dense
-    maps applied to u, with each element made by the same operations in the
-    same order whichever rows of the maps are taken, which a stacked matmul
-    does not promise."""
-    out = coefs[..., 0] * u[0]
-    for k in range(1, len(u)):
-        out += coefs[..., k] * u[k]
-    return out
-
-
 def sample_times(maps: SampleMaps, stride: int) -> np.ndarray:
     """Local times of the run's samples at 0 and then every stride blocks."""
     return (np.arange(maps.n_blocks // stride + 1) * (stride * maps.block)) * maps.dt
@@ -671,7 +647,7 @@ def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
     states = np.empty((len(at) + 1,) + u.shape, dtype=complex)
     states[:] = u
     if not isinstance(model, SectorField):
-        states[1:] = _dense_apply(at[:, : len(u), None], u)
+        states[1:] = at[:, : len(u)] @ u
     else:
         i, j = model.pairs
         a, b = at[:, :, 0, None], at[:, :, 1, None]

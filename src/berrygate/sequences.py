@@ -415,20 +415,21 @@ def _run_plan(plan, model, u0, dt, spacing):
     depend on the segment alone.  A segment that recurs in the plan is
     propagated once.  A ramp-down that mirrors an already folded ramp-up
     (`_mirrors`), the ramp-up played backwards, takes no step: its maps are
-    the ramp-up's reversed (`engine.SampleMaps.reversed`), and every
-    ramp-down that mirrors the same ramp-up shares them, as uses of one
-    segment (`_first_maps`).  A phase sweep at a fixed amplitude and
-    frequency runs symmetrically about its midpoint phase: its second half
-    is its first half played backwards, mirrored in the plane of that phase
-    (the phi frame's H' is real and reads only the phase's rate, which is
-    symmetric), so its fold takes the first half's steps only
-    (`engine.SampleMaps` with symmetric set).  So each distinct Hamiltonian
-    is folded once, and the gate's 12 segment uses fold 3: the ramp-up and
-    the first halves of the two sweeps.  Each use contracts the shared
-    energy integrals with the weights of its own start state, and applies
-    the shared maps to it for its reference components and its final state;
-    its book holds its stride and dynamic phase, and samples the maps at the
-    read stride only if read.  Nothing outlives the call.
+    the ramp-up's, mirrored in the plane of its drive phase
+    (`engine.SampleMaps.reversed`), and every ramp-down that mirrors the
+    same ramp-up shares them, as uses of one segment (`_first_maps`).  A
+    phase sweep at a fixed amplitude and frequency runs symmetrically about
+    its midpoint phase: its second half is its first half played backwards,
+    mirrored in the plane of that phase (the phi frame's H' is real and
+    reads only the phase's rate, which is symmetric), so its fold takes the
+    first half's steps only (`engine.SampleMaps` with symmetric set).  So
+    each distinct Hamiltonian is folded once, and the gate's 12 segment
+    uses fold 3: the ramp-up and the first halves of the two sweeps.  Each
+    use contracts the shared energy integrals with the weights of its own
+    start state, and applies the shared maps to it for its reference
+    components and its final state; its book holds its stride and dynamic
+    phase, and samples the maps at the read stride only if read.  Nothing
+    outlives the call.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""
@@ -464,16 +465,15 @@ def _run_plan(plan, model, u0, dt, spacing):
 def _first_maps(shared, seg: Segment, planar: bool, unit: int) -> engine.SampleMaps:
     """The sample maps that the first use of seg starts from: for a
     ramp-down that mirrors a folded ramp-up of shared (`_mirrors`), the
-    ramp-up's reversed run (`engine.SampleMaps.reversed`), one for every
-    ramp-down that mirrors it; else empty ones at a stride of unit floor
-    intervals, which the use folds, symmetric for a phase sweep at a fixed
+    ramp-up's reversed run (`engine.SampleMaps.reversed`, made once for all
+    the ramp-downs that mirror it); else empty ones at a stride of unit
+    floor intervals, which the use folds.  Their plane is that of seg's
+    midpoint phase, so a ramp's is its fixed phase, the plane its reversed
+    run mirrors in; they are symmetric for a phase sweep at a fixed
     amplitude and frequency (see `_run_plan`)."""
     for up, maps in shared.items():
         if _mirrors(up, seg, planar):
-            for reversed_run in shared.values():
-                if reversed_run.source is maps:
-                    return reversed_run
-            return maps.reversed(up.phi[0] if planar else None)
+            return maps.reversed
     symmetric = (seg.kind == "phase_sweep" and seg.omega1[0] == seg.omega1[1]
                  and seg.omega[0] == seg.omega[1])
     return engine.SampleMaps(unit, symmetric, 0.5 * (seg.phi[0] + seg.phi[1]) if planar else None)

@@ -11,7 +11,9 @@ A loop at a constant drive rate has an exact map at any rate, and all three
 paths are held to it.
 """
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -443,9 +445,11 @@ def test_the_dynamic_phase_error_falls_as_h4(model):
 
 def test_shared_segments_give_the_gate_of_fresh_ones():
     # each use folded afresh from its own start, with its dynamic phase read
-    # off the energy integrals of its own fresh maps; measured: 2.3e-15
-    # (gate), 0 (total phases) and 4.5e-13 (dynamic phases, the net of
-    # segment terms of up to 517 rad)
+    # off the energy integrals of its own fresh maps; measured: 2.6e-15
+    # (gate), 5.7e-14 (total phases) and 8.0e-13 (dynamic phases, the net of
+    # segment terms of up to 517 rad).  The dynamic bound sits near the
+    # rounding floor: the gate at (1.5, 1.7) with `_CHUNK_STEPS` 2048 reads
+    # 1.1e-12, so a change of rounding on the sector path can cross it
     p = two_spin_params(2.0, 1.2)
     ramp, sweep, _ = sequences.default_times_2q(p)
     plan = sequences._conditional_plan(p, ramp, sweep, 0.0)
@@ -746,8 +750,8 @@ REVERSAL_FRAMES = {  # (model, controls of a segment, planar, dim, bound)
 }
 
 
-def _folded_ramp(model, controls, seg, dim):
-    maps = engine.SampleMaps()
+def _folded_ramp(model, controls, seg, dim, phase=None):
+    maps = engine.SampleMaps(phase=phase)
     engine.propagate_sampled(model, controls, 1024, seg.duration / 1024,
                              np.eye(dim, dtype=complex), 4, maps)
     return maps
@@ -762,8 +766,8 @@ def test_a_ramp_down_is_its_ramp_up_reversed(frame, amplitude, detuning, phase, 
     p = TwoSpinParams(100.0, 80.0, 1.0 / math.pi, drive)
     model, controls, planar, dim, bound = REVERSAL_FRAMES[frame](p)
     assert sequences._mirrors(up, down, planar)
-    reversed_run = _folded_ramp(model, controls(up), up, dim).reversed(
-        up.phi[0] if planar else None)
+    reversed_run = _folded_ramp(model, controls(up), up, dim,
+                                up.phi[0] if planar else None).reversed
     folded = _folded_ramp(model, controls(down), down, dim)
     assert reversed_run.stride == folded.stride
     for stride in (folded.stride, 1):
@@ -817,6 +821,46 @@ def test_a_symmetric_sweep_folds_its_first_half_only(frame, blocks, amplitude, d
                 <= 1e-12 * np.abs(integrals).max())
 
 
+# Both reversals take one mirror, Theta X^-1 Theta^-1 with the energy
+# integral turned by X (`engine.SampleMaps._mirror`).  As a time reversal it
+# is an involution, and it reverses the order of the carried products.
+
+
+def _random_maps(frame, rng, n=64):
+    """n random maps with their energy integrals: per two sectors, unit
+    Cayley-Klein pairs with real-vector g; else 4 x 4 unitaries above
+    Hermitian G."""
+    if frame == "sectors":
+        maps = rng.normal(size=(n, 2, 4)) + 1j * rng.normal(size=(n, 2, 4))
+        maps[..., :2] /= np.linalg.norm(maps[..., :2], axis=-1, keepdims=True)
+        maps[..., 3] = maps[..., 3].real
+        return maps
+    z = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    g = rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4))
+    return np.concatenate([np.linalg.qr(z)[0], g + g.conj().swapaxes(-1, -2)], axis=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(frame=st.sampled_from(["sectors", "dense"]), phase=st.floats(-7.0, 7.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_mirror_is_an_involution_that_reverses_products(frame, phase, seed):
+    rng = np.random.default_rng(seed)
+    maps = engine.SampleMaps(phase=phase if frame == "sectors" else None)
+    maps.sectors = frame == "sectors"
+    mul = engine._su2_carry if maps.sectors else engine._dense_carry
+    a, b = _random_maps(frame, rng), _random_maps(frame, rng)
+    one = maps._one(a)
+
+    def mirror(x):
+        return maps._mirror(x, one)
+
+    assert np.max(np.abs(mirror(mirror(a)) - a)) < 1e-13
+    assert np.max(np.abs(mirror(mul(a, b)) - mul(mirror(b), mirror(a)))) < 1e-13
+    # the mirror of last earlier^dagger, with G_last - G_earlier: earlier
+    # cancels from the product a b
+    assert np.max(np.abs(maps._mirror(mul(a, b), b) - mirror(a))) < 1e-13
+
+
 def test_only_a_sweep_at_a_fixed_amplitude_and_frequency_folds_symmetrically():
     p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0)
     up, sweep, down = build_cone_loop(p, 5.0, 10.0).segments
@@ -856,3 +900,21 @@ def test_only_a_ramp_down_that_mirrors_a_folded_ramp_up_is_reversed():
                   replace(down, omega1=(0.9, 0.0)), half_turn):
         assert not sequences._first_maps({up: folded_up}, other, True, 16).filled
     assert sequences._mirrors(up, half_turn, False)
+
+
+def test_a_reversed_run_is_made_once_and_holds_its_source_without_a_cycle():
+    # every ramp-down that mirrors the ramp-up shares one reversed run; the
+    # ramp-up holds it weakly, so both go as soon as the last user drops it
+    p = RabiParams(5.0, 1.0, 5.0 - 1.0 / math.tan(math.pi / 3), 0.0)
+    up = build_cone_loop(p, 5.0, 10.0).segments[0]
+    folded_up = _folded_ramp(sequences._model_1q(5.0), up.controls_at, up, 2, up.phi[0])
+    reversed_run, source = folded_up.reversed, weakref.ref(folded_up)
+    assert folded_up.reversed is reversed_run
+    del folded_up
+    gc.disable()
+    try:
+        assert source() is not None
+        del reversed_run
+        assert source() is None
+    finally:
+        gc.enable()

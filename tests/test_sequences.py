@@ -365,6 +365,25 @@ def test_ledger_refuses_a_jump_beyond_its_limit():
         ledger.update(comp, np.zeros((2, 1)), u0)
 
 
+def test_ledger_rebases_a_fading_reference_component_once():
+    # one column e^{5it} (cos a, i sin a), a = 1.27 t: at t = 1 its row 0
+    # (0.296) falls below 0.35 of row 1 (0.956), so `_PhaseLedger._rebase`
+    # re-picks row 1, whose argument is a quarter turn on; the offset is
+    # patched, so the total runs on through the re-base as 5t
+    def segment(t):
+        a = 1.27 * np.minimum(t, 1.0) + 0.3 * np.maximum(t - 1.0, 0.0)
+        states = np.exp(5j * t)[:, None] * np.stack([np.cos(a), 1j * np.sin(a)], axis=1)
+        return states[:, :, None], 5.0 * (t - t[0])[:, None]
+
+    ledger = sequences._PhaseLedger(np.array([[1.0], [0.0]], dtype=complex))
+    for t in (np.linspace(0.0, 1.0, 201), np.linspace(1.0, 2.0, 201)):
+        states, reference = segment(t)
+        assert ledger.update(states[:, ledger.ref, [0]], reference, states[-1])
+        assert ledger.total[0] == pytest.approx(5.0 * t[-1], abs=1e-12)
+        assert ledger.rebases == 1
+        assert ledger.ref[0] == 1
+
+
 def test_diabatic_run_flagged():
     p = cone_params(math.pi / 3)
     r = run_cone_loop(p, ramp_time=1.0, sweep_time=5.0, dt=0.002)
