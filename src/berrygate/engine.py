@@ -54,8 +54,8 @@ Daleckii-Krein divided differences of exp(-i x) on the eigenvalues of K
 (`magnus4_dense_steps`).  A dense model may perturb by another operator than
 H: a `FrameHamiltonian` integrates H + dPhi/dt, the energy of a frame that
 turns by the diagonal Phi(t).  So the maps' G, at any stride, give every
-sample's running energy integral as a quadratic form in the start state
-(`energy_integrals`, contracted with `energy_weights`).
+sample's running energy integral <psi0|G|psi0> from any start state psi0,
+read off the maps alone (`energy_integrals`).
 
 Sampling.  A run is a whole number of sample blocks, the finest spacing it
 can be sampled at.  The steps are taken once, at most `_CHUNK_STEPS` (or
@@ -100,7 +100,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -137,12 +136,6 @@ class SectorField:
 
     def __call__(self, times, *controls) -> np.ndarray:
         return sector_hamiltonians(self.field(times, *controls), self.rows, self.dim)
-
-    @cached_property
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The first rows and the second rows of the sectors, (S,) each."""
-        first, second = np.array(self.rows).T
-        return first, second
 
 
 @dataclass(frozen=True)
@@ -438,6 +431,7 @@ class SampleMaps:
         and the stride if none was given."""
         self.block, self.dt = block, dt
         self.sectors = isinstance(model, SectorField)
+        self.pairs = np.array(model.rows).T if self.sectors else None  # first, second rows
         self._mul = _su2_carry if self.sectors else _dense_carry
         self.n_blocks = n_steps // block
         # a symmetric run folds the blocks up to its midpoint, and the middle
@@ -485,7 +479,8 @@ class SampleMaps:
         rev = self._reversed()
         if rev is None:
             rev = SampleMaps(self.stride)
-            rev.block, rev.dt, rev._mul, rev.sectors = self.block, self.dt, self._mul, self.sectors
+            rev.block, rev.dt, rev._mul = self.block, self.dt, self._mul
+            rev.sectors, rev.pairs = self.sectors, self.pairs
             rev.n_blocks, rev.read_stride, rev.source = self.n_blocks, self.read_stride, self
             rev._turn = self._turn
             self._reversed = weakref.ref(rev)
@@ -629,7 +624,7 @@ def propagate_sampled(
         maps = SampleMaps(stride=1)
     if not maps.filled:
         maps.fold(model, controls, n_steps, dt, steps_per_sample)
-    return samples_at(model, maps, u0, maps.stride)
+    return samples_at(maps, u0, maps.stride)
 
 
 def sample_times(maps: SampleMaps, stride: int) -> np.ndarray:
@@ -637,7 +632,7 @@ def sample_times(maps: SampleMaps, stride: int) -> np.ndarray:
     return (np.arange(maps.n_blocks // stride + 1) * (stride * maps.block)) * maps.dt
 
 
-def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
+def samples_at(maps: SampleMaps, u0: np.ndarray, stride: int):
     """Local times and states (n_samples, d, m) of the run of the folded
     maps that starts from u0, sampled at 0 and then every stride blocks (a
     power of two that divides the run's blocks).  The maps at each stride
@@ -646,67 +641,34 @@ def samples_at(model, maps: SampleMaps, u0: np.ndarray, stride: int):
     u = np.asarray(u0, dtype=complex)
     states = np.empty((len(at) + 1,) + u.shape, dtype=complex)
     states[:] = u
-    if not isinstance(model, SectorField):
+    if not maps.sectors:
         states[1:] = at[:, : len(u)] @ u
     else:
-        i, j = model.pairs
+        i, j = maps.pairs
         a, b = at[:, :, 0, None], at[:, :, 1, None]
         states[1:, i] = a * u[i] - b.conj() * u[j]
         states[1:, j] = b * u[i] + a.conj() * u[j]
     return sample_times(maps, stride), states
 
 
-def energy_weights(model, u0: np.ndarray) -> np.ndarray:
-    """The (K, m) weights of the start columns u0 (d, m) that make the
-    energy integrals of a run from u0 out of its `energy_integrals` (S, K),
-    as integrals @ weights (S, m).  Per sector (i, j) of a `SectorField`,
-    the halved Bloch vector of the components x = u0[i], y = u0[j]:
-    (Re x* y, Im x* y, (|x|^2 - |y|^2)/2).  Else, from the products
-    p_ab = u0[a]* u0[b] over the rows a <= b (`_hermitian_entries`), Re p_aa
-    and 2 Re p_ab (a < b), and then 2 Im p_ab (a < b)."""
-    u = np.asarray(u0, dtype=complex)
-    if not isinstance(model, SectorField):
-        a, b, upper = _hermitian_entries(len(u))
-        pairs = u[a].conj() * u[b]
-        pairs[upper] *= 2.0
-        return np.concatenate([pairs.real, pairs[upper].imag])
-    i, j = model.pairs
-    xy = u[i].conj() * u[j]
-    weights = np.empty((len(i), 3, u.shape[1]))
-    weights[:, 0], weights[:, 1] = xy.real, xy.imag
-    weights[:, 2] = 0.5 * (np.abs(u[i]) ** 2 - np.abs(u[j]) ** 2)
-    return weights.reshape(-1, u.shape[1])
-
-
-def energy_integrals(maps: SampleMaps, stride: int) -> np.ndarray:
-    """The energy integrals G_k of the run's maps to its samples every
-    stride blocks, in real coordinates: (S, K), zero at the start, such
-    that a run from any u0 has the integral of <psi|H|psi> dt from its start
-    to each sample, <psi0|G_k|psi0>, as integrals @ energy_weights(model,
-    u0).  They are carried with the maps, so they depend on the run alone,
-    and are exact for its steps at every stride.
-
-    Per sector, G = g . sigma / 2, kept as (g_x, g_y, g_z).  Else G's real
-    parts over the rows a <= b, and then minus its imaginary parts over
-    a < b (`_hermitian_entries`)."""
+def energy_integrals(maps: SampleMaps, u0: np.ndarray, stride: int) -> np.ndarray:
+    """The integrals of <psi|H|psi> dt from the start of the run of the
+    folded maps from the columns u0 (d, m) to each of its samples every
+    stride blocks, <u0|G_k|u0> (n_samples, m), 0 at the start.  The G_k are
+    carried with the maps, so they are exact for the run's steps at every
+    stride.  Per sector (i, j), with G = g . sigma / 2 held as
+    (xi, g_z) = (g_x + i g_y, g_z), x = u0[i] and y = u0[j], the sum over
+    the sectors of Re(xi* x* y) + g_z (|x|^2 - |y|^2)/2; else Re(u0^dagger
+    G u0)."""
     at = maps.at(stride)
-    if maps.sectors:
-        g = np.zeros((len(at) + 1,) + at.shape[1:-1] + (3,))
-        g[1:, ..., 0] = at[..., 2].real
-        g[1:, ..., 1] = at[..., 2].imag
-        g[1:, ..., 2] = at[..., 3].real
-        return g.reshape(len(g), -1)
-    d = at.shape[-1]
-    a, b, upper = _hermitian_entries(d)
-    entries = at[:, d + a, b]
-    g = np.zeros((len(at) + 1, len(a) + int(upper.sum())))
-    g[1:, : len(a)] = entries.real
-    g[1:, len(a) :] = -entries[:, upper].imag
-    return g
-
-
-def _hermitian_entries(d: int):
-    """Rows a and columns b of the entries on and above the diagonal of a
-    d x d matrix, and where b > a."""
-    a, b = np.triu_indices(d)
-    return a, b, b > a
+    u = np.asarray(u0, dtype=complex)
+    out = np.zeros((len(at) + 1, u.shape[1]))
+    if not maps.sectors:
+        d = at.shape[-1]
+        out[1:] = np.einsum("am,kab,bm->km", u.conj(), at[:, d:], u).real
+        return out
+    i, j = maps.pairs
+    x, y = u[i], u[j]
+    out[1:] = (at[..., 2].conj() @ (x.conj() * y)).real
+    out[1:] += at[..., 3].real @ (0.5 * (np.abs(x) ** 2 - np.abs(y) ** 2))
+    return out

@@ -59,12 +59,13 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
     """Unitary propagator exp(-i h t) for a Hermitian h of dimension 2 or 4,
-    from its eigendecomposition."""
+    from its eigendecomposition; ValueError unless max |h - h^dagger| <= 1e-10."""
     h = np.asarray(h, dtype=complex)
     if h.shape not in ((2, 2), (4, 4)):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {h.shape}")
-    if not np.allclose(h, h.conj().T, atol=1e-10):
-        raise ValueError("generator is not Hermitian")
+    defect = np.max(np.abs(h - h.conj().T))
+    if not defect <= 1e-10:  # NaN fails too
+        raise ValueError(f"generator is not Hermitian: max |H - H^dagger| = {defect:.3e}")
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
 

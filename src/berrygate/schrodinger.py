@@ -47,7 +47,7 @@ _SX_A, _SY_A = np.kron(pauli("x"), np.eye(2)), np.kron(pauli("y"), np.eye(2))
 # Max allowed dt * max(eigenvalue spread, largest |eigenvalue|); RK4 stays
 # phase-accurate below this.
 STEP_SPREAD_LIMIT = 0.01
-# Largest |H - H^dagger| entry accepted, the atol of `linalg.expm_hermitian`.
+# Largest |H - H^dagger| entry accepted, as by `linalg.expm_hermitian`.
 HERMITIAN_TOL = 1e-10
 
 

@@ -19,15 +19,14 @@ that never vanishes along the cone paths, unlike the overlap with the start
 state), taken against the running dynamic phase so that only the slow
 geometric remainder has to be unwrapped.  The dynamic phase is exact for
 the Magnus-4 steps, with no quadrature: the engine carries each map's
-derivative in a scaling (1 + lambda) H of the Hamiltonian through the fold,
-and that derivative is the energy integral of the run as a quadratic form
-in its start state (`engine.energy_integrals`).  So each use of a segment
-contracts the integrals of the shared maps with the weights of its start
-state (`engine.energy_weights`) for its dynamic phase and for the ledger's
-reference, and the geometric part is the difference; the ledger reads one
-component of each column of the states at its samples.  Ideal pi pulses
-permute amplitudes without touching phases, so per-loop phases add up across
-a compound sequence.
+derivative G in a scaling (1 + lambda) H of the Hamiltonian through the
+fold, and <psi0|G|psi0> is the energy integral of the run from psi0.  So
+each use of a segment reads the running energy integrals of the shared maps
+at its own start state (`engine.energy_integrals`) for its dynamic phase
+and for the ledger's reference, and the geometric part is the difference;
+the ledger reads one component of each column of the states at its
+samples.  Ideal pi pulses permute amplitudes without touching phases, so
+per-loop phases add up across a compound sequence.
 
 Sampling: the samples serve the phase ledger only, and each segment use is
 sampled as coarsely as its unwrapped phase allows, not once per step.  Each
@@ -338,42 +337,41 @@ def _run_segment(model, seg: Segment, t0: float, n_steps: int, dt: float, u, blo
     `_run_plan`).  A use whose maps are empty folds them through
     `engine.propagate_sampled`, which returns its states at the stride of
     the maps; a ramp-down's may be the reversed run of a folded ramp-up,
-    which takes no step.  Each use forms the weights of its start state,
-    and contracts the energy integrals of the maps at its samples with them
-    (`engine.energy_integrals`): their running values are the ledger's
-    reference, and the last its dynamic phase.  The ledger reads one
-    component of each column of the states at the samples, and the final
-    state is the last sample.  The samples start at the stride of the maps,
-    and each refinement halves the stride, until the ledger's largest jump
-    passes MAX_SAMPLE_JUMP, or down to the floor spacing.  The book samples the maps when first read, at their read
-    stride (`engine.SampleMaps`), or at the accepted stride if that is
-    finer: a use whose phase turns too fast for the coarser samples needs
-    the finer ones for its holonomy too."""
+    which takes no step.  Each use reads the energy integrals of the maps at
+    its samples from its start state (`engine.energy_integrals`): their
+    running values are the ledger's reference, and the last its dynamic
+    phase.  The ledger reads one component of each column of the states at
+    the samples, and the final state is the last sample.  The samples start
+    at the stride of the maps, and each refinement halves the stride, until
+    the ledger's largest jump passes MAX_SAMPLE_JUMP, or down to the floor
+    spacing.  The book samples the maps when first read, at their read stride
+    (`engine.SampleMaps`), or at the accepted stride if that is finer: a use
+    whose phase turns too fast for the coarser samples needs the finer ones
+    for its holonomy too."""
     propagator, controls, u, to_report = _segment_frame(model, seg, t0, u)
     stride = maps.stride
     if maps.filled:
-        tau, states = engine.samples_at(propagator, maps, u, stride)
+        tau, states = engine.samples_at(maps, u, stride)
     else:
         tau, states = engine.propagate_sampled(propagator, controls, n_steps, dt, u, block, maps)
-    weights = engine.energy_weights(propagator, u)
     cols = np.arange(u.shape[1])
     last = states[-1]
     if to_report is not None:
         last = last * to_report(tau[-1:])[0][:, None]
     while True:
-        reference = -(engine.energy_integrals(maps, stride) @ weights)
+        reference = -engine.energy_integrals(maps, u, stride)
         comp = states[:, ledger.ref, cols]
         if to_report is not None:
             comp *= to_report(tau)[:, ledger.ref]
         if ledger.update(comp, reference, last, MAX_SAMPLE_JUMP if stride > 1 else math.inf):
             break
         stride //= 2
-        tau, states = engine.samples_at(propagator, maps, u, stride)
+        tau, states = engine.samples_at(maps, u, stride)
     read = min(stride, maps.read_stride)
     tau = engine.sample_times(maps, read)
 
     def sample():
-        states = engine.samples_at(propagator, maps, u, read)[1]
+        states = engine.samples_at(maps, u, read)[1]
         if to_report is not None:
             states *= to_report(tau)[:, :, None]
         return states
@@ -425,11 +423,12 @@ def _run_plan(plan, model, u0, dt, spacing):
     first half's steps only (`engine.SampleMaps` with symmetric set).  So
     each distinct Hamiltonian is folded once, and the gate's 12 segment
     uses fold 3: the ramp-up and the first halves of the two sweeps.  Each
-    use contracts the shared energy integrals with the weights of its own
-    start state, and applies the shared maps to it for its reference
-    components and its final state; its book holds its stride and dynamic
-    phase, and samples the maps at the read stride only if read.  Nothing
-    outlives the call.
+    use reads the shared energy integrals at its own start state, and
+    applies the shared maps to it for its reference components and its
+    final state; its book holds its stride and dynamic phase, and samples
+    the maps at the read stride only if read.  So each book's lazy sample
+    holds its segment's `engine.SampleMaps`, levels included (a reversed
+    run's hold their source's), until the result is dropped.
 
     An `AdiabaticityError` from the phase ledger names the segment, by its
     index among the plan's segments (from 0) and its kind."""

@@ -312,15 +312,14 @@ def test_the_gate_propagates_each_distinct_segment_once(drive_on_b, steps):
             assert propagate.call_count == 3
 
 
-# A segment's energy integrals are a quadratic form in its start state, so
-# its uses share one integral in the Heisenberg picture, the integral of
-# U^dagger H U that the engine carries with its maps, and each use only
-# contracts it with the weights of its start state; the ledger reads one row
-# of each map.  Random unit start columns, which span both sectors, against
-# the running sum of <psi|G|psi> over the steps, each step's energy integral
-# G on the state before it, in the frame the engine runs in (H' + dPhi/dt
-# for the phi frame, whose energy in the frame of the reports the oracle
-# runs above check).
+# A segment's uses share one energy integral in the Heisenberg picture, the
+# integral G of U^dagger H U that the engine carries with its maps, and each
+# use reads <psi0|G|psi0> at its own start state psi0 off the maps alone
+# (`engine.energy_integrals`).  Random unit start columns, which span both
+# sectors, against the running sum of <psi|G|psi> over the steps, each
+# step's energy integral G on the state before it, in the frame the engine
+# runs in (H' + dPhi/dt for the phi frame, whose energy in the frame of the
+# reports the oracle runs above check).
 
 FRAMES = {
     "one spin": (lambda p: sequences._model_1q(p.drive.omega0), 2),
@@ -364,7 +363,6 @@ def test_a_use_reads_its_segment_in_the_heisenberg_picture(frame, use, columns, 
     n, dt = 1024, seg.duration / 1024
     maps = engine.SampleMaps()
     engine.propagate_sampled(propagator, controls, n, dt, start, 4, maps)
-    weights = engine.energy_weights(propagator, start)
     # the running sum over the steps, one at a time
     steps, gaps = _step_matrices(propagator, engine._chunk_products(
         propagator, controls, 0.0, n, dt, 1)[0], d)
@@ -374,7 +372,7 @@ def test_a_use_reads_its_segment_in_the_heisenberg_picture(frame, use, columns, 
         psi = steps[k] @ psi
     stride = maps.stride
     while stride:
-        integrals = engine.energy_integrals(maps, stride) @ weights
+        integrals = engine.energy_integrals(maps, start, stride)
         expected = running[:: 4 * stride]
         assert np.max(np.abs(integrals - expected)) <= 1e-12 * np.abs(expected).max()
         stride //= 2
@@ -429,8 +427,7 @@ def _final_energies(dt, model, span=4.0):
     maps = engine.SampleMaps()
     engine.propagate_sampled(model, lambda times: (), n, span / n, np.eye(4, dtype=complex), 1,
                              maps)
-    return engine.energy_integrals(maps, maps.stride)[-1] @ engine.energy_weights(
-        model, np.eye(4, dtype=complex))
+    return engine.energy_integrals(maps, np.eye(4, dtype=complex), maps.stride)[-1]
 
 
 @pytest.mark.parametrize("model", [
@@ -445,11 +442,11 @@ def test_the_dynamic_phase_error_falls_as_h4(model):
 
 def test_shared_segments_give_the_gate_of_fresh_ones():
     # each use folded afresh from its own start, with its dynamic phase read
-    # off the energy integrals of its own fresh maps; measured: 2.6e-15
-    # (gate), 5.7e-14 (total phases) and 8.0e-13 (dynamic phases, the net of
+    # off the energy integrals of its own fresh maps; measured: 2.5e-15
+    # (gate), 2.3e-13 (total phases) and 6.3e-13 (dynamic phases, the net of
     # segment terms of up to 517 rad).  The dynamic bound sits near the
     # rounding floor: the gate at (1.5, 1.7) with `_CHUNK_STEPS` 2048 reads
-    # 1.1e-12, so a change of rounding on the sector path can cross it
+    # 1.08e-12, so a change of rounding on the sector path can cross it
     p = two_spin_params(2.0, 1.2)
     ramp, sweep, _ = sequences.default_times_2q(p)
     plan = sequences._conditional_plan(p, ramp, sweep, 0.0)
@@ -463,8 +460,7 @@ def test_shared_segments_give_the_gate_of_fresh_ones():
                              (use[0] for use in states)):
         maps = engine.SampleMaps()
         engine.propagate_sampled(model, seg.controls_at, n, seg.duration / n, start, 1, maps)
-        dynamic -= (engine.energy_integrals(maps, maps.stride)[-1]
-                    @ engine.energy_weights(model, start))
+        dynamic -= engine.energy_integrals(maps, start, maps.stride)[-1]
     _assert_afresh_agrees(res, (gate, total, dynamic, states), 1e-12)
 
 
@@ -532,8 +528,9 @@ def test_a_near_equator_cone_refines_every_segment():
 def test_the_sampled_gate_is_the_floor_sampled_gate(detuning, amplitude):
     # with no jump accepted every segment use is sampled at the floor
     # spacing; the steps are the same, and the dynamic phases are read off
-    # the same energy integrals, so only rounding moves (measured: up to
-    # 4.4e-15 (gate), 0 (total phases) and 4.5e-13 (dynamic phases))
+    # the energy integral of the same map to the last sample, whatever the
+    # stride (measured: 0 for the gate, the total and the dynamic phases at
+    # all three spots)
     p = two_spin_params(detuning, amplitude)
     sampled = sequences.run_conditional_sequence(p)
     with mock.patch.object(sequences, "MAX_SAMPLE_JUMP", 0.0):
@@ -586,11 +583,11 @@ def test_a_later_use_refines_the_shared_maps_further():
     start = plan[3][1] @ planned.books[2].states[-1]
     assert ramp_maps.read_stride > 1
     assert np.array_equal(planned.books[3].states,
-                          engine.samples_at(model, ramp_maps, start, 1)[1])
+                          engine.samples_at(ramp_maps, start, 1)[1])
     with mock.patch.object(sequences, "MAX_SAMPLE_JUMP", 0.0):
         floor = sequences._run_plan(plan, model, np.eye(2, dtype=complex), dt, spacing)
     assert _strides(floor) == [1] * 6
-    # measured: 0 (final state and total phases) and 5.4e-10 (dynamic)
+    # measured: 0 (final state, total and dynamic phases)
     assert np.max(np.abs(planned.final - floor.final)) < 1e-12
     assert np.max(np.abs(planned.ledger.total - floor.ledger.total)) < 1e-10
     assert np.max(np.abs(planned.dynamic - floor.dynamic)) < 1e-8
@@ -656,7 +653,7 @@ def test_a_stride_skipped_on_the_way_down_is_made_later():
         maps = engine.SampleMaps(stride=8)
         engine.propagate_sampled(model, seg.controls_at, 1024, 50.0 / 1024, start, 4, maps)
         for stride in order:
-            states[order, stride] = engine.samples_at(model, maps, start, stride)[1]
+            states[order, stride] = engine.samples_at(maps, start, stride)[1]
     for stride in (2, 4):
         assert np.array_equal(states[(2, 4), stride], states[(4, 2), stride])
 
@@ -757,6 +754,15 @@ def _folded_ramp(model, controls, seg, dim, phase=None):
     return maps
 
 
+def _energy_parts(maps, stride, planar, dim):
+    """The real and imaginary parts of the energy integrals G carried with
+    the maps at stride: the slots (g_x + i g_y, g_z) per sector, else G
+    below the unitary."""
+    at = maps.at(stride)
+    g = at[..., 2:4] if planar else at[:, dim:]
+    return np.stack([g.real, g.imag])
+
+
 @settings(max_examples=30, deadline=None)
 @given(frame=st.sampled_from(sorted(REVERSAL_FRAMES)), **RAMP_PAIRS)
 def test_a_ramp_down_is_its_ramp_up_reversed(frame, amplitude, detuning, phase, turns,
@@ -776,8 +782,8 @@ def test_a_ramp_down_is_its_ramp_up_reversed(frame, amplitude, detuning, phase, 
         assert np.max(np.abs(rev[unitaries] - fold[unitaries])) < bound
         # with the energy integrals carried with them, to the rounding of
         # integrals of up to 52 rad
-        integrals = engine.energy_integrals(folded, stride)
-        assert (np.max(np.abs(engine.energy_integrals(reversed_run, stride) - integrals))
+        integrals = _energy_parts(folded, stride, planar, dim)
+        assert (np.max(np.abs(_energy_parts(reversed_run, stride, planar, dim) - integrals))
                 <= 1e-12 * np.abs(integrals).max())
 
 
@@ -816,8 +822,8 @@ def test_a_symmetric_sweep_folds_its_first_half_only(frame, blocks, amplitude, d
         unitaries = (slice(None), Ellipsis, slice(2)) if planar else (slice(None), slice(dim))
         gap = mirrored.at(stride)[unitaries] - folded.at(stride)[unitaries]
         assert np.max(np.abs(gap)) < bound
-        integrals = engine.energy_integrals(folded, stride)
-        assert (np.max(np.abs(engine.energy_integrals(mirrored, stride) - integrals))
+        integrals = _energy_parts(folded, stride, planar, dim)
+        assert (np.max(np.abs(_energy_parts(mirrored, stride, planar, dim) - integrals))
                 <= 1e-12 * np.abs(integrals).max())
 
 

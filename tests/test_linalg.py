@@ -112,8 +112,12 @@ def test_expm_unitarity_and_group_law():
 
 
 def test_expm_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        expm_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    # the bound on |H - H^dagger| is absolute: off by 1 is refused however
+    # large H is, and NaN fails it too
+    for h in ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1e6 + 1.0], [1e6, 0.0]],
+              [[0.0, np.nan], [np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            expm_hermitian(np.array(h), 1e-3)
     with pytest.raises(ValueError, match=r"expected a 2x2 or 4x4 matrix, got shape \(3, 3\)"):
         expm_hermitian(np.eye(3), 1.0)
 
